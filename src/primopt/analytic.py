@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 
 import numpy as np
@@ -156,11 +157,7 @@ class ConditionVerdict:
         return cls(v, lhs, rhs)
 
     def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "lhs": self.lhs.to_json(),
-            "rhs": self.rhs.to_json(),
-        }
+        return jsonable(vars(self))
 
 
 @dataclass
@@ -176,21 +173,21 @@ class VerificationReport:
         return self.verdict == HOLDS
 
     def to_json(self) -> dict:
-        def conv(x):
-            if isinstance(x, (ErrBoundReal, ConditionVerdict)):
-                return x.to_json()
-            if isinstance(x, dict):
-                return {k: conv(v) for k, v in x.items()}
-            if isinstance(x, (list, tuple)):
-                return [conv(v) for v in x]
-            return x
+        return jsonable(vars(self))
 
-        return {
-            "claim": self.claim,
-            "verdict": self.verdict,
-            "quantities": conv(self.quantities),
-            "notes": list(self.notes),
-        }
+
+def jsonable(x):
+    """Plain-JSON form of a report value: objects with ``to_json`` use it,
+    Fractions print exactly, and dicts, lists and tuples are walked."""
+    if hasattr(x, "to_json"):
+        return x.to_json()
+    if isinstance(x, Fraction):
+        return str(x)
+    if isinstance(x, dict):
+        return {k: jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [jsonable(v) for v in x]
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -214,23 +211,29 @@ def _power_sum(n_terms: int, s: float) -> tuple[float, float]:
     return total, rounding
 
 
-def riemann_zeta(s: float, target_radius: float = 1e-10) -> ErrBoundReal:
-    """zeta(s) for s > 1 by direct summation plus the integral tail enclosure.
+def _zeta_sum(s: float, target_radius: float) -> tuple[float, float, int]:
+    """(value, radius, N) of zeta(s), s > 1: N direct terms plus the centred
+    integral tail, with N chosen for the target radius up to the term cap.
 
     The tail sum_{n>N} n^-s lies between the integrals from N+1 and from N of
     x^-s, so centering on the bracket gives truncation radius <= N^-s / 2.
     """
-    if s <= 1.0:
-        raise ValueError("zeta evaluated only for s > 1")
-    if target_radius <= 0.0:
-        raise ValueError("target_radius must be positive")
     n = max(16, math.ceil(target_radius ** (-1.0 / s)))
     n = min(n, _ZETA_TERM_CAP)
     partial, rounding = _power_sum(n, s)
     tail_hi = n ** (1.0 - s) / (s - 1.0)
     tail_lo = (n + 1.0) ** (1.0 - s) / (s - 1.0)
-    value = partial + 0.5 * (tail_hi + tail_lo)
-    radius = 0.5 * (tail_hi - tail_lo) + rounding + _pad(value)
+    return partial + 0.5 * (tail_hi + tail_lo), 0.5 * (tail_hi - tail_lo) + rounding, n
+
+
+def riemann_zeta(s: float, target_radius: float = 1e-10) -> ErrBoundReal:
+    """zeta(s) for s > 1 by direct summation plus the integral tail enclosure."""
+    if s <= 1.0:
+        raise ValueError("zeta evaluated only for s > 1")
+    if target_radius <= 0.0:
+        raise ValueError("target_radius must be positive")
+    value, radius, n = _zeta_sum(s, target_radius)
+    radius = radius + _pad(value)
     if radius > target_radius:
         raise PrecisionError(
             f"zeta({s}) radius {radius:.3e} exceeds target {target_radius:.3e} "
@@ -284,16 +287,8 @@ def prime_zeta(t: float, target_radius: float = 1e-10) -> ErrBoundReal:
     for m in terms:
         s = t * m
         zeta_floor = max(1.0, 1.0 / (s - 1.0))
-        z_target = budget_each * m * zeta_floor
-        n = max(16, math.ceil(z_target ** (-1.0 / s)))
-        n = min(n, _ZETA_TERM_CAP)
-        partial, rounding = _power_sum(n, s)
-        tail_hi = n ** (1.0 - s) / (s - 1.0)
-        tail_lo = (n + 1.0) ** (1.0 - s) / (s - 1.0)
-        z = ErrBoundReal(
-            partial + 0.5 * (tail_hi + tail_lo),
-            0.5 * (tail_hi - tail_lo) + rounding,
-        )
+        z_value, z_radius, _ = _zeta_sum(s, budget_each * m * zeta_floor)
+        z = ErrBoundReal(z_value, z_radius)
         total = total + z.log() * (_mobius(m) / m)
 
     result = ErrBoundReal(total.value, total.radius + tail + _pad(total.value))
@@ -305,14 +300,16 @@ def prime_zeta(t: float, target_radius: float = 1e-10) -> ErrBoundReal:
     return result
 
 
+def sum_with_rounding(terms: np.ndarray) -> ErrBoundReal:
+    """numpy (pairwise) sum of a float array, with a rounding-only radius."""
+    value = float(np.sum(terms))
+    rounding = _EPS * abs(value) * (math.log2(max(terms.size, 2)) + 8)
+    return ErrBoundReal(value, rounding)
+
+
 def sigma_t(prime_set: PrimeSet, t: float) -> ErrBoundReal:
     """Exact finite sum of p^-t over the set, with a rounding-only radius."""
-    arr = prime_set.as_array()
-    if arr.size == 0:
-        return ErrBoundReal.exact(0.0)
-    value = float(np.sum(arr.astype(np.float64) ** (-t)))
-    rounding = _EPS * value * (math.log2(max(arr.size, 2)) + 8)
-    return ErrBoundReal(value, rounding)
+    return sum_with_rounding(prime_set.as_array().astype(np.float64) ** (-t))
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +355,8 @@ def condition_margin(t: float, target_radius: float = 1e-8) -> ErrBoundReal:
     """Margin 1 + sqrt(1 - P(2t)) - P(t); positive iff the all-primes
     condition holds at t.  Its unique sign change on (1, 1.5] is the
     threshold below which the condition fails for the full prime set."""
-    lhs = prime_zeta(t, target_radius)
-    rhs = condition_rhs_from_square_sum(prime_zeta(2.0 * t, target_radius))
-    return rhs - lhs
+    sides = check_condition_allprimes(t, target_radius)
+    return sides.rhs - sides.lhs
 
 
 def tau_root(target_radius: float = 1e-6) -> ErrBoundReal:

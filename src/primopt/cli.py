@@ -4,6 +4,9 @@ Every invocation writes a single JSON document to stdout (or aligned text
 with --format text) wrapped in a stable envelope: claim, verdict, lhs, rhs,
 runtime_ms, detail.  Exit codes: 0 holds/success, 1 fails, 2 inconclusive
 or precision-limited, 3 usage/domain error, 4 resource limit.
+
+The suite's checks are not defined here: ``primopt suite`` runs the table in
+:mod:`primopt.checks`, the single source it shares with the acceptance tests.
 """
 
 from __future__ import annotations
@@ -13,10 +16,10 @@ import json
 import random
 import sys
 import time
-from fractions import Fraction
 
 from . import analytic, erdos, oracle, symfunc, twin
-from .analytic import HOLDS, FAILS, INCONCLUSIVE, ErrBoundReal
+from .analytic import HOLDS, FAILS, INCONCLUSIVE, ErrBoundReal, jsonable
+from .checks import CHECKS
 from .errors import PrecisionError, SizeLimitError
 from .primes import PrimeSet, sieve_primes, twin_primes
 
@@ -28,15 +31,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(3)
-
-
-def _add_prime_set_args(p: _Parser) -> None:
-    p.add_argument("--primes", help="comma-separated primes, e.g. 2,3,5")
-    p.add_argument("--primes-below", type=int, help="all primes <= N")
-    p.add_argument("--twins-below", type=int, help="twin primes <= N")
-    p.add_argument(
-        "--include-three", action="store_true", help="include 3 with --twins-below"
-    )
 
 
 def _prime_set(args) -> PrimeSet:
@@ -56,28 +50,29 @@ def _prime_set(args) -> PrimeSet:
     return twin_primes(args.twins_below, include_three=args.include_three)
 
 
-def _envelope(claim, verdict, lhs=None, rhs=None, **detail) -> dict:
-    def conv(x):
-        if isinstance(x, ErrBoundReal):
-            return x.to_json()
-        if hasattr(x, "to_json"):
-            return x.to_json()
-        if isinstance(x, Fraction):
-            return str(x)
-        if isinstance(x, dict):
-            return {k: conv(v) for k, v in x.items()}
-        if isinstance(x, (list, tuple)):
-            return [conv(v) for v in x]
-        return x
+def _add_truncation_args(p: _Parser, *level_flag, **level_opts) -> None:
+    """The Omega floor (``level_flag``) and the caps of a truncated universe."""
+    p.add_argument(*level_flag, type=int, **level_opts)
+    p.add_argument("--max-omega", type=int, required=True)
+    p.add_argument("--max-value", type=int, required=True)
+    p.add_argument("--max-elements", type=int, default=oracle.DEFAULT_MAX_ELEMENTS)
 
+
+def _envelope(claim, verdict, lhs=None, rhs=None, **detail) -> dict:
     return {
         "claim": claim,
         "verdict": verdict,
-        "lhs": conv(lhs),
-        "rhs": conv(rhs),
+        "lhs": jsonable(lhs),
+        "rhs": jsonable(rhs),
         "runtime_ms": None,  # filled in by main
-        "detail": conv(detail),
+        "detail": jsonable(detail),
     }
+
+
+def _report_envelope(report, lhs=None, rhs=None) -> dict:
+    """Envelope of a report: its claim and verdict, the rest of its JSON as detail."""
+    body = report.to_json()
+    return _envelope(body.pop("claim"), body.pop("verdict"), lhs=lhs, rhs=rhs, **body)
 
 
 # ---------------------------------------------------------------------------
@@ -140,13 +135,7 @@ def _cmd_schur(args):
 
 
 def _cmd_chain(args):
-    report = symfunc.chain_check(_prime_set(args), args.t, args.kmax)
-    return _envelope(
-        report.claim,
-        report.verdict,
-        quantities=report.quantities,
-        notes=report.notes,
-    )
+    return _report_envelope(symfunc.chain_check(_prime_set(args), args.t, args.kmax))
 
 
 def _cmd_identity(args):
@@ -173,10 +162,14 @@ def _cmd_decompose(args):
     )
 
 
-def _cmd_universe(args):
-    u = oracle.build_universe(
+def _universe(args) -> oracle.TruncatedUniverse:
+    return oracle.build_universe(
         _prime_set(args), args.k_lo, args.max_omega, args.max_value, args.max_elements
     )
+
+
+def _cmd_universe(args):
+    u = _universe(args)
     return _envelope(
         "truncated universe enumeration",
         HOLDS,
@@ -186,9 +179,7 @@ def _cmd_universe(args):
 
 
 def _cmd_oracle(args):
-    u = oracle.build_universe(
-        _prime_set(args), args.k_lo, args.max_omega, args.max_value, args.max_elements
-    )
+    u = _universe(args)
     if args.brute_force:
         antichain, weight = oracle.max_weight_antichain_bruteforce(u, args.t)
     else:
@@ -202,32 +193,17 @@ def _cmd_oracle(args):
     )
 
 
-def _cmd_verify_tbest(args):
-    report = oracle.verify_tbest(
-        _prime_set(args), args.t, args.k, args.max_omega, args.max_value,
-        args.max_elements,
-    )
-    body = report.to_json()
-    return _envelope(
-        body.pop("claim"),
-        body.pop("verdict"),
+def _cmd_verify(args):
+    prime_set = _prime_set(args)
+    level_and_caps = (args.k, args.max_omega, args.max_value, args.max_elements)
+    if args.command == "verify-tbest":
+        report = oracle.verify_tbest(prime_set, args.t, *level_and_caps)
+    else:
+        report = oracle.verify_erdos_best(prime_set, *level_and_caps)
+    return _report_envelope(
+        report,
         lhs=ErrBoundReal.exact(report.optimum_weight),
         rhs=ErrBoundReal.exact(report.reference_weight),
-        **body,
-    )
-
-
-def _cmd_verify_erdos(args):
-    report = oracle.verify_erdos_best(
-        _prime_set(args), args.k, args.max_omega, args.max_value, args.max_elements
-    )
-    body = report.to_json()
-    return _envelope(
-        body.pop("claim"),
-        body.pop("verdict"),
-        lhs=ErrBoundReal.exact(report.optimum_weight),
-        rhs=ErrBoundReal.exact(report.reference_weight),
-        **body,
     )
 
 
@@ -252,12 +228,7 @@ def _cmd_corollary(args):
         report = twin.full_twin_check(brun_input, args.limit)
     else:
         report = twin.corollary_check(brun_input, args.limit)
-    return _envelope(
-        report.claim,
-        report.verdict,
-        quantities=report.quantities,
-        notes=report.notes,
-    )
+    return _report_envelope(report)
 
 
 def _cmd_erdos_sum(args):
@@ -284,138 +255,26 @@ def _cmd_bridge(args):
 
 
 # ---------------------------------------------------------------------------
-# the one-shot suite
+# the one-shot suite: every row of primopt.checks
 # ---------------------------------------------------------------------------
 
 
-def _suite_rows(quick: bool, seed: int) -> list[dict]:
-    rng = random.Random(seed)
-    rows: list[dict] = []
-
-    def add(claim, computed, expected, ok, started):
+def _cmd_suite(args):
+    rng = random.Random(args.seed)
+    rows = []
+    for check in CHECKS:
+        started = time.monotonic()
+        computed, ok = check.run(rng, args.quick)
+        elapsed_ms = int((time.monotonic() - started) * 1000)
         rows.append(
             {
-                "claim": claim,
+                "claim": check.title(args.quick),
                 "computed": computed,
-                "expected": expected,
+                "expected": check.expected,
                 "verdict": HOLDS if ok else FAILS,
-                "runtime_ms": int((time.monotonic() - started) * 1000),
+                "runtime_ms": 0 if args.seed is not None else elapsed_ms,
             }
         )
-
-    t0 = time.monotonic()
-    p2 = analytic.prime_zeta(2.0, 1e-8)
-    add("prime zeta at 2", p2.value, "0.45224742 +- 1e-7",
-        abs(p2.value - 0.45224742) <= 1e-7, t0)
-
-    t0 = time.monotonic()
-    rhs = analytic.condition_rhs_from_square_sum(p2)
-    add("all-primes condition right side at t=1", rhs.value, "1.74010308 +- 1e-7",
-        abs(rhs.value - 1.74010308) <= 1e-7, t0)
-
-    t0 = time.monotonic()
-    tau = analytic.tau_root(1e-6)
-    low = analytic.condition_margin(1.05, 1e-7)
-    high = analytic.condition_margin(1.5, 1e-7)
-    add("threshold root and margin signs", tau.value,
-        "1.1403659 +- 1e-6, margin(1.05)<0<margin(1.5)",
-        abs(tau.value - 1.1403659) <= 1e-6 and low.upper() < 0.0 < high.lower(), t0)
-
-    t0 = time.monotonic()
-    report = twin.corollary_check(twin.BrunInput(2.347, "proven bound"), 10**6)
-    add("twin chain with proven Brun bound", report.verdict, HOLDS,
-        report.holds(), t0)
-
-    t0 = time.monotonic()
-    limit = 10**7 if quick else 10**8
-    hold_report = twin.full_twin_check(twin.BrunInput(2.0959621, "required bound"), limit)
-    fail_report = twin.full_twin_check(twin.BrunInput(2.347, "proven bound"), limit)
-    add(f"twin-with-3 condition at limit {limit}",
-        f"{hold_report.verdict}/{fail_report.verdict}", "holds/fails",
-        hold_report.holds() and fail_report.verdict == FAILS, t0)
-
-    t0 = time.monotonic()
-    instances = 0
-    agree = True
-    for combo_seed in range(10**6):
-        if instances >= 120:
-            break
-        subset = [p for p in (2, 3, 5, 7) if rng.random() < 0.6]
-        if not subset:
-            continue
-        prime_set = PrimeSet(subset, validate=False)
-        k = rng.choice((1, 2))
-        max_omega = rng.randint(k, 5)
-        max_value = rng.choice((20, 60, 200, 600))
-        try:
-            u = oracle.build_universe(prime_set, k, max_omega, max_value)
-        except SizeLimitError:
-            continue
-        if not 1 <= len(u) <= 40:
-            continue
-        t = rng.choice((1.2, 1.5, 2.0))
-        _, w_flow = oracle.max_weight_antichain_flow(u, t)
-        _, w_brute = oracle.max_weight_antichain_bruteforce(u, t)
-        agree = agree and abs(w_flow - w_brute) <= 1e-9
-        instances += 1
-    add("flow vs brute-force agreement", f"{instances} instances",
-        ">=100 agree to 1e-9", agree and instances >= 100, t0)
-
-    t0 = time.monotonic()
-    ok = True
-    for k in (1, 2, 3):
-        r = oracle.verify_tbest(PrimeSet([2, 3, 5]), 1.5, k, k + 3, 10**6)
-        ok = ok and r.holds()
-    r = oracle.verify_erdos_best(PrimeSet([5, 7, 11, 13]), 1, 4, 10**6)
-    ok = ok and r.holds()
-    add("theorem-instance certifications", "holds" if ok else "fails", HOLDS, ok, t0)
-
-    t0 = time.monotonic()
-    primes_1e5 = sieve_primes(10**5)
-    s1 = analytic.sigma_t(primes_1e5, 1.02).value
-    h2 = float(symfunc.sigma_nk(primes_1e5, 1.02, 2))
-    add("level-2 sum beats the prime sum at t=1.02", f"{h2:.6f} > {s1:.6f}",
-        "level 2 heavier", h2 > s1, t0)
-
-    t0 = time.monotonic()
-    ok = True
-    base = sieve_primes(1000).as_list()
-    for _ in range(100):
-        prime_set = PrimeSet(rng.sample(base, rng.randint(1, 40)), validate=False)
-        t = rng.uniform(1.0, 3.0)
-        residual = symfunc.square_identity_check(prime_set, t)
-        s1 = analytic.sigma_t(prime_set, t).value
-        ok = ok and residual <= 1e-12 * max(1.0, s1 * s1)
-    for _ in range(1000):
-        xs = [rng.uniform(1e-6, 1.0 - 1e-6) for _ in range(rng.randint(1, 10))]
-        good, _ = symfunc.schur_check(xs, rng.randint(1, 8))
-        ok = ok and good
-    for subset_mask in range(1, 16):
-        subset = [p for i, p in enumerate((2, 3, 5, 7)) if subset_mask >> i & 1]
-        prime_set = PrimeSet(subset, validate=False)
-        for ell in range(1, 5):
-            for s in symfunc.level_elements(prime_set, ell):
-                ok = ok and symfunc.decomposition_partition_check(prime_set, ell, s)
-    exact = symfunc.h_all([Fraction(1, 2), Fraction(1, 3)], 2)
-    ok = ok and exact == [1, Fraction(5, 6), Fraction(19, 36)]
-    add("identity suite (random and exhaustive)", "all pass" if ok else "violation",
-        "all pass", ok, t0)
-
-    t0 = time.monotonic()
-    ok = erdos.integral_bridge_check([2], 1e-6) <= 1e-6
-    ok = ok and erdos.integral_bridge_check([2, 3, 5], 1e-4) <= 1e-4
-    ok = ok and erdos.integral_bridge_check([4, 6, 9], 1e-4) <= 1e-4
-    add("integral bridge residuals", "within tolerance" if ok else "exceeded",
-        "within tolerance", ok, t0)
-
-    return rows
-
-
-def _cmd_suite(args):
-    rows = _suite_rows(args.quick, args.seed)
-    if args.seed is not None:
-        for row in rows:
-            row["runtime_ms"] = 0
     all_hold = all(row["verdict"] == HOLDS for row in rows)
     return _envelope(
         "verification suite", HOLDS if all_hold else FAILS, checks=rows
@@ -430,109 +289,82 @@ def _build_parser() -> _Parser:
     common.add_argument("--format", choices=("json", "text"), default="json")
     common.add_argument("--out", help="also write the JSON document to this path")
 
+    prime_set_args = argparse.ArgumentParser(add_help=False)
+    prime_set_args.add_argument("--primes", help="comma-separated primes, e.g. 2,3,5")
+    prime_set_args.add_argument("--primes-below", type=int, help="all primes <= N")
+    prime_set_args.add_argument("--twins-below", type=int, help="twin primes <= N")
+    prime_set_args.add_argument(
+        "--include-three", action="store_true", help="include 3 with --twins-below"
+    )
+
     parser = _Parser(prog="primopt", parents=[common])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
+    def add_parser(name, handler, *parents):
+        p = sub.add_parser(name, parents=[common, *parents])
+        p.set_defaults(handler=handler)
+        return p
 
-    p = add_parser("prime-zeta")
+    p = add_parser("prime-zeta", _cmd_prime_zeta)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--radius", type=float, default=1e-8)
-    p.set_defaults(handler=_cmd_prime_zeta)
 
-    p = add_parser("zeta")
+    p = add_parser("zeta", _cmd_zeta)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--radius", type=float, default=1e-10)
-    p.set_defaults(handler=_cmd_zeta)
 
-    p = add_parser("tau")
+    p = add_parser("tau", _cmd_tau)
     p.add_argument("--radius", type=float, default=1e-6)
-    p.set_defaults(handler=_cmd_tau)
 
-    p = add_parser("check-condition")
-    _add_prime_set_args(p)
+    p = add_parser("check-condition", _cmd_check_condition, prime_set_args)
     p.add_argument("--all-primes", action="store_true")
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--radius", type=float, default=1e-8)
-    p.set_defaults(handler=_cmd_check_condition)
 
-    p = add_parser("hk")
-    _add_prime_set_args(p)
+    p = add_parser("hk", _cmd_hk, prime_set_args)
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--exact", action="store_true")
-    p.set_defaults(handler=_cmd_hk)
 
-    p = add_parser("schur")
-    _add_prime_set_args(p)
+    p = add_parser("schur", _cmd_schur, prime_set_args)
     p.add_argument("--weights", help="comma-separated weights in (0,1)")
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--kmax", type=int, required=True)
-    p.set_defaults(handler=_cmd_schur)
 
-    p = add_parser("chain")
-    _add_prime_set_args(p)
+    p = add_parser("chain", _cmd_chain, prime_set_args)
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--kmax", type=int, required=True)
-    p.set_defaults(handler=_cmd_chain)
 
-    p = add_parser("identity")
-    _add_prime_set_args(p)
+    p = add_parser("identity", _cmd_identity, prime_set_args)
     p.add_argument("--t", type=float, default=1.0)
-    p.set_defaults(handler=_cmd_identity)
 
-    p = add_parser("decompose")
-    _add_prime_set_args(p)
+    p = add_parser("decompose", _cmd_decompose, prime_set_args)
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
-    p.set_defaults(handler=_cmd_decompose)
 
-    p = add_parser("universe")
-    _add_prime_set_args(p)
-    p.add_argument("--k-lo", type=int, default=1)
-    p.add_argument("--max-omega", type=int, required=True)
-    p.add_argument("--max-value", type=int, required=True)
-    p.add_argument("--max-elements", type=int, default=oracle.DEFAULT_MAX_ELEMENTS)
-    p.set_defaults(handler=_cmd_universe)
+    p = add_parser("universe", _cmd_universe, prime_set_args)
+    _add_truncation_args(p, "--k-lo", default=1)
 
-    p = add_parser("oracle")
-    _add_prime_set_args(p)
-    p.add_argument("--k-lo", type=int, default=1)
-    p.add_argument("--max-omega", type=int, required=True)
-    p.add_argument("--max-value", type=int, required=True)
-    p.add_argument("--max-elements", type=int, default=oracle.DEFAULT_MAX_ELEMENTS)
+    p = add_parser("oracle", _cmd_oracle, prime_set_args)
+    _add_truncation_args(p, "--k-lo", default=1)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--brute-force", action="store_true")
-    p.set_defaults(handler=_cmd_oracle)
 
-    p = add_parser("verify-tbest")
-    _add_prime_set_args(p)
+    p = add_parser("verify-tbest", _cmd_verify, prime_set_args)
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--max-omega", type=int, required=True)
-    p.add_argument("--max-value", type=int, required=True)
-    p.add_argument("--max-elements", type=int, default=oracle.DEFAULT_MAX_ELEMENTS)
-    p.set_defaults(handler=_cmd_verify_tbest)
+    _add_truncation_args(p, "--k", required=True)
 
-    p = add_parser("verify-erdos")
-    _add_prime_set_args(p)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--max-omega", type=int, required=True)
-    p.add_argument("--max-value", type=int, required=True)
-    p.add_argument("--max-elements", type=int, default=oracle.DEFAULT_MAX_ELEMENTS)
-    p.set_defaults(handler=_cmd_verify_erdos)
+    p = add_parser("verify-erdos", _cmd_verify, prime_set_args)
+    _add_truncation_args(p, "--k", required=True)
 
-    p = add_parser("twin")
+    p = add_parser("twin", _cmd_twin)
     p.add_argument("--below", type=int, required=True)
     p.add_argument("--include-three", action="store_true")
-    p.set_defaults(handler=_cmd_twin)
 
-    p = add_parser("brun")
+    p = add_parser("brun", _cmd_brun)
     p.add_argument("--limit", type=int, required=True)
-    p.set_defaults(handler=_cmd_brun)
 
-    p = add_parser("corollary")
+    p = add_parser("corollary", _cmd_corollary)
     p.add_argument("--brun-bound", type=float, required=True)
     p.add_argument("--brun-source", default="unspecified")
     p.add_argument("--limit", type=int, default=10**6)
@@ -540,21 +372,17 @@ def _build_parser() -> _Parser:
         "--with-three", action="store_true",
         help="check the full twin set including 3 instead",
     )
-    p.set_defaults(handler=_cmd_corollary)
 
-    p = add_parser("erdos-sum")
+    p = add_parser("erdos-sum", _cmd_erdos_sum)
     p.add_argument("--members", required=True)
-    p.set_defaults(handler=_cmd_erdos_sum)
 
-    p = add_parser("bridge")
+    p = add_parser("bridge", _cmd_bridge)
     p.add_argument("--members", required=True)
     p.add_argument("--tolerance", type=float, default=1e-4)
-    p.set_defaults(handler=_cmd_bridge)
 
-    p = add_parser("suite")
+    p = add_parser("suite", _cmd_suite)
     p.add_argument("--quick", action="store_true")
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(handler=_cmd_suite)
 
     return parser
 
@@ -587,11 +415,8 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         report = args.handler(args)
-    except (PrecisionError,) as exc:
+    except PrecisionError as exc:
         report = _envelope(str(exc), INCONCLUSIVE)
-        report["runtime_ms"] = int((time.monotonic() - started) * 1000)
-        _write(report, args)
-        return 2
     except SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
@@ -603,19 +428,20 @@ def main(argv=None) -> int:
     if getattr(args, "seed", None) is not None:
         runtime = 0
     report["runtime_ms"] = runtime
-    _write(report, args)
+    try:
+        _write(report, args)
+    except OSError as exc:
+        print(f"error: cannot write --out: {exc}", file=sys.stderr)
+        return 3
     return _EXIT_BY_VERDICT.get(report["verdict"], 0)
 
 
 def _write(report: dict, args) -> None:
-    if args.format == "json":
-        payload = json.dumps(report, indent=2) + "\n"
-    else:
-        payload = _render_text(report)
-    sys.stdout.write(payload)
+    document = json.dumps(report, indent=2) + "\n"
+    sys.stdout.write(document if args.format == "json" else _render_text(report))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(report, indent=2) + "\n")
+            fh.write(document)
 
 
 if __name__ == "__main__":

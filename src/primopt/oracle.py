@@ -25,7 +25,7 @@ import numpy as np
 from .analytic import HOLDS, FAILS, ConditionVerdict, check_condition
 from .errors import SizeLimitError
 from .primes import MAX_ELEMENT, PrimeSet, omega
-from .symfunc import h_all, sigma_nk, weights_from_primes
+from .symfunc import gcd_blocks, h_all, level_elements, sigma_nk, weights_from_primes
 
 DEFAULT_MAX_ELEMENTS = 200_000
 _BRUTE_FORCE_CAP = 40
@@ -185,15 +185,7 @@ class _Dinic:
         flow = 0
         big = sum(self.cap) + 1
         while True:
-            level = [-1] * self.n
-            level[source] = 0
-            queue = [source]
-            for u in queue:
-                for eid in self.heads[u]:
-                    v = self.to[eid]
-                    if self.cap[eid] > 0 and level[v] < 0:
-                        level[v] = level[u] + 1
-                        queue.append(v)
+            level = self.levels_from(source)
             if level[sink] < 0:
                 return flow
             it = [0] * self.n
@@ -218,17 +210,18 @@ class _Dinic:
             it[u] += 1
         return 0
 
-    def reachable_from(self, source: int) -> list[bool]:
-        seen = [False] * self.n
-        seen[source] = True
+    def levels_from(self, source: int) -> list[int]:
+        """BFS depth of each node over arcs with residual capacity; -1 if unreachable."""
+        level = [-1] * self.n
+        level[source] = 0
         queue = [source]
         for u in queue:
             for eid in self.heads[u]:
                 v = self.to[eid]
-                if self.cap[eid] > 0 and not seen[v]:
-                    seen[v] = True
+                if self.cap[eid] > 0 and level[v] < 0:
+                    level[v] = level[u] + 1
                     queue.append(v)
-        return seen
+        return level
 
 
 def _scaled_weights(universe: TruncatedUniverse, weight_fn) -> list[int]:
@@ -280,21 +273,28 @@ def _flow_optimum(
     reduction = dinic.max_flow(sink, source)
     optimum_scaled = total - reduction
 
-    reach = dinic.reachable_from(sink)
+    level = dinic.levels_from(sink)
     members = [
         universe.elements[i]
         for i in range(count)
-        if reach[node_out(i)] and not reach[node_in(i)]
+        if level[node_out(i)] >= 0 and level[node_in(i)] < 0
     ]
     weight = math.fsum(weight_fn(n) for n in members)
     return members, weight, optimum_scaled
+
+
+def _power_weight(t: float) -> Callable[[int], float]:
+    """The n^-t weight; t must be positive, as in weights_from_primes."""
+    if t <= 0:
+        raise ValueError("t must be positive")
+    return lambda n: float(n) ** (-t)
 
 
 def max_weight_antichain_flow(
     universe: TruncatedUniverse, t: float
 ) -> tuple[Antichain, float]:
     """Exact maximum of sum n^-t over antichains of the universe."""
-    members, weight, _ = _flow_optimum(universe, lambda n: float(n) ** (-t))
+    members, weight, _ = _flow_optimum(universe, _power_weight(t))
     return Antichain(tuple(members)), weight
 
 
@@ -302,7 +302,7 @@ def max_weight_antichain_bruteforce(
     universe: TruncatedUniverse, t: float
 ) -> tuple[Antichain, float]:
     """Independent exhaustive optimum (universe capped at 40 elements)."""
-    members, weight = _brute_optimum(universe, lambda n: float(n) ** (-t))
+    members, weight = _brute_optimum(universe, _power_weight(t))
     return Antichain(tuple(members)), weight
 
 
@@ -487,7 +487,7 @@ def verify_tbest(
         tail = omega_tail + _value_tail_bound(prime_set, t, max_value)
     return _certify(
         universe,
-        lambda n: float(n) ** (-t),
+        _power_weight(t),
         k,
         reference_full=float(sigma_nk(prime_set, t, k)),
         tail_bound=tail,
@@ -511,11 +511,9 @@ def verify_erdos_best(
 
     # 1/(n log n) <= (1/(j log 2)) * n^-1 on the level-j slice, so the
     # geometric h_j bound at t=1 dominates the Omega tail when sum 1/p < 1.
-    r = math.fsum(weights_from_primes(prime_set, 1.0))
-    tail = None
-    if r < 1.0:
-        h_cap = h_all(weights_from_primes(prime_set, 1.0), max_omega)[max_omega]
-        tail = h_cap * r / (1.0 - r) / ((max_omega + 1) * math.log(2.0))
+    tail = _omega_tail_bound(prime_set, 1.0, max_omega)
+    if tail is not None:
+        tail = tail / ((max_omega + 1) * math.log(2.0))
 
     return _certify(
         universe,
@@ -551,8 +549,6 @@ def verify_gcd_block_reduction(
     ell = min(oms)
     s = min(n for n, om in zip(members, oms) if om == ell)
 
-    from .symfunc import _divisors_over, level_elements
-
     level = level_elements(prime_set, ell)
     lhs = math.fsum(float(n) ** (-t) for n in level) - math.fsum(
         float(n) ** (-t) for n in members
@@ -560,10 +556,7 @@ def verify_gcd_block_reduction(
 
     rhs = 0.0
     seen = 0
-    for d in _divisors_over(prime_set, s):
-        cofactor = s // d
-        q_d = prime_set.subset(lambda p, c=cofactor: c % p != 0)
-        om_d = omega(d, prime_set)
+    for d, q_d, om_d in gcd_blocks(prime_set, s):
         block = sorted(n // d for n in members if math.gcd(n, s) == d)
         seen += len(block)
         if d == s and block != [1]:

@@ -212,18 +212,14 @@ def decomposition_partition_check(prime_set: PrimeSet, ell: int, s: int) -> bool
         raise ValueError(f"Omega({s}) = {om} != ell = {ell}")
 
     level = level_elements(prime_set, ell)
-    divisors = sorted(_divisors_over(prime_set, s))
+    divisor_blocks = gcd_blocks(prime_set, s)
 
-    blocks: dict[int, list[int]] = {d: [] for d in divisors}
+    blocks: dict[int, list[int]] = {d: [] for d, _, _ in divisor_blocks}
     for n in level:
         blocks[gcd(n, s)].append(n)
 
     covered = 0
-    for d in divisors:
-        cofactor = s // d
-        q_d = prime_set.subset(lambda p, c=cofactor: c % p != 0)
-        om_d = omega(d, prime_set)
-        assert om_d is not None
+    for d, q_d, om_d in divisor_blocks:
         predicted = sorted(d * m for m in level_elements(q_d, ell - om_d))
         if blocks[d] != predicted:
             return False
@@ -234,18 +230,20 @@ def decomposition_partition_check(prime_set: PrimeSet, ell: int, s: int) -> bool
     for t in (1.0, 1.5):
         lhs = math.fsum(float(n) ** (-t) for n in level)
         rhs = 0.0
-        for d in divisors:
-            cofactor = s // d
-            q_d = prime_set.subset(lambda p, c=cofactor: c % p != 0)
-            om_d = omega(d, prime_set)
+        for d, q_d, om_d in divisor_blocks:
             rhs += float(d) ** (-t) * float(sigma_nk(q_d, t, ell - om_d))
         if abs(lhs - rhs) > REL_TOL * max(1.0, abs(lhs)):
             return False
     return True
 
 
-def _divisors_over(prime_set: PrimeSet, s: int) -> list[int]:
-    """All divisors of a semigroup member, from its exponent vector."""
+def gcd_blocks(prime_set: PrimeSet, s: int) -> list[tuple[int, PrimeSet, int]]:
+    """(d, primes not dividing s/d, Omega(d)) for each divisor d of the
+    semigroup member s, ascending in d.
+
+    The block {n : gcd(n, s) = d} of a level-ell slice is d times the
+    level-(ell - Omega(d)) slice over the primes not dividing s/d.
+    """
     factors: list[tuple[int, int]] = []
     rest = s
     for p in prime_set:
@@ -258,4 +256,7 @@ def _divisors_over(prime_set: PrimeSet, s: int) -> list[int]:
     divs = [1]
     for p, e in factors:
         divs = [d * p**i for d in divs for i in range(e + 1)]
-    return divs
+    return [
+        (d, prime_set.subset(lambda p, c=s // d: c % p != 0), omega(d, prime_set))
+        for d in sorted(divs)
+    ]

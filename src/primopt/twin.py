@@ -24,6 +24,7 @@ from .analytic import (
     ErrBoundReal,
     VerificationReport,
     condition_rhs_from_square_sum,
+    sum_with_rounding,
 )
 from .primes import twin_pair_lower_members, twin_primes
 
@@ -51,10 +52,10 @@ class BrunInput:
         return self.upper_bound_B < PROVEN_BRUN_BOUND
 
 
-def _sum_with_rounding(terms: np.ndarray) -> ErrBoundReal:
-    value = float(np.sum(terms))
-    rounding = _EPS * abs(value) * (math.log2(max(terms.size, 2)) + 8)
-    return ErrBoundReal(value, rounding)
+def _conditional_notes(brun: BrunInput) -> list[str]:
+    if not brun.is_conditional():
+        return []
+    return [f"conditional on believed B<{brun.upper_bound_B} ({brun.source_label})"]
 
 
 def brun_partial(limit: int) -> ErrBoundReal:
@@ -62,7 +63,7 @@ def brun_partial(limit: int) -> ErrBoundReal:
     if limit < 5:
         raise ValueError("limit must be >= 5")
     lower = twin_pair_lower_members(limit).astype(np.float64)
-    return _sum_with_rounding(np.concatenate([1.0 / lower, 1.0 / (lower + 2.0)]))
+    return sum_with_rounding(np.concatenate([1.0 / lower, 1.0 / (lower + 2.0)]))
 
 
 def twin_reciprocal_bound(brun: BrunInput) -> ErrBoundReal:
@@ -86,31 +87,15 @@ def six_n_square_tail(limit: int) -> float:
     return tail
 
 
-def _twin_square_partial(limit: int, include_three: bool) -> ErrBoundReal:
+def twin_square_bound(limit: int, include_three: bool = False) -> ErrBoundReal:
+    """Enclosure of the squared-reciprocal sum over twins exceeding 3, or over
+    the full twin set with include_three: exact partial sum up to the limit,
+    plus the 6n+-1 telescoping tail.  Without 3 its upper edge is a rigorous
+    bound and stays below 1/9."""
+    if limit < 5:
+        raise ValueError("limit must be >= 5")
     twins = twin_primes(limit, include_three=include_three).as_array().astype(np.float64)
-    if twins.size == 0:
-        return ErrBoundReal.exact(0.0)
-    return _sum_with_rounding(1.0 / (twins * twins))
-
-
-def twin_square_bound(limit: int) -> ErrBoundReal:
-    """Enclosure of the squared-reciprocal sum over twins exceeding 3:
-    exact partial sum up to the limit, plus the 6n+-1 telescoping tail.
-    Its upper edge is a rigorous bound and stays below 1/9."""
-    if limit < 5:
-        raise ValueError("limit must be >= 5")
-    partial = _twin_square_partial(limit, include_three=False)
-    tail = six_n_square_tail(limit)
-    return ErrBoundReal(
-        partial.value + 0.5 * tail, partial.radius + 0.5 * tail + _EPS * 8
-    )
-
-
-def twin_square_bound_with_three(limit: int) -> ErrBoundReal:
-    """Same enclosure for the full twin set including 3."""
-    if limit < 5:
-        raise ValueError("limit must be >= 5")
-    partial = _twin_square_partial(limit, include_three=True)
+    partial = sum_with_rounding(1.0 / (twins * twins))
     tail = six_n_square_tail(limit)
     return ErrBoundReal(
         partial.value + 0.5 * tail, partial.radius + 0.5 * tail + _EPS * 8
@@ -143,11 +128,7 @@ def corollary_check(brun: BrunInput, limit: int = 10**6) -> VerificationReport:
     }
     verdict = HOLDS if all(v.verdict == HOLDS for v in links.values()) else FAILS
 
-    notes = []
-    if brun.is_conditional():
-        notes.append(
-            f"conditional on believed B<{brun.upper_bound_B} ({brun.source_label})"
-        )
+    notes = _conditional_notes(brun)
     failing = [name for name, v in links.items() if v.verdict != HOLDS]
     if failing:
         notes.append("failing links: " + ", ".join(failing))
@@ -180,16 +161,12 @@ def full_twin_check(brun: BrunInput, limit: int = 10**8) -> VerificationReport:
     so the condition reads B - 1/5 <= 1 + sqrt(1 - S) with S the squared
     sum; holds exactly when B stays below 1.2 + sqrt(1 - S) ~ 2.09596...
     """
-    square = twin_square_bound_with_three(limit)
+    square = twin_square_bound(limit, include_three=True)
     lhs = ErrBoundReal.exact(brun.upper_bound_B) - ErrBoundReal.exact(0.2)
     rhs = condition_rhs_from_square_sum(square)
     comparison = ConditionVerdict.compare(lhs, rhs)
 
-    notes = []
-    if brun.is_conditional():
-        notes.append(
-            f"conditional on believed B<{brun.upper_bound_B} ({brun.source_label})"
-        )
+    notes = _conditional_notes(brun)
     lo, hi = square.lower(), square.upper()
     if hi < FULL_TWIN_SQUARE_BRACKET[0] or lo > FULL_TWIN_SQUARE_BRACKET[1]:
         notes.append(

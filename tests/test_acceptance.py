@@ -1,203 +1,40 @@
-"""Acceptance criteria, one test per criterion, each printing a PASS/FAIL line.
+"""Acceptance criteria: one test per row of ``primopt.checks``, the single
+source of the paper's certified statements that ``primopt suite`` also runs.
 
-Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines as they complete.  Tolerances and runtime budgets are pinned here.
+Each row carries its claim, tolerances and pinned runtime budget; the tests
+run every row at full size (not --quick).  Run with
+`pytest tests/test_acceptance.py -v -s` to see the per-criterion PASS/FAIL
+lines as they complete.
 """
 
-import itertools
-import math
 import random
 import time
-from fractions import Fraction
 
-from primopt import analytic, erdos, oracle, symfunc, twin
-from primopt.primes import PrimeSet, sieve_primes
+from primopt.checks import CHECKS
 
-
-def _criterion(number: int, description: str, ok: bool, started: float, budget: float):
-    elapsed = time.monotonic() - started
-    in_budget = elapsed < budget
-    status = "PASS" if (ok and in_budget) else "FAIL"
-    print(f"[{status}] criterion {number}: {description} ({elapsed:.2f}s / {budget:.0f}s)")
-    assert ok, f"criterion {number} failed: {description}"
-    assert in_budget, f"criterion {number} overran its {budget}s budget ({elapsed:.2f}s)"
+_SEED = 20260809
 
 
-def test_criterion_01_prime_zeta_at_two():
-    started = time.monotonic()
-    value = analytic.prime_zeta(2.0, 1e-8)
-    ok = abs(value.value - 0.45224742) <= 1e-7
-    _criterion(1, "prime zeta at 2 matches 0.45224742 within 1e-7", ok, started, 1.0)
+def _acceptance_test(number, check):
+    def test():
+        started = time.monotonic()
+        computed, ok = check.run(random.Random(_SEED), False)
+        elapsed = time.monotonic() - started
+        in_budget = elapsed < check.budget_s
+        status = "PASS" if (ok and in_budget) else "FAIL"
+        print(
+            f"[{status}] criterion {number}: {check.title(False)}: {computed} "
+            f"(expected {check.expected}) ({elapsed:.2f}s / {check.budget_s:.0f}s)"
+        )
+        assert ok, f"criterion {number} failed: {check.title(False)}"
+        assert in_budget, (
+            f"criterion {number} overran its {check.budget_s}s budget ({elapsed:.2f}s)"
+        )
+
+    return test
 
 
-def test_criterion_02_condition_right_side():
-    started = time.monotonic()
-    rhs = analytic.condition_rhs_from_square_sum(analytic.prime_zeta(2.0, 1e-8))
-    ok = abs(rhs.value - 1.74010308) <= 1e-7
-    _criterion(2, "1 + sqrt(1 - P(2)) matches 1.74010308 within 1e-7", ok, started, 1.0)
-
-
-def test_criterion_03_threshold_root_and_margin_signs():
-    started = time.monotonic()
-    tau = analytic.tau_root(1e-6)
-    below = analytic.condition_margin(1.05, 1e-7)
-    above = analytic.condition_margin(1.5, 1e-7)
-    ok = (
-        abs(tau.value - 1.1403659) <= 1e-6
-        and tau.radius <= 1e-6
-        and below.upper() < 0.0
-        and above.lower() > 0.0
-    )
-    _criterion(
-        3,
-        "threshold root 1.1403659 within 1e-6; margin negative at 1.05, positive at 1.5",
-        ok, started, 30.0,
-    )
-
-
-def test_criterion_04_twin_chain_with_proven_bound():
-    started = time.monotonic()
-    reciprocal = twin.twin_reciprocal_bound(twin.BrunInput(2.347, "proven"))
-    square = twin.twin_square_bound(10**6)
-    ok = (
-        reciprocal.upper() < 1.814
-        and 1.814 < 1.9428
-        and 1.9428 < 1.0 + math.sqrt(8.0 / 9.0)
-        and square.upper() < 1.0 / 9.0
-        and twin.corollary_check(twin.BrunInput(2.347, "proven"), 10**6).holds()
-    )
-    _criterion(
-        4,
-        "B=2.347 chain: B-1/3-1/5 < 1.814 < 1.9428 < 1+sqrt(8/9), square sum < 1/9",
-        ok, started, 30.0,
-    )
-
-
-def test_criterion_05_twin_with_three_conditional():
-    started = time.monotonic()
-    holds_full = twin.full_twin_check(twin.BrunInput(2.0959621, "required"), 10**8)
-    fails_full = twin.full_twin_check(twin.BrunInput(2.347, "proven"), 10**8)
-    holds_quick = twin.full_twin_check(twin.BrunInput(2.0959621, "required"), 10**7)
-    fails_quick = twin.full_twin_check(twin.BrunInput(2.347, "proven"), 10**7)
-    ok = (
-        holds_full.verdict == "holds"
-        and fails_full.verdict == "fails"
-        and holds_quick.verdict == holds_full.verdict
-        and fails_quick.verdict == fails_full.verdict
-    )
-    _criterion(
-        5,
-        "twin-with-3 condition holds at B=2.0959621 and fails at B=2.347 "
-        "(limits 1e8 and 1e7 agree)",
-        ok, started, 60.0,
-    )
-
-
-def test_criterion_06_flow_equals_bruteforce():
-    started = time.monotonic()
-    instances = 0
-    ok = True
-    subsets = itertools.chain.from_iterable(
-        itertools.combinations((2, 3, 5, 7), r) for r in (1, 2, 3, 4)
-    )
-    for primes in subsets:
-        prime_set = PrimeSet(primes, validate=False)
-        for k in (1, 2):
-            for max_omega in range(k, 6):
-                for max_value in (20, 60, 200, 600):
-                    universe = oracle.build_universe(prime_set, k, max_omega, max_value)
-                    if not 1 <= len(universe) <= 40:
-                        continue
-                    for t in (1.2, 1.5, 2.0):
-                        _, flow_w = oracle.max_weight_antichain_flow(universe, t)
-                        _, brute_w = oracle.max_weight_antichain_bruteforce(universe, t)
-                        ok = ok and abs(flow_w - brute_w) <= 1e-9
-                        instances += 1
-    ok = ok and instances >= 100
-    _criterion(
-        6,
-        f"flow optimum equals brute force within 1e-9 on {instances} instances",
-        ok, started, 60.0,
-    )
-
-
-def test_criterion_07_theorem_instances():
-    started = time.monotonic()
-    ok = True
-    for k in (1, 2, 3):
-        report = oracle.verify_tbest(PrimeSet([2, 3, 5]), 1.5, k, k + 3, 10**6)
-        level = symfunc.level_elements(PrimeSet([2, 3, 5]), k)
-        ok = ok and report.holds()
-        ok = ok and list(report.optimum_set.members) == level
-    erdos_report = oracle.verify_erdos_best(PrimeSet([5, 7, 11, 13]), 1, 4, 10**6)
-    ok = ok and erdos_report.holds()
-    ok = ok and erdos_report.optimum_set.members == (5, 7, 11, 13)
-    _criterion(
-        7,
-        "t-best holds for ({2,3,5}, t=1.5, k=1..3) and reciprocal-log-best for "
-        "({5,7,11,13}, k=1), optimum attained by the level set",
-        ok, started, 60.0,
-    )
-
-
-def test_criterion_08_level_two_overtakes_near_one():
-    started = time.monotonic()
-    primes = sieve_primes(10**5)
-    s1 = analytic.sigma_t(primes, 1.02)
-    h2 = float(symfunc.sigma_nk(primes, 1.02, 2))
-    ok = h2 > s1.value + s1.radius
-    _criterion(
-        8,
-        f"level-2 weight {h2:.4f} exceeds the prime weight {s1.value:.4f} at t=1.02",
-        ok, started, 30.0,
-    )
-
-
-def test_criterion_09_identity_suite():
-    started = time.monotonic()
-    rng = random.Random(20260809)
-    ok = True
-
-    base = sieve_primes(1000).as_list()
-    for _ in range(100):
-        prime_set = PrimeSet(rng.sample(base, rng.randint(1, 40)), validate=False)
-        t = rng.uniform(1.0, 3.0)
-        residual = symfunc.square_identity_check(prime_set, t)
-        s1 = analytic.sigma_t(prime_set, t).value
-        ok = ok and residual <= 1e-12 * max(1.0, s1 * s1)
-
-    for _ in range(1000):
-        xs = [rng.uniform(1e-6, 1 - 1e-6) for _ in range(rng.randint(1, 10))]
-        good, _ = symfunc.schur_check(xs, rng.randint(1, 8))
-        ok = ok and good
-
-    for r in (1, 2, 3, 4):
-        for primes in itertools.combinations((2, 3, 5, 7), r):
-            prime_set = PrimeSet(primes, validate=False)
-            for ell in (1, 2, 3, 4):
-                for s in symfunc.level_elements(prime_set, ell):
-                    ok = ok and symfunc.decomposition_partition_check(prime_set, ell, s)
-
-    ok = ok and symfunc.h_all([Fraction(1, 2), Fraction(1, 3)], 2) == [
-        1, Fraction(5, 6), Fraction(19, 36),
-    ]
-    _criterion(
-        9,
-        "square identity (100 random), log-concavity (1000 random), gcd-block "
-        "partitions (exhaustive), exact h values",
-        ok, started, 60.0,
-    )
-
-
-def test_criterion_10_integral_bridge():
-    started = time.monotonic()
-    ok = (
-        erdos.integral_bridge_check([2], 1e-6) <= 1e-6
-        and erdos.integral_bridge_check([2, 3, 5], 1e-4) <= 1e-4
-        and erdos.integral_bridge_check([4, 6, 9], 1e-4) <= 1e-4
-    )
-    _criterion(
-        10,
-        "integral bridge residuals: {2} within 1e-6, {2,3,5} and {4,6,9} within 1e-4",
-        ok, started, 10.0,
+for _number, _check in enumerate(CHECKS, start=1):
+    globals()[f"test_criterion_{_number:02d}_{_check.name}"] = _acceptance_test(
+        _number, _check
     )

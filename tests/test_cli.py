@@ -179,6 +179,11 @@ def test_out_file_matches_stdout(tmp_path, capsys):
     assert code == 0
     assert path.read_text() == out
 
+    missing = tmp_path / "missing-dir" / "report.json"
+    assert main(["prime-zeta", "--t", "2", "--out", str(missing)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
 
 def test_text_format(capsys):
     code, out = run_cli(capsys, "check-condition", "--primes", "2", "--t", "1",
@@ -200,6 +205,10 @@ def test_usage_errors_exit_3(capsys):
 def test_domain_error_exit_3(capsys):
     assert main(["zeta", "--s", "0.5"]) == 3
     assert main(["check-condition", "--t", "1"]) == 3  # no prime-set source
+    oracle = ["oracle", "--primes", "2,3", "--max-omega", "2", "--max-value", "100"]
+    for t in ("0", "-1"):
+        assert main([*oracle, "--t", t]) == 3
+        assert main([*oracle, "--t", t, "--brute-force"]) == 3
 
 
 def test_precision_error_exit_2(capsys):

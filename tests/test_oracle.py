@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 
@@ -170,6 +171,33 @@ def test_flow_equals_exhaustive_subset_search():
             _, brute_w = max_weight_antichain_bruteforce(u, t)
             assert abs(flow_w - expected) <= 1e-9
             assert abs(brute_w - expected) <= 1e-9
+
+
+def test_flow_equals_bruteforce_on_exhaustive_grid():
+    # every prime subset of {2,3,5,7}, k, Omega cap, value cap and t whose
+    # universe has 1..40 elements: 1548 instances
+    started = time.monotonic()
+    instances = 0
+    ok = True
+    subsets = itertools.chain.from_iterable(
+        itertools.combinations((2, 3, 5, 7), r) for r in (1, 2, 3, 4)
+    )
+    for primes in subsets:
+        prime_set = PrimeSet(primes, validate=False)
+        for k in (1, 2):
+            for max_omega in range(k, 6):
+                for max_value in (20, 60, 200, 600):
+                    universe = build_universe(prime_set, k, max_omega, max_value)
+                    if not 1 <= len(universe) <= 40:
+                        continue
+                    for t in (1.2, 1.5, 2.0):
+                        _, flow_w = max_weight_antichain_flow(universe, t)
+                        _, brute_w = max_weight_antichain_bruteforce(universe, t)
+                        ok = ok and abs(flow_w - brute_w) <= 1e-9
+                        instances += 1
+    ok = ok and instances >= 100
+    assert ok, f"flow optimum differs from brute force on {instances} instances"
+    assert time.monotonic() - started < 60.0
 
 
 def test_flow_output_is_primitive_and_within_universe():

@@ -13,7 +13,6 @@ from primopt.twin import (
     full_twin_check,
     twin_reciprocal_bound,
     twin_square_bound,
-    twin_square_bound_with_three,
 )
 
 
@@ -148,7 +147,7 @@ def test_full_twin_square_enclosure_consistent_with_published_bracket():
 
 
 def test_square_bound_with_three_includes_one_ninth_term():
-    with_three = twin_square_bound_with_three(10**4)
+    with_three = twin_square_bound(10**4, include_three=True)
     without = twin_square_bound(10**4)
     assert with_three.value - without.value == pytest.approx(1.0 / 9.0, abs=1e-12)
 
