@@ -3,7 +3,8 @@
 All quantities that are not exact integer arithmetic travel as
 :class:`ErrBoundReal` pairs (value, radius).  Radii are propagated
 conservatively: monotone maps (sqrt, log) use exact interval images, products
-carry the cross term, and every operation adds a 4-ulp rounding pad.  This is
+carry the cross term, and every operation adds a 4-ulp rounding pad (for
+sqrt and log, ulps of the larger end of the image).  This is
 at least as wide as first-order propagation with a x4 safety factor and keeps
 enclosures honest at the 1e-6..1e-10 scale this package targets; it is not
 directed-rounding interval arithmetic.
@@ -96,7 +97,7 @@ class ErrBoundReal:
             )
         slo, shi = math.sqrt(lo), math.sqrt(self.value + self.radius)
         v = 0.5 * (slo + shi)
-        return ErrBoundReal(v, 0.5 * (shi - slo) + _pad(v))
+        return ErrBoundReal(v, 0.5 * (shi - slo) + _pad(shi))
 
     def log(self) -> "ErrBoundReal":
         lo = self.value - self.radius
@@ -107,7 +108,9 @@ class ErrBoundReal:
             )
         llo, lhi = math.log(lo), math.log(self.value + self.radius)
         v = 0.5 * (llo + lhi)
-        return ErrBoundReal(v, 0.5 * (lhi - llo) + _pad(v))
+        # pad by the larger end: the midpoint of an image straddling 0 is
+        # far smaller than the rounding of its ends
+        return ErrBoundReal(v, 0.5 * (lhi - llo) + _pad(max(-llo, lhi)))
 
     # -- interval queries -------------------------------------------------
 
@@ -228,8 +231,8 @@ def _zeta_sum(s: float, target_radius: float) -> tuple[float, float, int]:
 
 def riemann_zeta(s: float, target_radius: float = 1e-10) -> ErrBoundReal:
     """zeta(s) for s > 1 by direct summation plus the integral tail enclosure."""
-    if s <= 1.0:
-        raise ValueError("zeta evaluated only for s > 1")
+    if not (s > 1.0) or not math.isfinite(s):
+        raise ValueError("zeta evaluated only for finite s > 1")
     if target_radius <= 0.0:
         raise ValueError("target_radius must be positive")
     value, radius, n = _zeta_sum(s, target_radius)
@@ -268,8 +271,8 @@ def prime_zeta(t: float, target_radius: float = 1e-10) -> ErrBoundReal:
     own target exploits zeta(s) >= max(1, 1/(s-1)) since the log divides
     the zeta radius by the zeta value.
     """
-    if t <= 1.0:
-        raise ValueError("prime zeta evaluated only for t > 1")
+    if not (t > 1.0) or not math.isfinite(t):
+        raise ValueError("prime zeta evaluated only for finite t > 1")
     if target_radius <= 0.0:
         raise ValueError("target_radius must be positive")
 
@@ -337,15 +340,15 @@ def check_condition(prime_set: PrimeSet, t: float = 1.0) -> ConditionVerdict:
 
     t = 1 is the reciprocal-weight condition; t > 1 the power-weight one.
     """
-    if t < 1.0:
-        raise ValueError("condition is checked for t >= 1")
+    if not (t >= 1.0) or not math.isfinite(t):
+        raise ValueError("condition is checked for finite t >= 1")
     return ConditionVerdict.compare(sigma_t(prime_set, t), condition_rhs(prime_set, t))
 
 
 def check_condition_allprimes(t: float, target_radius: float = 1e-8) -> ConditionVerdict:
     """The condition for the full set of primes: P(t) vs 1 + sqrt(1 - P(2t))."""
-    if t <= 1.0:
-        raise ValueError("all-primes condition needs t > 1")
+    if not (t > 1.0) or not math.isfinite(t):
+        raise ValueError("all-primes condition needs a finite t > 1")
     lhs = prime_zeta(t, target_radius)
     rhs = condition_rhs_from_square_sum(prime_zeta(2.0 * t, target_radius))
     return ConditionVerdict.compare(lhs, rhs)

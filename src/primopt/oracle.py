@@ -7,16 +7,25 @@ those edges is exactly divisibility.  The optimizer runs weighted Dilworth
 duality: a minimum flow with per-element lower bounds equals the maximum
 antichain weight, and one max-flow over the reversed residual network both
 minimizes the flow and exposes the optimal antichain as the split arcs
-crossing the final reachability cut.
+crossing the final reachability cut.  The set reachable from the max-flow's
+source in the final residual graph is the same for every maximum flow, so
+the members do not depend on the order of the arcs.
 
-Weights enter the flow as integers (value * 2^50 rounded), so the network
-arithmetic is exact; reported weights are float re-sums of the extracted
-members and verdict tolerances absorb the scaling quantum.
+The max-flow is Dinic's algorithm over compressed sparse rows (flat int64
+arrays of arc heads and reverse-arc slots) with an iterative blocking-flow
+search, so no step recurses however deep the poset is.  Weights enter the
+flow as Python integers (value * 2^50 rounded), so the network arithmetic
+is exact even where the total passes 2^63; reported weights are float
+re-sums of the extracted members and verdict tolerances absorb the scaling
+quantum.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_right
+from itertools import accumulate
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -55,17 +64,19 @@ class TruncatedUniverse:
         return [n for n, om in zip(self.elements, self.omegas) if om == k]
 
     def covering_edges(self) -> list[tuple[int, int]]:
-        """Index pairs (i, j) with elements[j] = elements[i] * p."""
+        """Index pairs (i, j) with elements[j] = elements[i] * p, ascending i.
+
+        Every n * p <= max_value of an element below the Omega cap is itself
+        a member, so each element pairs with exactly the primes up to
+        max_value // n, and elements at the cap have no covers.
+        """
         idx = self.index()
-        edges = []
-        for i, n in enumerate(self.elements):
-            for p in self.prime_set:
-                m = n * p
-                if m > self.max_value:
-                    continue
-                j = idx.get(m)
-                if j is not None:
-                    edges.append((i, j))
+        primes = self.prime_set.as_list()
+        edges: list[tuple[int, int]] = []
+        for i, (n, om) in enumerate(zip(self.elements, self.omegas)):
+            if om < self.max_omega:
+                covers = primes[: bisect_right(primes, self.max_value // n)]
+                edges += [(i, idx[n * p]) for p in covers]
         return edges
 
 
@@ -161,66 +172,107 @@ class Antichain:
 
 
 class _Dinic:
-    """Standard Dinic max-flow on integer capacities (exact, deterministic)."""
+    """Dinic max-flow on exact integer capacities over a fixed arc set.
 
-    def __init__(self, n: int):
+    The arcs (tails[a] -> heads[a], caps[a]) are given at once and stored as
+    compressed sparse rows: the slots of node u are start[u]..start[u+1]-1,
+    slot e leads to to[e] with residual capacity cap[e], and rev[e] is the
+    slot of its paired reverse arc.  Every arc gets a reverse slot of
+    capacity 0.  ``start``, ``to`` and ``rev`` are int64 arrays; ``cap`` is a
+    list of Python ints, so capacities of any size stay exact.
+
+    Each phase builds BFS levels and then a blocking flow by an iterative DFS
+    with current-arc pointers; a node found to be a dead end leaves the level
+    graph for the rest of the phase.  No step recurses, so depth is bounded by
+    memory, not by the interpreter stack.
+    """
+
+    def __init__(self, n: int, tails: list[int], heads: list[int], caps: list[int]):
+        degree = [0] * (n + 1)
+        for u in tails:
+            degree[u] += 1
+        for v in heads:
+            degree[v] += 1
+        start = array("q", [0])
+        start.extend(accumulate(degree[:n]))
+        slots = 2 * len(tails)
+        to = array("q", bytes(8 * slots))
+        rev = array("q", bytes(8 * slots))
+        cap = [0] * slots
+        fill = start.tolist()
+        for u, v, c in zip(tails, heads, caps):
+            e = fill[u]
+            fill[u] = e + 1
+            r = fill[v]
+            fill[v] = r + 1
+            to[e] = v
+            to[r] = u
+            rev[e] = r
+            rev[r] = e
+            cap[e] = c
         self.n = n
-        self.heads: list[list[int]] = [[] for _ in range(n)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
+        self.start, self.to, self.rev, self.cap = start, to, rev, cap
 
-    def add_edge(self, u: int, v: int, capacity: int) -> int:
-        eid = len(self.to)
-        self.heads[u].append(eid)
-        self.to.append(v)
-        self.cap.append(capacity)
-        self.heads[v].append(eid + 1)
-        self.to.append(u)
-        self.cap.append(0)
-        return eid
-
-    def max_flow(self, source: int, sink: int) -> int:
-        # Path depth is bounded by the poset's level span, so the recursive
-        # blocking-flow DFS stays shallow.
+    def max_flow(self, source: int, sink: int) -> tuple[int, list[int]]:
+        """The maximum flow value, and the BFS levels of the final residual
+        graph from source: level >= 0 marks the source side of the cut."""
+        start, to, rev, cap = self.start, self.to, self.rev, self.cap
         flow = 0
-        big = sum(self.cap) + 1
         while True:
-            level = self.levels_from(source)
+            level = self.levels_from(source, sink)
             if level[sink] < 0:
-                return flow
-            it = [0] * self.n
+                return flow, level
+            current = start.tolist()
+            path: list[int] = []  # slots from source to u
+            u = source
             while True:
-                pushed = self._dfs(source, sink, big, level, it)
-                if pushed == 0:
+                if u == sink:
+                    pushed = min(cap[e] for e in path)
+                    flow += pushed
+                    saturated = -1
+                    for k, e in enumerate(path):
+                        cap[e] -= pushed
+                        cap[rev[e]] += pushed
+                        if saturated < 0 and cap[e] == 0:
+                            saturated = k
+                    # resume from the tail of the first saturated arc
+                    del path[saturated:]
+                    u = to[path[-1]] if path else source
+                    continue
+                e, end, want = current[u], start[u + 1], level[u] + 1
+                while e < end and (cap[e] == 0 or level[to[e]] != want):
+                    e += 1
+                current[u] = e
+                if e < end:
+                    path.append(e)
+                    u = to[e]
+                    continue
+                # dead end: no path to the sink through u in this phase
+                level[u] = -1
+                if not path:
                     break
-                flow += pushed
+                u = to[rev[path.pop()]]
+                current[u] += 1
 
-    def _dfs(self, u: int, sink: int, limit: int, level: list[int], it: list[int]) -> int:
-        if u == sink:
-            return limit
-        while it[u] < len(self.heads[u]):
-            eid = self.heads[u][it[u]]
-            v = self.to[eid]
-            if self.cap[eid] > 0 and level[v] == level[u] + 1:
-                pushed = self._dfs(v, sink, min(limit, self.cap[eid]), level, it)
-                if pushed:
-                    self.cap[eid] -= pushed
-                    self.cap[eid ^ 1] += pushed
-                    return pushed
-            it[u] += 1
-        return 0
-
-    def levels_from(self, source: int) -> list[int]:
-        """BFS depth of each node over arcs with residual capacity; -1 if unreachable."""
+    def levels_from(self, source: int, sink: int) -> list[int]:
+        """BFS depth of each node over arcs with residual capacity, -1 if not
+        reached.  The search stops once sink is reached: by then every node
+        nearer than sink has its depth, and nodes no nearer than sink lie on
+        no shortest path to it."""
+        start, to, cap = self.start, self.to, self.cap
         level = [-1] * self.n
         level[source] = 0
         queue = [source]
         for u in queue:
-            for eid in self.heads[u]:
-                v = self.to[eid]
-                if self.cap[eid] > 0 and level[v] < 0:
-                    level[v] = level[u] + 1
-                    queue.append(v)
+            depth = level[u] + 1
+            for e in range(start[u], start[u + 1]):
+                if cap[e]:
+                    v = to[e]
+                    if level[v] < 0:
+                        level[v] = depth
+                        if v == sink:
+                            return level
+                        queue.append(v)
         return level
 
 
@@ -254,39 +306,37 @@ def _flow_optimum(
     infinite = total + 1
 
     source, sink = 0, 1
-    node_in = lambda i: 2 + 2 * i
-    node_out = lambda i: 3 + 2 * i
+    node_in = list(range(2, 2 + 2 * count, 2))
+    node_out = list(range(3, 3 + 2 * count, 2))
+    edges = universe.covering_edges()
 
     # Reduction network: max-flow from sink to source through the residual
     # of the feasible flow.  Backward (flow-cancelling) arcs carry the
-    # feasible flow minus the lower bound; forward arcs are unbounded.
-    dinic = _Dinic(2 + 2 * count)
-    for i in range(count):
-        dinic.add_edge(node_in(i), source, scaled[i])  # cancel s -> v_in
-        dinic.add_edge(source, node_in(i), infinite)
-        dinic.add_edge(sink, node_out(i), scaled[i])  # cancel v_out -> t
-        dinic.add_edge(node_out(i), sink, infinite)
-        dinic.add_edge(node_in(i), node_out(i), infinite)  # raise split arc
-    for i, j in universe.covering_edges():
-        dinic.add_edge(node_out(i), node_in(j), infinite)  # raise poset arc
+    # feasible flow minus the lower bound; forward arcs are unbounded.  The
+    # unbounded arcs out of the source and into the sink are left out: no
+    # augmenting path from the sink uses them, and they add nothing to the
+    # set reachable from the sink.  Arc groups: cancel s -> v_in, cancel
+    # v_out -> t, raise the split arc, raise each poset arc.
+    tails = node_in + [sink] * count + node_in + [node_out[i] for i, _ in edges]
+    heads = [source] * count + node_out + node_out + [node_in[j] for _, j in edges]
+    caps = scaled + scaled + [infinite] * (count + len(edges))
+    dinic = _Dinic(2 + 2 * count, tails, heads, caps)
 
-    reduction = dinic.max_flow(sink, source)
+    reduction, level = dinic.max_flow(sink, source)
     optimum_scaled = total - reduction
-
-    level = dinic.levels_from(sink)
     members = [
-        universe.elements[i]
-        for i in range(count)
-        if level[node_out(i)] >= 0 and level[node_in(i)] < 0
+        n
+        for n, v_in, v_out in zip(universe.elements, node_in, node_out)
+        if level[v_out] >= 0 and level[v_in] < 0
     ]
     weight = math.fsum(weight_fn(n) for n in members)
     return members, weight, optimum_scaled
 
 
 def _power_weight(t: float) -> Callable[[int], float]:
-    """The n^-t weight; t must be positive, as in weights_from_primes."""
-    if t <= 0:
-        raise ValueError("t must be positive")
+    """The n^-t weight; t must be finite and positive, as in weights_from_primes."""
+    if not (t > 0) or not math.isfinite(t):
+        raise ValueError("weights need a finite t > 0")
     return lambda n: float(n) ** (-t)
 
 
@@ -477,8 +527,8 @@ def verify_tbest(
     truncated Omega >= k universe under n^-t weights."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if t <= 1.0:
-        raise ValueError("t-best certification needs t > 1")
+    if not (t > 1.0) or not math.isfinite(t):
+        raise ValueError("t-best certification needs a finite t > 1")
     universe = build_universe(prime_set, k, max_omega, max_value, max_elements)
     condition = check_condition(prime_set, t)
     omega_tail = _omega_tail_bound(prime_set, t, max_omega)

@@ -35,13 +35,13 @@ def _check_weights(xs: Sequence[Number]) -> None:
 
 def weights_from_primes(prime_set: PrimeSet, t: float) -> list[float]:
     """Weight vector p^-t per prime, in prime-set order."""
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not (t > 0) or not math.isfinite(t):
+        raise ValueError("weights need a finite t > 0")
     return [float(p) ** (-t) for p in prime_set]
 
 
 def exact_weights_from_primes(prime_set: PrimeSet, t: int) -> list[Fraction]:
-    if t < 1 or int(t) != t:
+    if not (t >= 1) or not math.isfinite(t) or int(t) != t:
         raise ValueError("exact weights need a positive integer t")
     return [Fraction(1, p ** int(t)) for p in prime_set]
 
@@ -106,8 +106,8 @@ def chain_check(prime_set: PrimeSet, t: float, kmax: int) -> VerificationReport:
     contradict log-concavity), inconclusive when h_2 > h_1 so no chain is
     claimed.
     """
-    if kmax < 1:
-        raise ValueError("kmax must be >= 1")
+    if kmax < 2:
+        raise ValueError("kmax must be >= 2: the hypothesis compares h_1 with h_2")
     h = h_all(weights_from_primes(prime_set, t), kmax)
     quantities = {"t": t, "h": list(h)}
     if h[1] < h[2] * (1.0 - REL_TOL):

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import primopt
 
 from primopt.cli import main
 
@@ -209,6 +215,27 @@ def test_domain_error_exit_3(capsys):
     for t in ("0", "-1"):
         assert main([*oracle, "--t", t]) == 3
         assert main([*oracle, "--t", t, "--brute-force"]) == 3
+    assert main(["chain", "--primes", "2,3", "--kmax", "1", "--t", "2"]) == 3
+
+
+@pytest.mark.parametrize("t", ["nan", "inf"])
+def test_nonfinite_t_exits_3_with_t_domain_message(capsys, t):
+    primes = ["--primes", "2,3"]
+    caps = ["--max-omega", "2", "--max-value", "100"]
+    for argv in (
+        ["prime-zeta"],
+        ["check-condition", *primes],
+        ["check-condition", "--all-primes"],
+        ["hk", *primes, "--kmax", "2"],
+        ["hk", *primes, "--kmax", "2", "--exact"],
+        ["chain", *primes, "--kmax", "2"],
+        ["oracle", *primes, *caps],
+        ["oracle", *primes, *caps, "--brute-force"],
+        ["verify-tbest", *primes, "--k", "1", *caps],
+    ):
+        assert main([*argv, "--t", t]) == 3, argv
+        err = capsys.readouterr().err
+        assert "finite t" in err or "integer t" in err, (argv, err)
 
 
 def test_precision_error_exit_2(capsys):
@@ -220,3 +247,16 @@ def test_resource_error_exit_4(capsys):
         "universe", "--primes", "2,3,5", "--k-lo", "1", "--max-omega", "12",
         "--max-value", "1000000", "--max-elements", "50",
     ]) == 4
+
+
+def test_python_m_primopt_runs_the_cli():
+    src = str(Path(primopt.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    done = subprocess.run(
+        [sys.executable, "-m", "primopt", "hk", "--primes", "2,3", "--kmax", "2"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["verdict"] == "holds"

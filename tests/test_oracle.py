@@ -4,10 +4,13 @@ import random
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from primopt.errors import SizeLimitError
 from primopt.oracle import (
     Antichain,
+    _Dinic,
     build_universe,
     is_primitive,
     max_weight_antichain_bruteforce,
@@ -16,7 +19,7 @@ from primopt.oracle import (
     verify_gcd_block_reduction,
     verify_tbest,
 )
-from primopt.primes import PrimeSet, omega, sieve_primes
+from primopt.primes import MAX_ELEMENT, PrimeSet, omega, sieve_primes
 from primopt.symfunc import sigma_nk
 
 
@@ -83,26 +86,68 @@ def test_build_universe_guards():
         build_universe(PrimeSet([2]), 1, 3, 2**63)
 
 
-def test_covering_edges_generate_divisibility():
-    u = build_universe(PrimeSet([2, 3]), 1, 4, 200)
+# primes on either side of sqrt(2**63 - 1), so products of two land near the cap
+_ROOT_PRIMES = (3037000453, 3037000493, 3037000507)
+
+
+@st.composite
+def truncations(draw):
+    primes = draw(st.lists(
+        st.sampled_from((2, 3, 5, 7, 11, 13) + _ROOT_PRIMES),
+        min_size=1, max_size=4, unique=True,
+    ))
+    k_lo = draw(st.integers(0, 2))
+    max_omega = draw(st.integers(max(k_lo, 1), 5))
+    near_top = MAX_ELEMENT - draw(st.integers(0, max(primes)))
+    max_value = draw(st.one_of(st.integers(2, 10**5), st.just(near_top)))
+    return tuple(sorted(primes)), k_lo, max_omega, max_value
+
+
+@given(truncations())
+@settings(max_examples=100, deadline=None)
+@example(((2, 3), 1, 4, 200))
+@example(((2,), 0, 63, MAX_ELEMENT))  # 2^62 is covered by nothing below the cap
+@example(((3037000493,), 1, 2, 3037000493**2))  # cap is exactly n * p
+@example(((3037000493,), 1, 2, 3037000493**2 - 1))  # one below it
+def test_covering_edges_generate_divisibility(case):
+    primes, k_lo, max_omega, max_value = case
+    u = build_universe(PrimeSet(primes), k_lo, max_omega, max_value)
     idx = u.index()
-    reachable = {i: set() for i in range(len(u))}
-    for i, j in u.covering_edges():
-        reachable[i].add(j)
-    # transitive closure
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(u)):
-            extra = set()
-            for j in reachable[i]:
-                extra |= reachable[j]
-            if not extra <= reachable[i]:
-                reachable[i] |= extra
-                changed = True
+    naive = {
+        (i, idx[n * p]) for i, n in enumerate(u.elements) for p in primes if n * p in idx
+    }
+    edges = u.covering_edges()
+    assert len(edges) == len(naive) and set(edges) == naive
+    # reachability along the edges is divisibility; edges point to larger
+    # elements, so one descending pass closes the reach sets
+    reach = [0] * len(u)
+    for i, j in sorted(edges, reverse=True):
+        reach[i] |= (1 << j) | reach[j]
     for a, b in itertools.combinations(range(len(u)), 2):
         divides = u.elements[b] % u.elements[a] == 0
-        assert (idx[u.elements[b]] in reachable[a]) == divides
+        assert bool(reach[a] >> b & 1) == divides
+
+
+def test_dinic_max_flow_on_a_long_path():
+    # one augmenting path through 6000 nodes: far deeper than the
+    # interpreter's recursion limit
+    n = 6000
+    caps = [3 + i % 5 for i in range(n - 1)]
+    caps[n // 2] = 2
+    dinic = _Dinic(n, list(range(n - 1)), list(range(1, n)), caps)
+    flow, level = dinic.max_flow(0, n - 1)
+    assert flow == 2
+    assert all(level[v] >= 0 for v in range(n // 2 + 1))
+    assert all(level[v] < 0 for v in range(n // 2 + 1, n))
+
+
+def test_dinic_capacities_stay_exact_beyond_int64():
+    # 0 -> 1 -> 3 and 0 -> 2 -> 3, each path limited by a capacity above 2^63
+    big = 1 << 80
+    dinic = _Dinic(4, [0, 0, 1, 2], [1, 2, 3, 3], [big + 1, big + 7, big, big + 5])
+    flow, level = dinic.max_flow(0, 3)
+    assert flow == 2 * big + 5
+    assert level[3] < 0
 
 
 def test_is_primitive_examples():
