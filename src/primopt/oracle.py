@@ -25,8 +25,8 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
-from itertools import accumulate
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Optional
 
 import numpy as np
@@ -188,13 +188,13 @@ class _Dinic:
     """
 
     def __init__(self, n: int, tails: list[int], heads: list[int], caps: list[int]):
-        degree = [0] * (n + 1)
+        degree = [0] * n
         for u in tails:
             degree[u] += 1
         for v in heads:
             degree[v] += 1
         start = array("q", [0])
-        start.extend(accumulate(degree[:n]))
+        start.extend(accumulate(degree))
         slots = 2 * len(tails)
         to = array("q", bytes(8 * slots))
         rev = array("q", bytes(8 * slots))

@@ -216,12 +216,10 @@ def test_domain_error_exit_3(capsys):
         assert main([*oracle, "--t", t]) == 3
         assert main([*oracle, "--t", t, "--brute-force"]) == 3
     assert main(["chain", "--primes", "2,3", "--kmax", "1", "--t", "2"]) == 3
-
-
-@pytest.mark.parametrize("t", ["nan", "inf"])
-def test_nonfinite_t_exits_3_with_t_domain_message(capsys, t):
-    primes = ["--primes", "2,3"]
-    caps = ["--max-omega", "2", "--max-value", "100"]
+    for s in ("nan", "inf"):
+        assert main(["zeta", "--s", s]) == 3
+    capsys.readouterr()
+    primes, caps = ["--primes", "2,3"], ["--max-omega", "2", "--max-value", "100"]
     for argv in (
         ["prime-zeta"],
         ["check-condition", *primes],
@@ -229,13 +227,14 @@ def test_nonfinite_t_exits_3_with_t_domain_message(capsys, t):
         ["hk", *primes, "--kmax", "2"],
         ["hk", *primes, "--kmax", "2", "--exact"],
         ["chain", *primes, "--kmax", "2"],
-        ["oracle", *primes, *caps],
-        ["oracle", *primes, *caps, "--brute-force"],
+        oracle,
+        [*oracle, "--brute-force"],
         ["verify-tbest", *primes, "--k", "1", *caps],
     ):
-        assert main([*argv, "--t", t]) == 3, argv
-        err = capsys.readouterr().err
-        assert "finite t" in err or "integer t" in err, (argv, err)
+        for t in ("nan", "inf"):
+            assert main([*argv, "--t", t]) == 3, argv
+            err = capsys.readouterr().err
+            assert "finite t" in err or "integer t" in err, (argv, err)
 
 
 def test_precision_error_exit_2(capsys):
