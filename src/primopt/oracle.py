@@ -156,6 +156,9 @@ class Antichain:
     members: tuple[int, ...]
 
     def __post_init__(self):
+        if self.members == (1,):
+            raise ValueError("{1} is not an antichain here: 1 divides every element, "
+                             "so k_lo must be >= 1")
         if not is_primitive(self.members):
             raise ValueError("members are not pairwise non-divisible")
 

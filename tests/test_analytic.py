@@ -1,5 +1,7 @@
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -31,17 +33,27 @@ def _point_inside(x: ErrBoundReal, offset: float) -> float:
     return x.value + offset * x.radius
 
 
+def _exact_point_inside(x: ErrBoundReal, offset: float) -> Fraction:
+    return Fraction(x.value) + Fraction(offset) * Fraction(x.radius)
+
+
+def _encloses_exactly(x: ErrBoundReal, truth: Fraction) -> bool:
+    return abs(Fraction(x.value) - truth) <= Fraction(x.radius)
+
+
 @given(finite_values, radii, finite_values, radii, offsets, offsets)
 @settings(max_examples=200, deadline=None)
+# the product radius 3 * vb rounds below its exact value unless padded
+@example(va=0.0, ra=3.0, vb=2.1171663187197208e-91, rb=0.0, oa=1.0, ob=0.0)
 def test_enclosure_propagates_through_add_sub_mul(va, ra, vb, rb, oa, ob):
     a, b = ErrBoundReal(va, ra), ErrBoundReal(vb, rb)
-    ta, tb = _point_inside(a, oa), _point_inside(b, ob)
+    ta, tb = _exact_point_inside(a, oa), _exact_point_inside(b, ob)
     for op, truth in (
         (a + b, ta + tb),
         (a - b, ta - tb),
         (a * b, ta * tb),
     ):
-        assert op.value - op.radius <= truth <= op.value + op.radius
+        assert _encloses_exactly(op, truth)
 
 
 @given(st.floats(min_value=1e-6, max_value=1e6), st.floats(min_value=0, max_value=1.0),
@@ -89,8 +101,11 @@ def test_zeta_near_one():
 def test_zeta_domain_and_precision_errors():
     with pytest.raises(ValueError):
         riemann_zeta(1.0, 1e-8)
-    with pytest.raises(ValueError):
-        riemann_zeta(2.0, 0.0)
+    for bad in (0.0, -1e-9, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            riemann_zeta(2.0, bad)
+        with pytest.raises(ValueError):
+            prime_zeta(2.0, bad)
     with pytest.raises(PrecisionError):
         riemann_zeta(1.01, 1e-14)
 
@@ -220,8 +235,55 @@ def test_tau_root_encloses_published_digits():
 
 
 def test_tau_root_rejects_bad_target():
-    with pytest.raises(ValueError):
-        tau_root(0.0)
+    for bad in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            tau_root(bad)
+
+
+# -- mpmath as an independent oracle -----------------------------------------
+
+near_one = st.floats(min_value=-6.0, max_value=2.5).map(lambda u: 1.0 + 10.0**u)
+targets = st.floats(min_value=-13.0, max_value=-2.0).map(lambda u: 10.0**u)
+
+
+def _encloses_mp(x: ErrBoundReal, fn, arg) -> bool:
+    """Whether x holds fn(arg), computed by mpmath at 40 digits."""
+    with mpmath.workdps(40):
+        return abs(mpmath.mpf(x.value) - fn(mpmath.mpf(arg))) <= mpmath.mpf(x.radius)
+
+
+@given(near_one, targets)
+@settings(max_examples=300, deadline=None)
+def test_zeta_encloses_mpmath(s, target):
+    try:
+        z = riemann_zeta(s, target)
+    except PrecisionError:
+        # allowed only where rounding, 4 ulps of zeta(s) < s/(s-1), exceeds the target
+        assert target < 5.0 * np.finfo(float).eps * s / (s - 1.0)
+        return
+    assert z.radius <= target
+    assert _encloses_mp(z, mpmath.zeta, s)
+
+
+@given(near_one, targets)
+@settings(max_examples=100, deadline=None)
+def test_prime_zeta_encloses_mpmath(t, target):
+    try:
+        p = prime_zeta(t, target)
+    except PrecisionError:
+        assert target < 1e-12  # rounding alone is below 5e-13 for t >= 1 + 1e-6
+        return
+    assert p.radius <= target
+    assert _encloses_mp(p, mpmath.primezeta, t)
+
+
+def test_tight_enclosures_against_mpmath():
+    z = riemann_zeta(1.5, 1e-12)
+    assert z.radius <= 1e-12 and _encloses_mp(z, mpmath.zeta, 1.5)
+    p = prime_zeta(1.14, 1e-10)
+    assert p.radius <= 1e-10 and _encloses_mp(p, mpmath.primezeta, 1.14)
+    tau = tau_root(1e-10)
+    assert tau.radius <= 1e-10 and _encloses_mp(tau, mpmath.mpf, "1.14036595918233")
 
 
 def test_to_json_shapes():

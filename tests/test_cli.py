@@ -235,6 +235,19 @@ def test_domain_error_exit_3(capsys):
             assert main([*argv, "--t", t]) == 3, argv
             err = capsys.readouterr().err
             assert "finite t" in err or "integer t" in err, (argv, err)
+    for argv in (
+        ["zeta", "--s", "2"],
+        ["prime-zeta", "--t", "2"],
+        ["check-condition", "--all-primes", "--t", "2"],
+        ["tau"],
+    ):
+        for radius in ("nan", "inf"):
+            assert main([*argv, "--radius", radius]) == 3, argv
+            assert "target_radius must be finite" in capsys.readouterr().err, argv
+    one = ["oracle", "--primes", "2", "--k-lo", "0", "--max-omega", "60",
+           "--max-value", "9223372036854775807", "--t", "1.5"]
+    assert main(one) == 3
+    assert "k_lo must be >= 1" in capsys.readouterr().err
 
 
 def test_precision_error_exit_2(capsys):
