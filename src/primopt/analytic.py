@@ -291,13 +291,15 @@ def prime_zeta(t: float, target_radius: float = 1e-10) -> ErrBoundReal:
             raise PrecisionError("prime zeta truncation did not converge")
     tail = 2.0 * 2.0 ** (-t * m_trunc) / m_trunc
 
-    total = ErrBoundReal.exact(0.0)
-    for m in range(1, m_trunc + 1):
-        mu = _mobius(m)
-        if mu:
-            total = total + ErrBoundReal(*_zeta_sum(t * m)).log() * (mu / m)
-
-    result = ErrBoundReal(total.value, total.radius + tail + _pad(total.value))
+    terms = [
+        ErrBoundReal(*_zeta_sum(t * m)).log() * (mu / m)
+        for m in range(1, m_trunc + 1)
+        if (mu := _mobius(m))
+    ]
+    # fsum rounds each sum once, so one pad per sum covers it
+    value = math.fsum(term.value for term in terms)
+    radius = math.fsum(term.radius for term in terms) + tail
+    result = ErrBoundReal(value, radius + _pad(value) + _pad(radius))
     if result.radius > target_radius:
         raise PrecisionError(
             f"prime zeta({t}) radius {result.radius:.3e} exceeds target "

@@ -9,7 +9,12 @@ antichain weight, and one max-flow over the reversed residual network both
 minimizes the flow and exposes the optimal antichain as the split arcs
 crossing the final reachability cut.  The set reachable from the max-flow's
 source in the final residual graph is the same for every maximum flow, so
-the members do not depend on the order of the arcs.
+the members do not depend on the order of the arcs or on the flow the search
+starts from.  It starts from a greedy one, which joins each element's own
+path from source to sink onto a divisor's, along a chain of lower covers, so
+that one unit of flow meets both lower bounds.  When sum p^-t < 1 every
+element outweighs its upper covers, so these chains already form a maximum
+flow and one breadth-first search confirms it.
 
 The max-flow is Dinic's algorithm over compressed sparse rows (flat int64
 arrays of arc heads and reverse-arc slots) with an iterative blocking-flow
@@ -26,7 +31,7 @@ import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -130,21 +135,27 @@ def build_universe(
 
 
 def is_primitive(members) -> bool:
-    """No member divides a distinct member, and the set is not just {1}."""
-    values = sorted(set(int(n) for n in members))
+    """No member divides a distinct member, and the set is not just {1}.
+
+    Each member m is checked against every larger member, whichever way is
+    shorter: by looking up its multiples 2m, 3m, ... up to the largest member
+    in a set, or by one numpy modulo over the larger members.
+    """
+    present = {int(n) for n in members}
+    values = sorted(present)
     if not values:
         raise ValueError("primitivity is defined for nonempty sets")
     if values == [1]:
         return False
     if values[0] < 1:
         raise ValueError("members must be positive integers")
-    if len(values) < 2:
-        return True
+    top = values[-1]
     arr = np.asarray(values, dtype=np.int64)
-    for i in range(len(values) - 1):
-        rest = arr[i + 1 :]
-        candidates = rest[rest % values[i] == 0]
-        if candidates.size:
+    for i, m in enumerate(values[:-1]):
+        if top // m - 1 < len(values) - 1 - i:
+            if not present.isdisjoint(range(2 * m, top + 1, m)):
+                return False
+        elif (arr[i + 1 :] % m == 0).any():
             return False
     return True
 
@@ -180,9 +191,12 @@ class _Dinic:
     The arcs (tails[a] -> heads[a], caps[a]) are given at once and stored as
     compressed sparse rows: the slots of node u are start[u]..start[u+1]-1,
     slot e leads to to[e] with residual capacity cap[e], and rev[e] is the
-    slot of its paired reverse arc.  Every arc gets a reverse slot of
-    capacity 0.  ``start``, ``to`` and ``rev`` are int64 arrays; ``cap`` is a
-    list of Python ints, so capacities of any size stay exact.
+    slot of its paired reverse arc.  Every arc gets a reverse slot, of
+    capacity ``back[a]`` (0 without ``back``): an initial flow is loaded by
+    passing its residual as ``caps`` and the flow itself as ``back``, and
+    ``max_flow`` then returns only what is left to push.  ``start``, ``to``
+    and ``rev`` are int64 arrays; ``cap`` is a list of Python ints, so
+    capacities of any size stay exact.
 
     Each phase builds BFS levels and then a blocking flow by an iterative DFS
     with current-arc pointers; a node found to be a dead end leaves the level
@@ -190,7 +204,14 @@ class _Dinic:
     memory, not by the interpreter stack.
     """
 
-    def __init__(self, n: int, tails: list[int], heads: list[int], caps: list[int]):
+    def __init__(
+        self,
+        n: int,
+        tails: list[int],
+        heads: list[int],
+        caps: list[int],
+        back: Optional[list[int]] = None,
+    ):
         degree = [0] * n
         for u in tails:
             degree[u] += 1
@@ -203,7 +224,7 @@ class _Dinic:
         rev = array("q", bytes(8 * slots))
         cap = [0] * slots
         fill = start.tolist()
-        for u, v, c in zip(tails, heads, caps):
+        for u, v, c, b in zip(tails, heads, caps, repeat(0) if back is None else back):
             e = fill[u]
             fill[u] = e + 1
             r = fill[v]
@@ -213,6 +234,7 @@ class _Dinic:
             rev[e] = r
             rev[r] = e
             cap[e] = c
+            cap[r] = b
         self.n = n
         self.start, self.to, self.rev, self.cap = start, to, rev, cap
 
@@ -289,6 +311,68 @@ def _scaled_weights(universe: TruncatedUniverse, weight_fn) -> list[int]:
     return scaled
 
 
+def _greedy_chains(
+    count: int, lower: list[int], higher: list[int], scaled: list[int]
+) -> tuple[int, list[int], list[int], list[int], list[int]]:
+    """A feasible flow of the reduction network, built from divisor chains.
+
+    Elements are visited in ascending order.  Element j still holding start
+    capacity walks down its lower covers (edge k runs lower[k] -> higher[k])
+    to a divisor a still holding end capacity, and min(left_j, left_a) goes
+    along that chain: both cancel arcs, the poset arcs of the chain and the
+    split arcs of the nodes strictly between.  Each node keeps one pointer
+    over its lower covers that only moves past dead ones, a node being dead
+    once its end is spent and its lower covers are dead; capacities only
+    fall, so a dead node stays dead and the pass costs O(E + pushes * depth).
+
+    Returns the flow value, the start and end residuals, and the flow on the
+    split and the poset arcs.
+    """
+    heads = np.asarray(higher, dtype=np.int64)
+    by_head = np.argsort(heads, kind="stable").tolist()
+    low_start = [0] + np.cumsum(np.bincount(heads, minlength=count)).tolist()
+    pointer = low_start[:-1]
+
+    start_left = scaled[:]
+    end_left = scaled[:]
+    split = [0] * count
+    poset = [0] * len(higher)
+    pushed = 0
+    for j in range(count):
+        need = start_left[j]
+        path: list[int] = []  # edges from j down to x
+        x = j
+        while True:
+            e = pointer[x]
+            if e == low_start[x + 1]:
+                if not path:
+                    break
+                # x is dead: back up and skip it for good
+                x = higher[path.pop()]
+                pointer[x] += 1
+                continue
+            k = by_head[e]
+            a = lower[k]
+            if end_left[a]:
+                amount = min(need, end_left[a])
+                need -= amount
+                end_left[a] -= amount
+                pushed += amount
+                poset[k] += amount
+                for k2 in path:
+                    poset[k2] += amount
+                    split[lower[k2]] += amount
+                if not need:
+                    break
+            elif pointer[a] < low_start[a + 1]:
+                path.append(k)
+                x = a
+            else:
+                pointer[x] += 1
+        start_left[j] = need
+    return pushed, start_left, end_left, split, poset
+
+
 def _flow_optimum(
     universe: TruncatedUniverse, weight_fn: Callable[[int], float]
 ) -> tuple[list[int], float, int]:
@@ -300,18 +384,38 @@ def _flow_optimum(
     and the reversed residual max-flow removes every reroutable unit; what
     remains on the split arcs across the sink-side reachability cut is the
     optimal antichain.
+
+    The max-flow starts from the greedy divisor chains of ``_greedy_chains``
+    rather than from zero, and Dinic adds only what they miss.  Under n^-t
+    weights with sum p^-t < 1 over the alphabet, every element outweighs its
+    upper covers together (w(n) > sum_p w(np)), so each chain ends at the
+    element's first lower cover, whose end never runs out.  The chains then
+    cancel everything above the lowest level, which is the most any flow can
+    cancel, and Dinic's one search finds no augmenting path.  Rounding to the
+    scaling quantum can break the inequality, and other weights do, so Dinic
+    still finishes.  Neither the maximum-flow value nor the set reachable
+    from the sink once no augmenting path is left (the minimal minimum cut)
+    depends on the flow it started from, so the members and the optimum are
+    those of a cold start.
     """
     count = len(universe)
     if count == 0:
         raise ValueError("universe is empty")
     scaled = _scaled_weights(universe, weight_fn)
     total = sum(scaled)
+    # Exceeds any flow, so an unbounded arc never saturates.  It stays the
+    # forward residual of every such arc whatever the greedy put on it: only
+    # whether a residual is positive matters, and one shared object costs no
+    # memory per arc.
     infinite = total + 1
 
     source, sink = 0, 1
     node_in = list(range(2, 2 + 2 * count, 2))
     node_out = list(range(3, 3 + 2 * count, 2))
     edges = universe.covering_edges()
+    lower = [i for i, _ in edges]
+    higher = [j for _, j in edges]
+    greedy, start_left, end_left, split, poset = _greedy_chains(count, lower, higher, scaled)
 
     # Reduction network: max-flow from sink to source through the residual
     # of the feasible flow.  Backward (flow-cancelling) arcs carry the
@@ -320,13 +424,19 @@ def _flow_optimum(
     # augmenting path from the sink uses them, and they add nothing to the
     # set reachable from the sink.  Arc groups: cancel s -> v_in, cancel
     # v_out -> t, raise the split arc, raise each poset arc.
-    tails = node_in + [sink] * count + node_in + [node_out[i] for i, _ in edges]
-    heads = [source] * count + node_out + node_out + [node_in[j] for _, j in edges]
-    caps = scaled + scaled + [infinite] * (count + len(edges))
-    dinic = _Dinic(2 + 2 * count, tails, heads, caps)
+    tails = node_in + [sink] * count + node_in + [node_out[i] for i in lower]
+    heads = [source] * count + node_out + node_out + [node_in[j] for j in higher]
+    caps = start_left + end_left + [infinite] * (count + len(edges))
+    back = (
+        [w - left for w, left in zip(scaled, start_left)]
+        + [w - left for w, left in zip(scaled, end_left)]
+        + split
+        + poset
+    )
+    dinic = _Dinic(2 + 2 * count, tails, heads, caps, back)
 
-    reduction, level = dinic.max_flow(sink, source)
-    optimum_scaled = total - reduction
+    rest, level = dinic.max_flow(sink, source)
+    optimum_scaled = total - (greedy + rest)
     members = [
         n
         for n, v_in, v_out in zip(universe.elements, node_in, node_out)

@@ -271,7 +271,9 @@ def test_prime_zeta_encloses_mpmath(t, target):
     try:
         p = prime_zeta(t, target)
     except PrecisionError:
-        assert target < 1e-12  # rounding alone is below 5e-13 for t >= 1 + 1e-6
+        # rounding alone is below 9e-14 for t >= 1 + 1e-6, and the truncation
+        # takes less than half the target
+        assert target < 2e-13
         return
     assert p.radius <= target
     assert _encloses_mp(p, mpmath.primezeta, t)
@@ -282,6 +284,9 @@ def test_tight_enclosures_against_mpmath():
     assert z.radius <= 1e-12 and _encloses_mp(z, mpmath.zeta, 1.5)
     p = prime_zeta(1.14, 1e-10)
     assert p.radius <= 1e-10 and _encloses_mp(p, mpmath.primezeta, 1.14)
+    for t in (1.000001, 1.01):
+        p = prime_zeta(t, 1e-13)
+        assert p.radius <= 1e-13 and _encloses_mp(p, mpmath.primezeta, t)
     tau = tau_root(1e-10)
     assert tau.radius <= 1e-10 and _encloses_mp(tau, mpmath.mpf, "1.14036595918233")
 

@@ -4,13 +4,16 @@ import random
 import time
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from primopt.errors import SizeLimitError
 from primopt.oracle import (
     Antichain,
     _Dinic,
+    _flow_optimum,
+    _greedy_chains,
+    _scaled_weights,
     build_universe,
     is_primitive,
     max_weight_antichain_bruteforce,
@@ -150,6 +153,32 @@ def test_dinic_capacities_stay_exact_beyond_int64():
     assert level[3] < 0
 
 
+_NETWORK = [(0, 1, 4), (0, 2, 3), (1, 2, 2), (1, 3, 2), (2, 4, 3), (3, 5, 4), (4, 5, 2),
+            (4, 3, 1)]
+_DIAMOND = [(0, 1, 1), (0, 2, 1), (1, 2, 1), (1, 3, 1), (2, 3, 1)]
+
+
+@pytest.mark.parametrize(
+    "arcs,loaded,rest_expected",
+    [
+        # 3 of the 5 units, on the paths 0-1-3-5 and 0-2-4-5
+        (_NETWORK, {(0, 1): 1, (1, 3): 1, (3, 5): 1, (0, 2): 2, (2, 4): 2, (4, 5): 2}, 2),
+        # a unit on 0-1-2-3, which the second unit has to cancel
+        (_DIAMOND, {(0, 1): 1, (1, 2): 1, (2, 3): 1}, 1),
+    ],
+)
+def test_dinic_from_an_initial_flow_returns_the_rest(arcs, loaded, rest_expected):
+    sink = max(v for _, v, _ in arcs)
+    tails, heads, caps = map(list, zip(*arcs))
+    cold_flow, cold_level = _Dinic(sink + 1, tails, heads, caps).max_flow(0, sink)
+    flows = [loaded.get((u, v), 0) for u, v, _ in arcs]
+    warm = _Dinic(sink + 1, tails, heads, [c - f for c, f in zip(caps, flows)], flows)
+    rest, level = warm.max_flow(0, sink)
+    assert rest == rest_expected
+    assert sum(f for (u, _), f in loaded.items() if u == 0) + rest == cold_flow
+    assert [d >= 0 for d in level] == [d >= 0 for d in cold_level]
+
+
 def test_is_primitive_examples():
     assert is_primitive([4, 6, 9])
     assert not is_primitive([2, 6])
@@ -158,6 +187,35 @@ def test_is_primitive_examples():
     assert is_primitive([5])
     with pytest.raises(ValueError):
         is_primitive([])
+
+
+@st.composite
+def candidate_sets(draw):
+    """Sets where both ways of is_primitive run: members up to top // 64 have
+    more multiples up to the top than larger members (numpy modulo), and the
+    member just below the top, in (top/2, top), has none (set lookups)."""
+    top = draw(st.one_of(st.integers(64, 10**4), st.integers(64, MAX_ELEMENT)))
+    small = draw(st.lists(st.integers(max(1, top // 128), top // 64), min_size=1, max_size=8))
+    mid = draw(st.lists(st.integers(top // 8, top // 2), max_size=8))
+    high = draw(st.integers(top // 2 + 1, top - 1))
+    # multiples of drawn members, so that some sets are not primitive
+    factors = draw(st.lists(st.integers(2, 9), max_size=4))
+    multiples = [m * f for m, f in zip(small + mid, factors) if m * f < top]
+    return small + mid + multiples + [high, top]
+
+
+@given(candidate_sets())
+@settings(max_examples=300, deadline=None)
+@example([2, 3, 50, 64])  # 50 takes the set branch with nothing to find
+@example([3, 25, 50, 64])  # only 25 divides anything, found in the set
+@example([1, 40, 64])  # 1 divides everything
+def test_is_primitive_matches_pairwise_check(values):
+    distinct = sorted(set(values))
+    top = distinct[-1]
+    branches = {top // m - 1 < len(distinct) - 1 - i for i, m in enumerate(distinct[:-1])}
+    assert branches == {True, False}
+    naive = distinct != [1] and all(b % a for a, b in itertools.combinations(distinct, 2))
+    assert is_primitive(values) == naive
 
 
 def test_antichain_validates():
@@ -216,6 +274,50 @@ def test_flow_equals_exhaustive_subset_search():
             _, brute_w = max_weight_antichain_bruteforce(u, t)
             assert abs(flow_w - expected) <= 1e-9
             assert abs(brute_w - expected) <= 1e-9
+
+
+@st.composite
+def weighted_small_universes(draw):
+    primes = draw(st.lists(st.sampled_from((2, 3, 5, 7, 11, 13)), min_size=1, max_size=3,
+                           unique=True))
+    k_lo = draw(st.integers(1, 2))
+    max_omega = draw(st.integers(k_lo, 4))
+    u = build_universe(PrimeSet(sorted(primes)), k_lo, max_omega, draw(st.integers(2, 400)))
+    assume(1 <= len(u) <= 14)
+    weights = draw(st.lists(st.floats(1e-6, 1.0), min_size=len(u), max_size=len(u)))
+    return u, dict(zip(u.elements, weights))
+
+
+@given(weighted_small_universes())
+@settings(max_examples=300, deadline=None)
+@example((  # the greedy chain 28 -> 4 -> 2 has to raise the split arc of 4
+    build_universe(PrimeSet([2, 7]), 1, 3, 239),
+    {2: 0.97, 4: 0.1, 7: 0.54, 8: 0.08, 14: 0.56, 28: 0.45, 49: 0.96, 98: 0.16},
+))
+def test_flow_matches_exhaustive_under_arbitrary_weights(case):
+    universe, weights = case
+    weight_fn = weights.__getitem__
+    members, weight, optimum_scaled = _flow_optimum(universe, weight_fn)
+    assert is_primitive(members)
+    expected = exhaustive_optimum(universe, weight_fn)
+    assert abs(weight - expected) <= 1e-12
+    assert abs(optimum_scaled / 2**50 - expected) <= 1e-12
+
+
+def test_flow_finishes_where_the_greedy_falls_short():
+    # 49, 133 and 217 all lie over 7; the greedy spends 7 on 49 and 133 and
+    # leaves 217 only 31, while the maximum sends 133 through 19 first
+    universe = build_universe(PrimeSet([7, 19, 31]), 1, 4, 300)
+    assert universe.elements == (7, 19, 31, 49, 133, 217)
+    weights = {7: 1.0, 19: 1e-3, 31: 1e-3, 49: 0.5, 133: 0.5, 217: 0.5}
+    weight_fn = weights.__getitem__
+    members, weight, optimum_scaled = _flow_optimum(universe, weight_fn)
+    edges = universe.covering_edges()
+    scaled = _scaled_weights(universe, weight_fn)
+    greedy = _greedy_chains(len(universe), [i for i, _ in edges], [j for _, j in edges], scaled)
+    assert greedy[0] < sum(scaled) - optimum_scaled
+    assert members == [49, 133, 217] and weight == 1.5
+    assert weight == exhaustive_optimum(universe, weight_fn)
 
 
 def test_flow_equals_bruteforce_on_exhaustive_grid():
