@@ -58,6 +58,8 @@ def integral_bridge_check(members: Sequence[int], quad_tolerance: float = 1e-6) 
     The integral splits at t = 50: adaptive Simpson below, and the exact
     per-term value n^-50 / log n above (the integrand decays geometrically).
     """
+    if not (quad_tolerance > 0.0) or not math.isfinite(quad_tolerance):
+        raise ValueError("quad_tolerance must be a finite number > 0")
     values = sorted(set(int(n) for n in members))
     if not values or values[0] < 2:
         raise ValueError("bridge check needs a nonempty set of integers >= 2")

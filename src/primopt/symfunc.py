@@ -10,6 +10,7 @@ which use relative tolerances sized for binary64.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from math import gcd
@@ -178,20 +179,9 @@ def level_elements(prime_set: PrimeSet, k: int) -> list[int]:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    primes = prime_set.as_list()
-    out: list[int] = []
-
-    def rec(idx: int, remaining: int, value: int) -> None:
-        if remaining == 0:
-            out.append(value)
-            return
-        if idx == len(primes):
-            return
-        rec(idx + 1, remaining, value)
-        rec(idx, remaining - 1, value * primes[idx])
-
-    rec(0, k, 1)
-    return sorted(out)
+    return sorted(
+        math.prod(c) for c in itertools.combinations_with_replacement(prime_set.as_list(), k)
+    )
 
 
 def decomposition_partition_check(prime_set: PrimeSet, ell: int, s: int) -> bool:

@@ -91,6 +91,10 @@ def test_decompose_command(capsys):
         capsys, "decompose", "--primes", "2,3", "--ell", "2", "--s", "6"
     )
     assert code == 0 and report["verdict"] == "holds"
+    code, report = run_json(
+        capsys, "decompose", "--primes-below", "10000", "--ell", "1", "--s", "2"
+    )
+    assert code == 0 and report["verdict"] == "holds"
 
 
 def test_universe_and_oracle_commands(capsys):
@@ -216,6 +220,12 @@ def test_domain_error_exit_3(capsys):
         assert main([*oracle, "--t", t]) == 3
         assert main([*oracle, "--t", t, "--brute-force"]) == 3
     assert main(["chain", "--primes", "2,3", "--kmax", "1", "--t", "2"]) == 3
+    for tolerance in ("0", "-1", "nan", "inf"):
+        assert main(["bridge", "--members", "2,3,5", "--tolerance", tolerance]) == 3
+    for limit in ("0", "-1"):
+        assert main(["universe", "--primes", "2,3", "--max-omega", "2", "--max-value",
+                     "100", "--max-elements", limit]) == 3
+        assert main([*oracle, "--t", "1", "--max-elements", limit]) == 3
     for s in ("nan", "inf"):
         assert main(["zeta", "--s", s]) == 3
     capsys.readouterr()

@@ -86,6 +86,8 @@ def test_build_universe_guards():
     with pytest.raises(SizeLimitError):
         build_universe(PrimeSet([2, 3, 5]), 1, 12, 10**6, max_elements=50)
     with pytest.raises(ValueError):
+        build_universe(PrimeSet([2, 3]), 1, 2, 100, max_elements=0)
+    with pytest.raises(ValueError):
         build_universe(PrimeSet([2]), 1, 3, 2**63)
 
 
@@ -151,6 +153,53 @@ def test_dinic_capacities_stay_exact_beyond_int64():
     flow, level = dinic.max_flow(0, 3)
     assert flow == 2 * big + 5
     assert level[3] < 0
+
+
+@st.composite
+def networks(draw):
+    n = draw(st.integers(2, 7))
+    node = st.integers(0, n - 1)
+    cap = st.one_of(st.integers(0, 3), st.integers(2**63 - 2, 2**90))
+    arcs = draw(st.lists(st.tuples(node, node, cap, cap), max_size=16))
+    return n, arcs, draw(st.booleans())
+
+
+@given(networks())
+@settings(max_examples=300, deadline=None)
+# parallel, antiparallel and self-loop arcs, capacities past 2^63
+@example((3, [(0, 1, 5, 0), (0, 1, 2**64, 0), (1, 0, 3, 4), (1, 1, 7, 7),
+              (1, 2, 2**64 + 1, 0), (2, 1, 2**70, 1)], True))
+# the first augmenting path 0-1-2-5 must be partly cancelled by 0-3-2-1-4-5
+@example((6, [(0, 1, 1, 0), (1, 2, 1, 0), (2, 5, 1, 0), (0, 3, 1, 0), (3, 2, 1, 0),
+              (1, 4, 1, 0), (4, 5, 1, 0)], False))
+def test_dinic_flow_equals_min_cut_on_general_networks(case):
+    # With back, arc a also runs heads[a] -> tails[a] with capacity back[a].
+    n, arcs, with_back = case
+    tails, heads, caps, backs = (list(column) for column in zip(*arcs)) if arcs else ([],) * 4
+    if not with_back:
+        backs = [0] * len(arcs)
+    listed = list(zip(tails, heads, caps)) + list(zip(heads, tails, backs))
+    sink = n - 1
+
+    def cut(side):
+        return sum(c for u, v, c in listed if side >> u & 1 and not side >> v & 1)
+
+    best = min(cut(side) for side in range(1 << n) if side & 1 and not side >> sink & 1)
+    dinic = _Dinic(n, tails, heads, caps, backs if with_back else None)
+    flow, level = dinic.max_flow(0, sink)
+    assert flow == best
+    side = sum(1 << v for v in range(n) if level[v] >= 0)
+    assert side & 1 and not side >> sink & 1
+    assert cut(side) == flow
+    # ends 2a and 2a + 1 share arc a: what one gained the other lost, and
+    # the net flows they carry are conserved at every node but the terminals
+    net = [0] * n
+    for a, (u, v) in enumerate(zip(tails, heads)):
+        assert dinic.cap[2 * a] + dinic.cap[2 * a + 1] == caps[a] + backs[a]
+        net[u] -= caps[a] - dinic.cap[2 * a]
+        net[v] += caps[a] - dinic.cap[2 * a]
+    assert net[0] == -flow and net[sink] == flow
+    assert not any(net[1:sink])
 
 
 _NETWORK = [(0, 1, 4), (0, 2, 3), (1, 2, 2), (1, 3, 2), (2, 4, 3), (3, 5, 4), (4, 5, 2),

@@ -179,6 +179,9 @@ def test_level_elements_counts_and_membership():
     assert level_elements(P, 3) == [8, 12, 18, 20, 27, 30, 45, 50, 75, 125]
     assert level_elements(PrimeSet([]), 0) == [1]
     assert level_elements(PrimeSet([]), 2) == []
+    # 1229 primes: more than the interpreter's recursion limit
+    primes = sieve_primes(10**4)
+    assert level_elements(primes, 1) == primes.as_list()
 
 
 def test_decomposition_examples():
