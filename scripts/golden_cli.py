@@ -13,9 +13,11 @@ give identical directories:
     python scripts/golden_cli.py /tmp/golden-b /path/to/checkout-b
     diff -r /tmp/golden-a /tmp/golden-b
 
-The lines cover every argument line of tests/test_cli.py, each of the 19
-subcommands, the three certify-large ``verify-tbest`` instances of perfbench
-and ``suite`` at seeds 0 and 1 with and without ``--quick``.
+The 85 lines cover every argument line of tests/test_cli.py, each of the
+19 subcommands, the three certify-large ``verify-tbest`` instances of
+perfbench, ``suite`` at seeds 0 and 1 with and without ``--quick``, and one
+clamped tie at t = 8 through ``verify-tbest`` and ``oracle``, where the
+optimum has more than one member set.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ CAPS = ["--max-omega", "2", "--max-value", "100"]
 ORACLE = ["oracle", *PRIMES, *CAPS]
 DEEP = ["--primes", "2,3,5,7", "--k", "1", "--max-omega", "22",
         "--max-value", "4611686018427387904"]
+TIE = ["--primes", "5,103,331", "--max-omega", "5", "--max-value", "1000"]
 
 LINES = [
     ["prime-zeta", "--t", "2", "--radius", "1e-8"],
@@ -104,6 +107,9 @@ LINES = [
     ["verify-tbest", *DEEP, "--t", "1.5"],
     ["verify-tbest", *DEEP, "--t", "8"],
     *(["suite", *quick, "--seed", seed] for quick in ([], ["--quick"]) for seed in ("0", "1")),
+    # both weights clamp to one 2^-50 quantum, so 125 and 625 tie in the flow
+    ["verify-tbest", *TIE, "--k", "3", "--t", "8"],
+    ["oracle", *TIE, "--k-lo", "3", "--t", "8"],
 ]
 
 _RUNTIME = re.compile(r'("runtime_ms": |runtime: )\d+')

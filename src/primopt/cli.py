@@ -437,11 +437,12 @@ def main(argv=None) -> int:
 
 
 def _write(report: dict, args) -> None:
+    """Write ``--out`` first, so a failed write prints no report to stdout."""
     document = json.dumps(report, indent=2) + "\n"
-    sys.stdout.write(document if args.format == "json" else _render_text(report))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(document)
+    sys.stdout.write(document if args.format == "json" else _render_text(report))
 
 
 if __name__ == "__main__":

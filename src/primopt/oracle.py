@@ -5,16 +5,19 @@ value cap) is generated by the multiply-by-one-prime covering edges: any
 intermediate divisor of a member is itself a member, so reachability along
 those edges is exactly divisibility.  The optimizer runs weighted Dilworth
 duality: a minimum flow with per-element lower bounds equals the maximum
-antichain weight, and one max-flow over the reversed residual network both
-minimizes the flow and exposes the optimal antichain as the split arcs
-crossing the final reachability cut.  The set reachable from the max-flow's
-source in the final residual graph is the same for every maximum flow, so
-the members do not depend on the order of the arcs or on the flow the search
-starts from.  It starts from a greedy one, which joins each element's own
-path from source to sink onto a divisor's, along a chain of lower covers, so
-that one unit of flow meets both lower bounds.  When sum p^-t < 1 every
-element outweighs its upper covers, so these chains already form a maximum
-flow and one breadth-first search confirms it.
+antichain weight.  The flow starts as a greedy one, which joins each
+element's own path from source to sink onto a divisor's, along a chain of
+lower covers, so that one unit of flow meets both lower bounds.  When the
+chains leave start capacity only at the minimal elements, which form an
+antichain, the flow's value is that antichain's weight, so both are optimal
+and no network is built.  When sum p^-t < 1 every element outweighs its
+upper covers, so this is the case unless rounding to the scaling quantum
+breaks that inequality.  Otherwise one max-flow over the reversed residual
+network minimizes the flow and exposes the optimal antichain as the split
+arcs crossing the final reachability cut.  The set reachable from the
+max-flow's source in the final residual graph is the same for every maximum
+flow, so those members do not depend on the order of the arcs or on the
+flow the search starts from.
 
 The max-flow is Dinic's algorithm with an iterative blocking-flow search
 (no step recurses), over arc ends paired as e and e ^ 1 and grouped by
@@ -307,7 +310,7 @@ def _scaled_weights(universe: TruncatedUniverse, weight_fn) -> list[int]:
 
 def _greedy_chains(
     count: int, lower: list[int], higher: list[int], scaled: list[int]
-) -> tuple[int, list[int], list[int], list[int], list[int]]:
+) -> tuple[int, list[int], list[int], list[int], list[int], int]:
     """A feasible flow of the reduction network, built from divisor chains.
 
     Elements are visited in ascending order.  Element j still holding start
@@ -319,8 +322,9 @@ def _greedy_chains(
     once its end is spent and its lower covers are dead; capacities only
     fall, so a dead node stays dead and the pass costs O(E + pushes * depth).
 
-    Returns the flow value, the start and end residuals, and the flow on the
-    split and the poset arcs.
+    Returns the flow value, the start and end residuals, the flow on the
+    split and the poset arcs, and how many elements with a lower cover keep
+    start capacity (0 when only the minimal elements do).
     """
     low_start, by_head = _rows(higher, count)
     pointer = low_start.tolist()[:-1]
@@ -330,6 +334,7 @@ def _greedy_chains(
     split = [0] * count
     poset = [0] * len(higher)
     pushed = 0
+    stranded = 0
     for j in range(count):
         need = start_left[j]
         path: list[int] = []  # edges from j down to x
@@ -362,38 +367,72 @@ def _greedy_chains(
             else:
                 pointer[x] += 1
         start_left[j] = need
-    return pushed, start_left, end_left, split, poset
+        if need and low_start[j] < low_start[j + 1]:
+            stranded += 1
+    return pushed, start_left, end_left, split, poset, stranded
 
 
 def _flow_optimum(
     universe: TruncatedUniverse, weight_fn: Callable[[int], float]
 ) -> tuple[list[int], float, int]:
-    """Members of a maximum-weight antichain plus its float re-summed weight.
+    """Members of a maximum-weight antichain plus its float re-summed weight
+    and the optimum in scaled integers.
 
     Network: source -> v_in, split arc v_in -> v_out with lower bound w(v),
     v_out -> sink, v_out -> u_in per covering edge; all capacities unbounded.
-    The all-direct-paths flow (w(v) down s -> v_in -> v_out -> t) is feasible,
-    and the reversed residual max-flow removes every reroutable unit; what
-    remains on the split arcs across the sink-side reachability cut is the
-    optimal antichain.
+    The minimum flow value is the maximum antichain weight (weighted
+    Dilworth), so a feasible flow and an antichain of equal value prove each
+    other optimal.
 
-    The max-flow starts from the greedy divisor chains of ``_greedy_chains``
-    rather than from zero, and Dinic adds only what they miss.  Under n^-t
-    weights with sum p^-t < 1 over the alphabet, every element outweighs its
-    upper covers together (w(n) > sum_p w(np)), so each chain ends at the
-    element's first lower cover, whose end never runs out.  The chains then
-    cancel everything above the lowest level, which is the most any flow can
-    cancel, and Dinic's one search finds no augmenting path.  Rounding to the
-    scaling quantum can break the inequality, and other weights do, so Dinic
-    still finishes.  Neither the maximum-flow value nor the set reachable
-    from the sink once no augmenting path is left (the minimal minimum cut)
-    depends on the flow it started from, so the members and the optimum are
-    those of a cold start.
+    The greedy divisor chains of ``_greedy_chains`` are such a flow.  The
+    minimal elements (those without a lower cover) form an antichain and
+    always keep their whole start capacity, so when no other element keeps
+    any, the chains' value sum(start_left) is the minimal elements' weight
+    and both are optimal: the same exact integers, no tolerance.  Under
+    n^-t weights with sum p^-t < 1 over the alphabet, every element
+    outweighs its upper covers together (w(n) > sum_p w(np)), so each chain
+    ends at the element's first lower cover and only the minimal elements
+    keep start capacity.  Rounding to the scaling quantum can break the
+    inequality, and other weights do; then ``_residual_optimum`` finishes
+    the flow with Dinic.
     """
     count = len(universe)
     if count == 0:
         raise ValueError("universe is empty")
     scaled = _scaled_weights(universe, weight_fn)
+    edges = universe.covering_edges()
+    lower = [i for i, _ in edges]
+    higher = [j for _, j in edges]
+    greedy = _greedy_chains(count, lower, higher, scaled)
+    if greedy[-1]:
+        members, optimum_scaled = _residual_optimum(universe, scaled, lower, higher, greedy)
+    else:
+        start_left = greedy[1]
+        members = [n for n, left in zip(universe.elements, start_left) if left]
+        optimum_scaled = sum(start_left)
+    weight = math.fsum(weight_fn(n) for n in members)
+    return members, weight, optimum_scaled
+
+
+def _residual_optimum(
+    universe: TruncatedUniverse,
+    scaled: list[int],
+    lower: list[int],
+    higher: list[int],
+    greedy: tuple,
+) -> tuple[list[int], int]:
+    """Finish the greedy flow with Dinic: the members of a maximum-weight
+    antichain and the optimum in scaled integers.
+
+    The reversed residual max-flow removes every unit the greedy left
+    reroutable; what remains on the split arcs across the sink-side
+    reachability cut is the optimal antichain.  Neither the maximum-flow
+    value nor the set reachable from the sink once no augmenting path is
+    left (the minimal minimum cut) depends on the flow it started from, so
+    the members and the optimum are those of a cold start.
+    """
+    count = len(universe)
+    pushed, start_left, end_left, split, poset, _ = greedy
     total = sum(scaled)
     # Exceeds any flow, so an unbounded arc never saturates.  It stays the
     # forward residual of every such arc whatever the greedy put on it: only
@@ -404,10 +443,6 @@ def _flow_optimum(
     source, sink = 0, 1
     node_in = list(range(2, 2 + 2 * count, 2))
     node_out = list(range(3, 3 + 2 * count, 2))
-    edges = universe.covering_edges()
-    lower = [i for i, _ in edges]
-    higher = [j for _, j in edges]
-    greedy, start_left, end_left, split, poset = _greedy_chains(count, lower, higher, scaled)
 
     # Reduction network: max-flow from sink to source through the residual
     # of the feasible flow.  Backward (flow-cancelling) arcs carry the
@@ -418,7 +453,7 @@ def _flow_optimum(
     # v_out -> t, raise the split arc, raise each poset arc.
     tails = node_in + [sink] * count + node_in + [node_out[i] for i in lower]
     heads = [source] * count + node_out + node_out + [node_in[j] for j in higher]
-    caps = start_left + end_left + [infinite] * (count + len(edges))
+    caps = start_left + end_left + [infinite] * (count + len(lower))
     back = (
         [w - left for w, left in zip(scaled, start_left)]
         + [w - left for w, left in zip(scaled, end_left)]
@@ -428,14 +463,12 @@ def _flow_optimum(
     dinic = _Dinic(2 + 2 * count, tails, heads, caps, back)
 
     rest, level = dinic.max_flow(sink, source)
-    optimum_scaled = total - (greedy + rest)
     members = [
         n
         for n, v_in, v_out in zip(universe.elements, node_in, node_out)
         if level[v_out] >= 0 and level[v_in] < 0
     ]
-    weight = math.fsum(weight_fn(n) for n in members)
-    return members, weight, optimum_scaled
+    return members, total - (pushed + rest)
 
 
 def _power_weight(t: float) -> Callable[[int], float]:

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from primopt import oracle
 from primopt.errors import SizeLimitError
 from primopt.oracle import (
     Antichain,
     _Dinic,
     _flow_optimum,
     _greedy_chains,
+    _residual_optimum,
     _scaled_weights,
     build_universe,
     is_primitive,
@@ -367,6 +369,89 @@ def test_flow_finishes_where_the_greedy_falls_short():
     assert greedy[0] < sum(scaled) - optimum_scaled
     assert members == [49, 133, 217] and weight == 1.5
     assert weight == exhaustive_optimum(universe, weight_fn)
+
+
+def _greedy_flow(universe, weight_fn):
+    scaled = _scaled_weights(universe, weight_fn)
+    edges = universe.covering_edges()
+    lower, higher = [i for i, _ in edges], [j for _, j in edges]
+    return scaled, lower, higher, _greedy_chains(len(universe), lower, higher, scaled)
+
+
+def test_greedy_certificate_matches_dinic_on_seeded_universes():
+    # Where the greedy chains strand no start capacity above the minimal
+    # elements, those are the members, and Dinic run on the same flow must
+    # reach the same optimum.
+    rng = random.Random(1301)
+    pool = sieve_primes(400).as_list()
+    kinds = (1.01, 1.1, 1.5, 2.0, 3.0, 8.0, "erdos", "arbitrary")
+    universes = 0
+    took = {True: 0, False: 0}
+    while universes < 1040:
+        primes = sorted(rng.sample(pool[: rng.choice((6, 25, 78))], rng.randint(1, 5)))
+        k_lo = rng.randint(1, 3)
+        universe = build_universe(
+            PrimeSet(primes), k_lo, k_lo + rng.randint(0, 3), rng.choice((10**3, 10**4, 10**5))
+        )
+        if not 1 <= len(universe) <= 400:
+            continue
+        universes += 1
+        kind = kinds[universes % len(kinds)]
+        if kind == "erdos":
+            weight_fn = lambda n: 1.0 / (n * math.log(n))
+        elif kind == "arbitrary":
+            weights = [rng.uniform(1e-6, 1.0) for _ in universe.elements]
+            weight_fn = dict(zip(universe.elements, weights)).__getitem__
+        else:
+            weight_fn = lambda n, t=kind: float(n) ** (-t)
+        members, _, optimum_scaled = _flow_optimum(universe, weight_fn)
+        scaled, lower, higher, greedy = _greedy_flow(universe, weight_fn)
+        shortcut = greedy[-1] == 0
+        took[shortcut] += 1
+        cut_members, cut_optimum = _residual_optimum(universe, scaled, lower, higher, greedy)
+        assert cut_optimum == optimum_scaled
+        if shortcut:
+            covered = set(higher)
+            minimal = [i for i in range(len(universe)) if i not in covered]
+            assert members == [universe.elements[i] for i in minimal]
+            assert optimum_scaled == sum(scaled[i] for i in minimal)
+        else:
+            assert members == cut_members
+    # both paths ran often enough to mean something
+    assert min(took.values()) >= 50, took
+
+
+def test_greedy_certificate_picks_the_minimal_elements_on_a_clamped_tie():
+    # 125^-8 = 1.7e-17 and 625^-8 = 4.3e-23 both clamp to one 2^-50 quantum,
+    # so {125} and {625} tie in the flow; Dinic's minimal cut names 625
+    universe = build_universe(PrimeSet([5, 103, 331]), 3, 5, 1000)
+    assert universe.elements == (125, 625)
+    weight_fn = lambda n: float(n) ** -8.0
+    scaled, lower, higher, greedy = _greedy_flow(universe, weight_fn)
+    assert scaled == [1, 1] and greedy[-1] == 0
+    assert _residual_optimum(universe, scaled, lower, higher, greedy) == ([625], 1)
+    assert _flow_optimum(universe, weight_fn) == ([125], 125.0**-8, 1)
+    report = verify_tbest(PrimeSet([5, 103, 331]), 8.0, 3, 5, 1000)
+    assert report.holds() and report.optimum_set.members == (125,)
+
+
+def test_dinic_is_built_only_where_the_greedy_falls_short(monkeypatch):
+    built = []
+
+    class CountingDinic(_Dinic):
+        def __init__(self, *args, **kwargs):
+            built.append(args[0])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_Dinic", CountingDinic)
+    assert verify_tbest(PrimeSet([2, 3, 5]), 1.5, 1, 6, 10**6).holds()
+    assert verify_erdos_best(PrimeSet([5, 7, 11, 13]), 1, 4, 10**6).holds()
+    # 14,909 of these 14,949 weights clamp to one quantum, and still no network
+    assert verify_tbest(PrimeSet([2, 3, 5, 7]), 8.0, 1, 22, 2**62).holds()
+    assert built == []
+    report = verify_tbest(sieve_primes(300), 1.02, 1, 2, 300**2)
+    assert report.verdict == "fails"
+    assert len(built) == 1
 
 
 def test_flow_equals_bruteforce_on_exhaustive_grid():
