@@ -13,11 +13,12 @@ give identical directories:
     python scripts/golden_cli.py /tmp/golden-b /path/to/checkout-b
     diff -r /tmp/golden-a /tmp/golden-b
 
-The 85 lines cover every argument line of tests/test_cli.py, each of the
+The 88 lines cover every argument line of tests/test_cli.py, each of the
 19 subcommands, the three certify-large ``verify-tbest`` instances of
-perfbench, ``suite`` at seeds 0 and 1 with and without ``--quick``, and one
+perfbench, ``suite`` at seeds 0 and 1 with and without ``--quick``, one
 clamped tie at t = 8 through ``verify-tbest`` and ``oracle``, where the
-optimum has more than one member set.
+optimum has more than one member set, two t whose n^-t weights underflow
+to 0, and an infinite Brun bound.
 """
 
 from __future__ import annotations
@@ -110,6 +111,10 @@ LINES = [
     # both weights clamp to one 2^-50 quantum, so 125 and 625 tie in the flow
     ["verify-tbest", *TIE, "--k", "3", "--t", "8"],
     ["oracle", *TIE, "--k-lo", "3", "--t", "8"],
+    # n^-t underflows to 0.0 for a valid t
+    ["verify-tbest", *DEEP, "--t", "40"],
+    ["oracle", *PRIMES, "--k-lo", "1", "--max-omega", "3", "--max-value", "100", "--t", "1e308"],
+    ["corollary", "--brun-bound", "inf", "--limit", "1000"],
 ]
 
 _RUNTIME = re.compile(r'("runtime_ms": |runtime: )\d+')

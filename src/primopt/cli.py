@@ -2,7 +2,7 @@
 
 Every invocation writes a single JSON document to stdout (or aligned text
 with --format text) wrapped in a stable envelope: claim, verdict, lhs, rhs,
-runtime_ms, detail.  Exit codes: 0 holds/success, 1 fails, 2 inconclusive
+runtime_ms, detail.  Exit codes: 0 holds, 1 fails, 2 inconclusive
 or precision-limited, 3 usage/domain error, 4 resource limit.
 
 The suite's checks are not defined here: ``primopt suite`` runs the table in
@@ -23,7 +23,7 @@ from .checks import CHECKS
 from .errors import PrecisionError, SizeLimitError
 from .primes import PrimeSet, sieve_primes, twin_primes
 
-_EXIT_BY_VERDICT = {HOLDS: 0, "success": 0, FAILS: 1, INCONCLUSIVE: 2}
+_EXIT_BY_VERDICT = {HOLDS: 0, FAILS: 1, INCONCLUSIVE: 2}
 
 
 class _Parser(argparse.ArgumentParser):

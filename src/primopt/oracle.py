@@ -3,28 +3,39 @@
 The divisibility order on a truncation (an Omega band intersected with a
 value cap) is generated by the multiply-by-one-prime covering edges: any
 intermediate divisor of a member is itself a member, so reachability along
-those edges is exactly divisibility.  The optimizer runs weighted Dilworth
-duality: a minimum flow with per-element lower bounds equals the maximum
-antichain weight.  The flow starts as a greedy one, which joins each
-element's own path from source to sink onto a divisor's, along a chain of
-lower covers, so that one unit of flow meets both lower bounds.  When the
-chains leave start capacity only at the minimal elements, which form an
-antichain, the flow's value is that antichain's weight, so both are optimal
-and no network is built.  When sum p^-t < 1 every element outweighs its
-upper covers, so this is the case unless rounding to the scaling quantum
-breaks that inequality.  Otherwise one max-flow over the reversed residual
-network minimizes the flow and exposes the optimal antichain as the split
-arcs crossing the final reachability cut.  The set reachable from the
+those edges is exactly divisibility.
+
+The optimizer runs weighted Dilworth duality.  The network has a split arc
+v_in -> v_out with lower bound w(v) per element, and unbounded arcs
+source -> v_in, v_out -> sink and v_out -> u_in per covering edge.  Each
+unit of flow runs along a chain, which crosses an antichain at most once,
+so every feasible flow is worth at least every antichain's weight: a flow
+and an antichain of equal value are both optimal, and the minimum flow
+equals the maximum antichain weight.
+
+The flow starts as a greedy one, which joins each element's own path from
+source to sink onto a divisor's, along a chain of lower covers, so that one
+unit of flow meets both lower bounds.  The minimal elements form an
+antichain and keep their whole start capacity, so when no other element
+keeps any, the flow's value sum(start_left) is their weight and both are
+optimal, with no network built.  When sum p^-t < 1 every element outweighs
+its upper covers together, so this is the case unless rounding to the
+scaling quantum breaks that inequality.  Otherwise one max-flow from sink
+to source over the residual network cancels ``rest`` more units, the
+minimum flow is sum(start_left) - rest, and the optimal antichain is the
+split arcs crossing the final reachability cut.  The set reachable from the
 max-flow's source in the final residual graph is the same for every maximum
 flow, so those members do not depend on the order of the arcs or on the
 flow the search starts from.
 
 The max-flow is Dinic's algorithm with an iterative blocking-flow search
 (no step recurses), over arc ends paired as e and e ^ 1 and grouped by
-tail with one stable argsort.  Weights enter the flow as Python integers
-(value * 2^50 rounded), so the network arithmetic is exact even where the
-total passes 2^63; reported weights are float re-sums of the extracted
-members and verdict tolerances absorb the scaling quantum.
+tail with one stable argsort.  The flow core sees only element indices and
+integer weights.  Its callers evaluate each element's weight once, as a
+list aligned with ``universe.elements``, pass it in scaled to Python
+integers (value * 2^50 rounded, at least 1), so the network arithmetic is
+exact even where the total passes 2^63, and re-sum the float weights of
+the returned members; verdict tolerances absorb the scaling quantum.
 """
 
 from __future__ import annotations
@@ -32,12 +43,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .analytic import HOLDS, FAILS, ConditionVerdict, check_condition
-from .errors import SizeLimitError
+from .errors import PrecisionError, SizeLimitError
 from .primes import MAX_ELEMENT, PrimeSet, omega
 from .symfunc import gcd_blocks, h_all, level_elements, sigma_nk, weights_from_primes
 
@@ -175,9 +186,6 @@ class Antichain:
         if not is_primitive(self.members):
             raise ValueError("members are not pairwise non-divisible")
 
-    def weight(self, weight_fn: Callable[[int], float]) -> float:
-        return math.fsum(weight_fn(n) for n in self.members)
-
     def to_json(self, cap: int = 1000) -> list[int]:
         return list(self.members[:cap])
 
@@ -249,12 +257,12 @@ class _Dinic:
             u = source
             while True:
                 if u == sink:
-                    pushed = min(cap[e] for e in path)
-                    flow += pushed
+                    bottleneck = min(cap[e] for e in path)
+                    flow += bottleneck
                     saturated = -1
                     for k, e in enumerate(path):
-                        cap[e] -= pushed
-                        cap[e ^ 1] += pushed
+                        cap[e] -= bottleneck
+                        cap[e ^ 1] += bottleneck
                         if saturated < 0 and cap[e] == 0:
                             saturated = k
                     # resume from the tail of the first saturated arc
@@ -298,19 +306,14 @@ class _Dinic:
         return level
 
 
-def _scaled_weights(universe: TruncatedUniverse, weight_fn) -> list[int]:
-    scaled = []
-    for n in universe.elements:
-        w = weight_fn(n)
-        if not (w > 0.0) or not math.isfinite(w):
-            raise ValueError(f"weight of {n} must be a positive finite number")
-        scaled.append(max(1, round(w * _WEIGHT_SCALE)))
-    return scaled
+def _scaled_weights(weights: list[float]) -> list[int]:
+    """Positive float weights in whole 2^-50 quanta, rounded, at least one."""
+    return [max(1, round(w * _WEIGHT_SCALE)) for w in weights]
 
 
 def _greedy_chains(
     count: int, lower: list[int], higher: list[int], scaled: list[int]
-) -> tuple[int, list[int], list[int], list[int], list[int], int]:
+) -> tuple[list[int], list[int], list[int], list[int], int]:
     """A feasible flow of the reduction network, built from divisor chains.
 
     Elements are visited in ascending order.  Element j still holding start
@@ -322,9 +325,9 @@ def _greedy_chains(
     once its end is spent and its lower covers are dead; capacities only
     fall, so a dead node stays dead and the pass costs O(E + pushes * depth).
 
-    Returns the flow value, the start and end residuals, the flow on the
-    split and the poset arcs, and how many elements with a lower cover keep
-    start capacity (0 when only the minimal elements do).
+    Returns the start and end residuals, the flow on the split and the
+    poset arcs, and how many elements with a lower cover keep start
+    capacity (0 when only the minimal elements do).
     """
     low_start, by_head = _rows(higher, count)
     pointer = low_start.tolist()[:-1]
@@ -333,7 +336,6 @@ def _greedy_chains(
     end_left = scaled[:]
     split = [0] * count
     poset = [0] * len(higher)
-    pushed = 0
     stranded = 0
     for j in range(count):
         need = start_left[j]
@@ -354,7 +356,6 @@ def _greedy_chains(
                 amount = min(need, end_left[a])
                 need -= amount
                 end_left[a] -= amount
-                pushed += amount
                 poset[k] += amount
                 for k2 in path:
                     poset[k2] += amount
@@ -369,76 +370,40 @@ def _greedy_chains(
         start_left[j] = need
         if need and low_start[j] < low_start[j + 1]:
             stranded += 1
-    return pushed, start_left, end_left, split, poset, stranded
+    return start_left, end_left, split, poset, stranded
 
 
-def _flow_optimum(
-    universe: TruncatedUniverse, weight_fn: Callable[[int], float]
-) -> tuple[list[int], float, int]:
-    """Members of a maximum-weight antichain plus its float re-summed weight
-    and the optimum in scaled integers.
-
-    Network: source -> v_in, split arc v_in -> v_out with lower bound w(v),
-    v_out -> sink, v_out -> u_in per covering edge; all capacities unbounded.
-    The minimum flow value is the maximum antichain weight (weighted
-    Dilworth), so a feasible flow and an antichain of equal value prove each
-    other optimal.
-
-    The greedy divisor chains of ``_greedy_chains`` are such a flow.  The
-    minimal elements (those without a lower cover) form an antichain and
-    always keep their whole start capacity, so when no other element keeps
-    any, the chains' value sum(start_left) is the minimal elements' weight
-    and both are optimal: the same exact integers, no tolerance.  Under
-    n^-t weights with sum p^-t < 1 over the alphabet, every element
-    outweighs its upper covers together (w(n) > sum_p w(np)), so each chain
-    ends at the element's first lower cover and only the minimal elements
-    keep start capacity.  Rounding to the scaling quantum can break the
-    inequality, and other weights do; then ``_residual_optimum`` finishes
-    the flow with Dinic.
-    """
+def _flow_optimum(universe: TruncatedUniverse, scaled: list[int]) -> tuple[list[int], int]:
+    """A maximum-weight antichain under the integer weights ``scaled``,
+    aligned with ``universe.elements``: its member indices, ascending, and
+    its weight."""
     count = len(universe)
     if count == 0:
         raise ValueError("universe is empty")
-    scaled = _scaled_weights(universe, weight_fn)
     edges = universe.covering_edges()
     lower = [i for i, _ in edges]
     higher = [j for _, j in edges]
     greedy = _greedy_chains(count, lower, higher, scaled)
+    start_left = greedy[0]
     if greedy[-1]:
-        members, optimum_scaled = _residual_optimum(universe, scaled, lower, higher, greedy)
+        members, rest = _residual_optimum(scaled, lower, higher, greedy)
     else:
-        start_left = greedy[1]
-        members = [n for n, left in zip(universe.elements, start_left) if left]
-        optimum_scaled = sum(start_left)
-    weight = math.fsum(weight_fn(n) for n in members)
-    return members, weight, optimum_scaled
+        members, rest = [i for i, left in enumerate(start_left) if left], 0
+    return members, sum(start_left) - rest
 
 
 def _residual_optimum(
-    universe: TruncatedUniverse,
-    scaled: list[int],
-    lower: list[int],
-    higher: list[int],
-    greedy: tuple,
+    scaled: list[int], lower: list[int], higher: list[int], greedy: tuple
 ) -> tuple[list[int], int]:
-    """Finish the greedy flow with Dinic: the members of a maximum-weight
-    antichain and the optimum in scaled integers.
-
-    The reversed residual max-flow removes every unit the greedy left
-    reroutable; what remains on the split arcs across the sink-side
-    reachability cut is the optimal antichain.  Neither the maximum-flow
-    value nor the set reachable from the sink once no augmenting path is
-    left (the minimal minimum cut) depends on the flow it started from, so
-    the members and the optimum are those of a cold start.
-    """
-    count = len(universe)
-    pushed, start_left, end_left, split, poset, _ = greedy
-    total = sum(scaled)
+    """Finish the flow of ``_greedy_chains`` with Dinic: the member indices
+    of a maximum-weight antichain, ascending, and the flow cancelled."""
+    count = len(scaled)
+    start_left, end_left, split, poset, _ = greedy
     # Exceeds any flow, so an unbounded arc never saturates.  It stays the
     # forward residual of every such arc whatever the greedy put on it: only
     # whether a residual is positive matters, and one shared object costs no
     # memory per arc.
-    infinite = total + 1
+    infinite = sum(scaled) + 1
 
     source, sink = 0, 1
     node_in = list(range(2, 2 + 2 * count, 2))
@@ -464,38 +429,45 @@ def _residual_optimum(
 
     rest, level = dinic.max_flow(sink, source)
     members = [
-        n
-        for n, v_in, v_out in zip(universe.elements, node_in, node_out)
+        i
+        for i, (v_in, v_out) in enumerate(zip(node_in, node_out))
         if level[v_out] >= 0 and level[v_in] < 0
     ]
-    return members, total - (pushed + rest)
+    return members, rest
 
 
-def _power_weight(t: float) -> Callable[[int], float]:
-    """The n^-t weight; t must be finite and positive, as in weights_from_primes."""
+def _power_weights(universe: TruncatedUniverse, t: float) -> list[float]:
+    """n^-t per element; t must be finite and positive, as in
+    weights_from_primes, and no weight may underflow to 0."""
     if not (t > 0) or not math.isfinite(t):
         raise ValueError("weights need a finite t > 0")
-    return lambda n: float(n) ** (-t)
+    weights = [float(n) ** (-t) for n in universe.elements]
+    if 0.0 in weights:
+        n = universe.elements[weights.index(0.0)]
+        raise PrecisionError(f"weight {n}^-{t} underflows to 0 in binary64")
+    return weights
 
 
 def max_weight_antichain_flow(
     universe: TruncatedUniverse, t: float
 ) -> tuple[Antichain, float]:
     """Exact maximum of sum n^-t over antichains of the universe."""
-    members, weight, _ = _flow_optimum(universe, _power_weight(t))
-    return Antichain(tuple(members)), weight
+    weights = _power_weights(universe, t)
+    members, _ = _flow_optimum(universe, _scaled_weights(weights))
+    antichain = Antichain(tuple(universe.elements[i] for i in members))
+    return antichain, math.fsum(weights[i] for i in members)
 
 
 def max_weight_antichain_bruteforce(
     universe: TruncatedUniverse, t: float
 ) -> tuple[Antichain, float]:
     """Independent exhaustive optimum (universe capped at 40 elements)."""
-    members, weight = _brute_optimum(universe, _power_weight(t))
+    members, weight = _brute_optimum(universe, _power_weights(universe, t))
     return Antichain(tuple(members)), weight
 
 
 def _brute_optimum(
-    universe: TruncatedUniverse, weight_fn: Callable[[int], float]
+    universe: TruncatedUniverse, weights: list[float]
 ) -> tuple[list[int], float]:
     count = len(universe)
     if count == 0:
@@ -506,9 +478,9 @@ def _brute_optimum(
         )
 
     # descending weight order maximizes pruning
-    order = sorted(range(count), key=lambda i: -weight_fn(universe.elements[i]))
+    order = sorted(range(count), key=lambda i: -weights[i])
     values = [universe.elements[i] for i in order]
-    weights = [weight_fn(v) for v in values]
+    weights = [weights[i] for i in order]
 
     incompatible = [0] * count
     for a in range(count):
@@ -604,22 +576,23 @@ def _value_tail_bound(prime_set: PrimeSet, t: float, max_value: int) -> float:
 
 def _certify(
     universe: TruncatedUniverse,
-    weight_fn: Callable[[int], float],
+    weights: list[float],
     k: int,
     reference_full: Optional[float],
     tail_bound: Optional[float],
     condition: ConditionVerdict,
     claim: str,
 ) -> OptimalityReport:
-    members, optimum, _ = _flow_optimum(universe, weight_fn)
-    level = universe.level(k)
-    level_weight = math.fsum(weight_fn(n) for n in level)
+    members, _ = _flow_optimum(universe, _scaled_weights(weights))
+    optimum = math.fsum(weights[i] for i in members)
+    level = [i for i, om in enumerate(universe.omegas) if om == k]
+    level_weight = math.fsum(weights[i] for i in level)
     level_expected = math.comb(k + len(universe.prime_set) - 1, len(universe.prime_set) - 1)
     level_complete = len(level) == level_expected
 
     tol = _TIE_TOL + 2.0 * len(universe) / _WEIGHT_SCALE
     notes = []
-    if abs(optimum - level_weight) <= tol and sorted(members) != sorted(level):
+    if abs(optimum - level_weight) <= tol and members != level:
         notes.append("optimum ties the level set within scaling tolerance")
 
     # the truncated level is part of the full one, so this bounds both
@@ -642,7 +615,7 @@ def _certify(
         claim=claim,
         verdict=verdict,
         optimum_weight=optimum,
-        optimum_set=Antichain(tuple(sorted(members))),
+        optimum_set=Antichain(tuple(universe.elements[i] for i in members)),
         reference_weight=level_weight if reference_full is None else reference_full,
         reference_is_complete_level=level_complete,
         tail_bound=tail_bound,
@@ -674,7 +647,7 @@ def verify_tbest(
         tail = omega_tail + _value_tail_bound(prime_set, t, max_value)
     return _certify(
         universe,
-        _power_weight(t),
+        _power_weights(universe, t),
         k,
         reference_full=float(sigma_nk(prime_set, t, k)),
         tail_bound=tail,
@@ -704,7 +677,7 @@ def verify_erdos_best(
 
     return _certify(
         universe,
-        lambda n: 1.0 / (n * math.log(n)),
+        [1.0 / (n * math.log(n)) for n in universe.elements],
         k,
         reference_full=None,
         tail_bound=tail,

@@ -21,10 +21,6 @@ from .primes import PrimeSet, omega
 
 Number = Union[float, Fraction]
 
-# Exact-fraction mode is intended for small instances only.
-_EXACT_MAX_PRIMES = 6
-_EXACT_MAX_DEGREE = 10
-
 REL_TOL = 1e-12
 
 
@@ -64,22 +60,11 @@ def h_all(xs: Sequence[Number], kmax: int) -> list[Number]:
     return row
 
 
-def sigma_nk(
-    prime_set: PrimeSet, t: float, k: int, exact: bool = False
-) -> Number:
+def sigma_nk(prime_set: PrimeSet, t: float, k: int) -> float:
     """Weighted sum over the level-k slice of the semigroup: h_k at p^-t."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    if exact:
-        if len(prime_set) > _EXACT_MAX_PRIMES or k > _EXACT_MAX_DEGREE:
-            raise ValueError(
-                "exact mode supports at most "
-                f"{_EXACT_MAX_PRIMES} primes and degree {_EXACT_MAX_DEGREE}"
-            )
-        xs: Sequence[Number] = exact_weights_from_primes(prime_set, int(t))
-    else:
-        xs = weights_from_primes(prime_set, t)
-    return h_all(xs, k)[k]
+    return h_all(weights_from_primes(prime_set, t), k)[k]
 
 
 def schur_check(xs: Sequence[Number], kmax: int) -> tuple[bool, Optional[int]]:

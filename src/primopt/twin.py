@@ -43,9 +43,9 @@ class BrunInput:
     source_label: str = "unspecified"
 
     def __post_init__(self):
-        if not (self.upper_bound_B > 1.9):
+        if not (1.9 < self.upper_bound_B < math.inf):
             raise ValueError(
-                "Brun bound must exceed 1.9 (partial sums already pass that)"
+                "Brun bound must be finite and exceed 1.9 (partial sums already pass that)"
             )
 
     def is_conditional(self) -> bool:

@@ -231,6 +231,8 @@ def test_domain_error_exit_3(capsys):
     for s in ("nan", "inf"):
         assert main(["zeta", "--s", s]) == 3
     capsys.readouterr()
+    assert main(["corollary", "--brun-bound", "inf", "--limit", "1000"]) == 3
+    assert "Brun bound must be finite" in capsys.readouterr().err
     primes, caps = ["--primes", "2,3"], ["--max-omega", "2", "--max-value", "100"]
     for argv in (
         ["prime-zeta"],
@@ -264,6 +266,14 @@ def test_domain_error_exit_3(capsys):
 
 def test_precision_error_exit_2(capsys):
     assert main(["zeta", "--s", "1.01", "--radius", "1e-14"]) == 2
+    # n^-t underflows to 0.0 for a valid t: the flow and the brute force agree
+    assert main(["verify-tbest", "--primes", "2,3,5,7", "--k", "1", "--max-omega", "22",
+                 "--max-value", "4611686018427387904", "--t", "40"]) == 2
+    assert "123451776^-40.0 underflows" in capsys.readouterr().out
+    oracle = ["oracle", "--primes", "2,3", "--k-lo", "1", "--max-omega", "3",
+              "--max-value", "100", "--t", "1e308"]
+    assert main(oracle) == 2
+    assert main([*oracle, "--brute-force"]) == 2
 
 
 def test_resource_error_exit_4(capsys):

@@ -42,17 +42,17 @@ def semigroup_filter(primes, k_lo, max_omega, max_value):
     return out
 
 
-def exhaustive_optimum(universe, weight_fn):
+def exhaustive_optimum(universe, weights):
     """Independent oracle: try every subset (universe must be tiny)."""
     elements = universe.elements
     assert len(elements) <= 14
     best = 0.0
     for r in range(1, len(elements) + 1):
-        for combo in itertools.combinations(elements, r):
+        for combo in itertools.combinations(range(len(elements)), r):
             if all(
-                b % a for a, b in itertools.combinations(combo, 2)
+                elements[b] % elements[a] for a, b in itertools.combinations(combo, 2)
             ):
-                best = max(best, math.fsum(weight_fn(n) for n in combo))
+                best = max(best, math.fsum(weights[i] for i in combo))
     return best
 
 
@@ -272,7 +272,6 @@ def test_is_primitive_matches_pairwise_check(values):
 def test_antichain_validates():
     with pytest.raises(ValueError):
         Antichain((2, 6))
-    assert Antichain((4, 6, 9)).weight(lambda n: 1.0 / n) == pytest.approx(19 / 36)
 
 
 def test_flow_on_chain_picks_max_weight_element():
@@ -319,8 +318,7 @@ def test_flow_equals_exhaustive_subset_search():
         u = build_universe(PrimeSet(primes), k_lo, max_omega, max_value)
         assert len(u) <= 14
         for t in (1.0, 1.3, rng.uniform(1.0, 2.5)):
-            weight_fn = lambda n: float(n) ** (-t)
-            expected = exhaustive_optimum(u, weight_fn)
+            expected = exhaustive_optimum(u, [float(n) ** (-t) for n in u.elements])
             _, flow_w = max_weight_antichain_flow(u, t)
             _, brute_w = max_weight_antichain_bruteforce(u, t)
             assert abs(flow_w - expected) <= 1e-9
@@ -346,13 +344,28 @@ def weighted_small_universes(draw):
     {2: 0.97, 4: 0.1, 7: 0.54, 8: 0.08, 14: 0.56, 28: 0.45, 49: 0.96, 98: 0.16},
 ))
 def test_flow_matches_exhaustive_under_arbitrary_weights(case):
-    universe, weights = case
-    weight_fn = weights.__getitem__
-    members, weight, optimum_scaled = _flow_optimum(universe, weight_fn)
-    assert is_primitive(members)
-    expected = exhaustive_optimum(universe, weight_fn)
-    assert abs(weight - expected) <= 1e-12
+    universe, by_element = case
+    weights = [by_element[n] for n in universe.elements]
+    members, optimum_scaled = _flow_optimum(universe, _scaled_weights(weights))
+    assert is_primitive([universe.elements[i] for i in members])
+    expected = exhaustive_optimum(universe, weights)
+    assert abs(math.fsum(weights[i] for i in members) - expected) <= 1e-12
     assert abs(optimum_scaled / 2**50 - expected) <= 1e-12
+
+
+@given(weighted_small_universes(), st.integers(2, 2**40))
+@settings(max_examples=200, deadline=None)
+@example((  # the greedy falls short here, so Dinic finishes the flow
+    build_universe(PrimeSet([7, 19, 31]), 1, 4, 300),
+    {7: 1.0, 19: 1e-3, 31: 1e-3, 49: 0.5, 133: 0.5, 217: 0.5},
+), 3)
+def test_flow_core_scales_with_integer_weights(case, c):
+    # the core sees only integers: c times every weight is c times the
+    # optimum, with the same members
+    universe, by_element = case
+    scaled = _scaled_weights([by_element[n] for n in universe.elements])
+    members, optimum_scaled = _flow_optimum(universe, scaled)
+    assert _flow_optimum(universe, [c * w for w in scaled]) == (members, c * optimum_scaled)
 
 
 def test_flow_finishes_where_the_greedy_falls_short():
@@ -360,19 +373,17 @@ def test_flow_finishes_where_the_greedy_falls_short():
     # leaves 217 only 31, while the maximum sends 133 through 19 first
     universe = build_universe(PrimeSet([7, 19, 31]), 1, 4, 300)
     assert universe.elements == (7, 19, 31, 49, 133, 217)
-    weights = {7: 1.0, 19: 1e-3, 31: 1e-3, 49: 0.5, 133: 0.5, 217: 0.5}
-    weight_fn = weights.__getitem__
-    members, weight, optimum_scaled = _flow_optimum(universe, weight_fn)
-    edges = universe.covering_edges()
-    scaled = _scaled_weights(universe, weight_fn)
-    greedy = _greedy_chains(len(universe), [i for i, _ in edges], [j for _, j in edges], scaled)
-    assert greedy[0] < sum(scaled) - optimum_scaled
-    assert members == [49, 133, 217] and weight == 1.5
-    assert weight == exhaustive_optimum(universe, weight_fn)
+    weights = [1.0, 1e-3, 1e-3, 0.5, 0.5, 0.5]
+    scaled, _, _, greedy = _greedy_flow(universe, weights)
+    members, optimum_scaled = _flow_optimum(universe, scaled)
+    assert sum(greedy[0]) > optimum_scaled
+    assert [universe.elements[i] for i in members] == [49, 133, 217]
+    weight = math.fsum(weights[i] for i in members)
+    assert weight == 1.5 == exhaustive_optimum(universe, weights)
 
 
-def _greedy_flow(universe, weight_fn):
-    scaled = _scaled_weights(universe, weight_fn)
+def _greedy_flow(universe, weights):
+    scaled = _scaled_weights(weights)
     edges = universe.covering_edges()
     lower, higher = [i for i, _ in edges], [j for _, j in edges]
     return scaled, lower, higher, _greedy_chains(len(universe), lower, higher, scaled)
@@ -398,22 +409,21 @@ def test_greedy_certificate_matches_dinic_on_seeded_universes():
         universes += 1
         kind = kinds[universes % len(kinds)]
         if kind == "erdos":
-            weight_fn = lambda n: 1.0 / (n * math.log(n))
+            weights = [1.0 / (n * math.log(n)) for n in universe.elements]
         elif kind == "arbitrary":
             weights = [rng.uniform(1e-6, 1.0) for _ in universe.elements]
-            weight_fn = dict(zip(universe.elements, weights)).__getitem__
         else:
-            weight_fn = lambda n, t=kind: float(n) ** (-t)
-        members, _, optimum_scaled = _flow_optimum(universe, weight_fn)
-        scaled, lower, higher, greedy = _greedy_flow(universe, weight_fn)
+            weights = [float(n) ** (-kind) for n in universe.elements]
+        scaled, lower, higher, greedy = _greedy_flow(universe, weights)
+        members, optimum_scaled = _flow_optimum(universe, scaled)
         shortcut = greedy[-1] == 0
         took[shortcut] += 1
-        cut_members, cut_optimum = _residual_optimum(universe, scaled, lower, higher, greedy)
-        assert cut_optimum == optimum_scaled
+        cut_members, rest = _residual_optimum(scaled, lower, higher, greedy)
+        assert sum(greedy[0]) - rest == optimum_scaled
         if shortcut:
             covered = set(higher)
             minimal = [i for i in range(len(universe)) if i not in covered]
-            assert members == [universe.elements[i] for i in minimal]
+            assert members == minimal
             assert optimum_scaled == sum(scaled[i] for i in minimal)
         else:
             assert members == cut_members
@@ -426,11 +436,11 @@ def test_greedy_certificate_picks_the_minimal_elements_on_a_clamped_tie():
     # so {125} and {625} tie in the flow; Dinic's minimal cut names 625
     universe = build_universe(PrimeSet([5, 103, 331]), 3, 5, 1000)
     assert universe.elements == (125, 625)
-    weight_fn = lambda n: float(n) ** -8.0
-    scaled, lower, higher, greedy = _greedy_flow(universe, weight_fn)
+    scaled, lower, higher, greedy = _greedy_flow(universe, [125.0**-8, 625.0**-8])
     assert scaled == [1, 1] and greedy[-1] == 0
-    assert _residual_optimum(universe, scaled, lower, higher, greedy) == ([625], 1)
-    assert _flow_optimum(universe, weight_fn) == ([125], 125.0**-8, 1)
+    assert _residual_optimum(scaled, lower, higher, greedy) == ([1], 0)
+    assert _flow_optimum(universe, scaled) == ([0], 1)
+    assert max_weight_antichain_flow(universe, 8.0) == (Antichain((125,)), 125.0**-8)
     report = verify_tbest(PrimeSet([5, 103, 331]), 8.0, 3, 5, 1000)
     assert report.holds() and report.optimum_set.members == (125,)
 

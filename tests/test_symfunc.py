@@ -63,7 +63,7 @@ def test_sigma_nk_examples():
     assert sigma_nk(PrimeSet([2]), 1, 3) == 0.125
     assert abs(sigma_nk(PrimeSet([2, 3]), 1, 2) - 19.0 / 36.0) < 1e-15
     assert sigma_nk(PrimeSet([2, 3, 5]), 1.7, 0) == 1
-    assert sigma_nk(PrimeSet([2, 3]), 1, 2, exact=True) == Fraction(19, 36)
+    assert h_all(exact_weights_from_primes(PrimeSet([2, 3]), 1), 2)[2] == Fraction(19, 36)
 
 
 def test_sigma_nk_agrees_with_level_enumeration():
@@ -77,8 +77,6 @@ def test_sigma_nk_agrees_with_level_enumeration():
 
 
 def test_exact_mode_guards():
-    with pytest.raises(ValueError):
-        sigma_nk(sieve_primes(100), 1, 2, exact=True)
     with pytest.raises(ValueError):
         exact_weights_from_primes(PrimeSet([2]), 1.5)
 
