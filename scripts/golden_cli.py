@@ -13,12 +13,12 @@ give identical directories:
     python scripts/golden_cli.py /tmp/golden-b /path/to/checkout-b
     diff -r /tmp/golden-a /tmp/golden-b
 
-The 88 lines cover every argument line of tests/test_cli.py, each of the
+The 94 lines cover every argument line of tests/test_cli.py, each of the
 19 subcommands, the three certify-large ``verify-tbest`` instances of
 perfbench, ``suite`` at seeds 0 and 1 with and without ``--quick``, one
 clamped tie at t = 8 through ``verify-tbest`` and ``oracle``, where the
-optimum has more than one member set, two t whose n^-t weights underflow
-to 0, and an infinite Brun bound.
+optimum has more than one member set, t whose n^-t weights underflow to 0
+in every command that weighs by n^-t, and an infinite Brun bound.
 """
 
 from __future__ import annotations
@@ -115,6 +115,14 @@ LINES = [
     ["verify-tbest", *DEEP, "--t", "40"],
     ["oracle", *PRIMES, "--k-lo", "1", "--max-omega", "3", "--max-value", "100", "--t", "1e308"],
     ["corollary", "--brun-bound", "inf", "--limit", "1000"],
+    *([*argv, *PRIMES, "--t", "1e308"] for argv in (
+        ["hk", "--kmax", "2"], ["chain", "--kmax", "2"], ["schur", "--kmax", "2"], ["identity"],
+    )),
+    # every term of the sum underflows, and the enclosure still holds it
+    ["check-condition", *PRIMES, "--t", "1e308"],
+    # only the primes' weights underflow: 877^-110 is the first to reach 0
+    ["verify-tbest", "--primes-below", "1000", "--k", "1", "--max-omega", "2",
+     "--max-value", "100", "--t", "110"],
 ]
 
 _RUNTIME = re.compile(r'("runtime_ms": |runtime: )\d+')

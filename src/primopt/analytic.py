@@ -309,10 +309,14 @@ def prime_zeta(t: float, target_radius: float = 1e-10) -> ErrBoundReal:
 
 
 def sum_with_rounding(terms: np.ndarray) -> ErrBoundReal:
-    """numpy (pairwise) sum of a float array, with a rounding-only radius."""
+    """numpy (pairwise) sum of a float array, with a rounding-only radius.
+
+    Relative rounding misses terms that underflowed to 0 or to a subnormal,
+    so each term also adds one ulp of 0.0 to the radius.
+    """
     value = float(np.sum(terms))
     rounding = _EPS * abs(value) * (math.log2(max(terms.size, 2)) + 8)
-    return ErrBoundReal(value, rounding)
+    return ErrBoundReal(value, rounding + terms.size * math.ulp(0.0))
 
 
 def sigma_t(prime_set: PrimeSet, t: float) -> ErrBoundReal:

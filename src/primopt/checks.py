@@ -158,7 +158,7 @@ def _identity_suite(rng, quick):
         t = rng.uniform(1.0, 3.0)
         residual = symfunc.square_identity_check(prime_set, t)
         s1 = analytic.sigma_t(prime_set, t).value
-        ok = ok and residual <= 1e-12 * max(1.0, s1 * s1)
+        ok = ok and residual <= symfunc.REL_TOL * max(1.0, s1 * s1)
     for _ in range(1000):
         xs = [rng.uniform(1e-6, 1.0 - 1e-6) for _ in range(rng.randint(1, 10))]
         good, _ = symfunc.schur_check(xs, rng.randint(1, 8))

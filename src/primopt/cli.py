@@ -111,7 +111,7 @@ def _cmd_hk(args):
     if args.exact:
         xs = symfunc.exact_weights_from_primes(prime_set, args.t)
     else:
-        xs = symfunc.weights_from_primes(prime_set, args.t)
+        xs = symfunc.power_weights(prime_set, args.t)
     h = symfunc.h_all(xs, args.kmax)
     return _envelope(
         f"level sums h_0..h_{args.kmax} at t={args.t}",
@@ -125,7 +125,7 @@ def _cmd_schur(args):
     if args.weights:
         xs = [float(x) for x in args.weights.split(",")]
     else:
-        xs = symfunc.weights_from_primes(_prime_set(args), args.t)
+        xs = symfunc.power_weights(_prime_set(args), args.t)
     ok, witness = symfunc.schur_check(xs, args.kmax)
     return _envelope(
         f"log-concavity determinants up to k={args.kmax}",

@@ -48,9 +48,9 @@ from typing import Optional
 import numpy as np
 
 from .analytic import HOLDS, FAILS, ConditionVerdict, check_condition
-from .errors import PrecisionError, SizeLimitError
+from .errors import SizeLimitError
 from .primes import MAX_ELEMENT, PrimeSet, omega
-from .symfunc import gcd_blocks, h_all, level_elements, sigma_nk, weights_from_primes
+from .symfunc import gcd_blocks, h_all, level_elements, power_weights, sigma_nk
 
 DEFAULT_MAX_ELEMENTS = 200_000
 _BRUTE_FORCE_CAP = 40
@@ -436,23 +436,11 @@ def _residual_optimum(
     return members, rest
 
 
-def _power_weights(universe: TruncatedUniverse, t: float) -> list[float]:
-    """n^-t per element; t must be finite and positive, as in
-    weights_from_primes, and no weight may underflow to 0."""
-    if not (t > 0) or not math.isfinite(t):
-        raise ValueError("weights need a finite t > 0")
-    weights = [float(n) ** (-t) for n in universe.elements]
-    if 0.0 in weights:
-        n = universe.elements[weights.index(0.0)]
-        raise PrecisionError(f"weight {n}^-{t} underflows to 0 in binary64")
-    return weights
-
-
 def max_weight_antichain_flow(
     universe: TruncatedUniverse, t: float
 ) -> tuple[Antichain, float]:
     """Exact maximum of sum n^-t over antichains of the universe."""
-    weights = _power_weights(universe, t)
+    weights = power_weights(universe.elements, t)
     members, _ = _flow_optimum(universe, _scaled_weights(weights))
     antichain = Antichain(tuple(universe.elements[i] for i in members))
     return antichain, math.fsum(weights[i] for i in members)
@@ -462,13 +450,7 @@ def max_weight_antichain_bruteforce(
     universe: TruncatedUniverse, t: float
 ) -> tuple[Antichain, float]:
     """Independent exhaustive optimum (universe capped at 40 elements)."""
-    members, weight = _brute_optimum(universe, _power_weights(universe, t))
-    return Antichain(tuple(members)), weight
-
-
-def _brute_optimum(
-    universe: TruncatedUniverse, weights: list[float]
-) -> tuple[list[int], float]:
+    weights = power_weights(universe.elements, t)
     count = len(universe)
     if count == 0:
         raise ValueError("universe is empty")
@@ -510,7 +492,7 @@ def _brute_optimum(
 
     rec(0, 0, 0, 0.0)
     members = sorted(values[i] for i in range(count) if (best_set >> i) & 1)
-    return members, best_weight
+    return Antichain(tuple(members)), best_weight
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +535,7 @@ class OptimalityReport:
 def _omega_tail_bound(prime_set: PrimeSet, t: float, max_omega: int) -> Optional[float]:
     """Upper bound for the t-weight of everything above the Omega cap:
     sum_{j>J} h_j <= h_J * r / (1 - r) when r = sum p^-t < 1."""
-    xs = weights_from_primes(prime_set, t)
+    xs = power_weights(prime_set, t)
     r = math.fsum(xs)
     if r >= 1.0:
         return None
@@ -647,7 +629,7 @@ def verify_tbest(
         tail = omega_tail + _value_tail_bound(prime_set, t, max_value)
     return _certify(
         universe,
-        _power_weights(universe, t),
+        power_weights(universe.elements, t),
         k,
         reference_full=float(sigma_nk(prime_set, t, k)),
         tail_bound=tail,

@@ -134,9 +134,6 @@ def _sieve_array(limit: int) -> np.ndarray:
     """All primes <= limit, odd-only segmented sieve."""
     if limit < 2:
         return np.array([], dtype=np.int64)
-    if limit < 1 << 16:
-        return _simple_sieve(limit)
-
     base = _simple_sieve(math.isqrt(limit))
     base_odd = base[base > 2]
     chunks = [np.array([2], dtype=np.int64)]
@@ -170,33 +167,33 @@ def sieve_primes(limit: int) -> PrimeSet:
     return PrimeSet._trusted(_sieve_array(limit))
 
 
+def _twin_lower_members(limit: int) -> np.ndarray:
+    """Lower members p <= limit of twin pairs (p, p+2), ascending."""
+    primes = _sieve_array(limit + 2)
+    lower = primes[:-1][np.diff(primes) == 2]
+    return lower[lower <= limit]
+
+
 def twin_pair_lower_members(limit: int) -> np.ndarray:
     """Lower members p of twin pairs (p, p+2), for all pairs with p <= limit.
 
     The upper member p+2 may exceed limit; that matches the pair-by-pair
     truncation used for partial sums of the twin-pair reciprocal series.
     """
-    if limit < 3:
-        return np.array([], dtype=np.int64)
-    primes = _sieve_array(limit + 2)
-    lower = primes[:-1][np.diff(primes) == 2]
-    return lower[lower <= limit]
+    return _twin_lower_members(limit)
 
 
 def twin_primes(limit: int, include_three: bool = False) -> PrimeSet:
     """Primes p <= limit with p-2 or p+2 prime; p=3 included iff include_three."""
     if limit < 5:
         raise ValueError("twin-prime limit must be >= 5")
-    primes = _sieve_array(limit + 2)
-    gaps = np.diff(primes)
-    is_twin = np.zeros(primes.size, dtype=bool)
-    is_twin[:-1] |= gaps == 2
-    is_twin[1:] |= gaps == 2
-    twins = primes[is_twin]
-    twins = twins[twins <= limit]
-    if not include_three:
-        twins = twins[twins > 3]
-    return PrimeSet._trusted(twins)
+    # the pairs are (3, 5), (5, 7), (11, 13), ...: 5 is the only prime in
+    # two of them, so the pairs from (5, 7) on hold every twin but 3
+    lower = _twin_lower_members(limit)[1:]
+    twins = np.column_stack((lower, lower + 2)).ravel()
+    if include_three:
+        twins = np.concatenate(([3], twins))
+    return PrimeSet._trusted(twins[twins <= limit])
 
 
 def omega(n: int, prime_set: PrimeSet) -> Optional[int]:

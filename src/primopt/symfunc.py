@@ -17,6 +17,7 @@ from math import gcd
 from typing import Optional, Sequence, Union
 
 from .analytic import HOLDS, INCONCLUSIVE, FAILS, VerificationReport
+from .errors import PrecisionError
 from .primes import PrimeSet, omega
 
 Number = Union[float, Fraction]
@@ -30,11 +31,19 @@ def _check_weights(xs: Sequence[Number]) -> None:
             raise ValueError(f"weight {x} outside (0, 1)")
 
 
-def weights_from_primes(prime_set: PrimeSet, t: float) -> list[float]:
-    """Weight vector p^-t per prime, in prime-set order."""
+def power_weights(values: Union[PrimeSet, Sequence[int]], t: float) -> list[float]:
+    """The weights n^-t of primes or of semigroup elements, in their order.
+
+    t must be finite and positive, and no weight may underflow to 0: a zero
+    weight would drop its element from every sum it enters.
+    """
     if not (t > 0) or not math.isfinite(t):
         raise ValueError("weights need a finite t > 0")
-    return [float(p) ** (-t) for p in prime_set]
+    weights = [float(n) ** (-t) for n in values]
+    if 0.0 in weights:
+        n = next(n for n, w in zip(values, weights) if w == 0.0)
+        raise PrecisionError(f"weight {n}^-{t} underflows to 0 in binary64")
+    return weights
 
 
 def exact_weights_from_primes(prime_set: PrimeSet, t: int) -> list[Fraction]:
@@ -64,7 +73,7 @@ def sigma_nk(prime_set: PrimeSet, t: float, k: int) -> float:
     """Weighted sum over the level-k slice of the semigroup: h_k at p^-t."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    return h_all(weights_from_primes(prime_set, t), k)[k]
+    return h_all(power_weights(prime_set, t), k)[k]
 
 
 def schur_check(xs: Sequence[Number], kmax: int) -> tuple[bool, Optional[int]]:
@@ -94,34 +103,26 @@ def chain_check(prime_set: PrimeSet, t: float, kmax: int) -> VerificationReport:
     """
     if kmax < 2:
         raise ValueError("kmax must be >= 2: the hypothesis compares h_1 with h_2")
-    h = h_all(weights_from_primes(prime_set, t), kmax)
-    quantities = {"t": t, "h": list(h)}
-    if h[1] < h[2] * (1.0 - REL_TOL):
-        return VerificationReport(
-            claim=f"level sums non-increasing from k=1 for t={t}",
-            verdict=INCONCLUSIVE,
-            quantities=quantities,
-            notes=["hypothesis h_1 >= h_2 fails; no chain claim"],
-        )
-    for k in range(1, kmax):
-        if h[k] < h[k + 1] * (1.0 - REL_TOL):
-            return VerificationReport(
-                claim=f"level sums non-increasing from k=1 for t={t}",
-                verdict=FAILS,
-                quantities=quantities,
-                notes=[f"chain breaks at k={k}: h_{k}={h[k]} < h_{k + 1}={h[k + 1]}"],
-            )
+    h = h_all(power_weights(prime_set, t), kmax)
+    rise = next((k for k in range(1, kmax) if h[k] < h[k + 1] * (1.0 - REL_TOL)), None)
+    if rise is None:
+        verdict, notes = HOLDS, []
+    elif rise == 1:
+        verdict, notes = INCONCLUSIVE, ["hypothesis h_1 >= h_2 fails; no chain claim"]
+    else:
+        verdict = FAILS
+        notes = [f"chain breaks at k={rise}: h_{rise}={h[rise]} < h_{rise + 1}={h[rise + 1]}"]
     return VerificationReport(
         claim=f"level sums non-increasing from k=1 for t={t}",
-        verdict=HOLDS,
-        quantities=quantities,
-        notes=[],
+        verdict=verdict,
+        quantities={"t": t, "h": list(h)},
+        notes=notes,
     )
 
 
 def square_identity_check(prime_set: PrimeSet, t: float) -> float:
     """Residual of (sum p^-t)^2 = 2 h_2(p^-t) - sum p^-2t; must vanish."""
-    xs = weights_from_primes(prime_set, t)
+    xs = power_weights(prime_set, t)
     s1 = math.fsum(xs)
     s2 = math.fsum(x * x for x in xs)
     h2 = h_all(xs, 2)[2]
@@ -136,7 +137,7 @@ def quadratic_equivalence_check(prime_set: PrimeSet, t: float) -> bool:
     1 - sqrt(1 - S_2) <= S_2 < S_1.  Degenerate near-equality (within
     rounding slack of the root) counts as consistent either way.
     """
-    xs = weights_from_primes(prime_set, t)
+    xs = power_weights(prime_set, t)
     s1 = math.fsum(xs)
     s2 = math.fsum(x * x for x in xs)
     if s2 >= 1.0:

@@ -291,6 +291,13 @@ def test_tight_enclosures_against_mpmath():
     assert tau.radius <= 1e-10 and _encloses_mp(tau, mpmath.mpf, "1.14036595918233")
 
 
+@pytest.mark.parametrize("t", [1070.5, 1e308])
+def test_sigma_t_encloses_mpmath_where_terms_underflow(t):
+    # 2^-1070.5 is subnormal and 3^-1070.5 rounds to 0; at 1e308 both do
+    s = sigma_t(PrimeSet([2, 3]), t)
+    assert _encloses_mp(s, lambda x: mpmath.mpf(2) ** -x + mpmath.mpf(3) ** -x, t)
+
+
 def test_to_json_shapes():
     assert riemann_zeta(2.0, 1e-8).to_json().keys() == {"value", "radius"}
     verdict = check_condition(PrimeSet([2]), 1.0).to_json()

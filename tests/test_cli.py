@@ -274,6 +274,15 @@ def test_precision_error_exit_2(capsys):
               "--max-value", "100", "--t", "1e308"]
     assert main(oracle) == 2
     assert main([*oracle, "--brute-force"]) == 2
+    # every command that weighs primes by p^-t reports the same underflow
+    kmax = ["--kmax", "2"]
+    for argv in (["hk", *kmax], ["chain", *kmax], ["schur", *kmax], ["identity"]):
+        assert main([*argv, "--primes", "2,3", "--t", "1e308"]) == 2, argv
+        assert "2^-1e+308 underflows" in capsys.readouterr().out, argv
+    # only the primes' weights underflow: 877 is the smallest prime with 877^-110 = 0.0
+    assert main(["verify-tbest", "--primes-below", "1000", "--k", "1", "--max-omega", "2",
+                 "--max-value", "100", "--t", "110"]) == 2
+    assert "877^-110.0 underflows" in capsys.readouterr().out
 
 
 def test_resource_error_exit_4(capsys):

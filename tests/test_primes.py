@@ -39,6 +39,15 @@ def test_sieve_matches_trial_division_across_segment_boundary(limit):
     assert sieve_primes(limit).as_list() == trial_division_primes(limit)
 
 
+@pytest.mark.parametrize("limit", [8_388_609, 8_388_611, 8_388_700])
+def test_sieve_across_first_segment_boundary(limit):
+    # the first segment holds the odd numbers 3 .. 2^23 + 1
+    primes = sieve_primes(limit).as_array()
+    assert int(np.searchsorted(primes, 1 << 23, side="right")) == 564_163
+    tail = [n for n in range(limit - 499, limit + 1) if is_prime(n)]
+    assert primes[primes > limit - 500].tolist() == tail
+
+
 def test_sieve_rejects_small_limits():
     with pytest.raises(ValueError):
         sieve_primes(1)

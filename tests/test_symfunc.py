@@ -15,11 +15,11 @@ from primopt.symfunc import (
     exact_weights_from_primes,
     h_all,
     level_elements,
+    power_weights,
     quadratic_equivalence_check,
     schur_check,
     sigma_nk,
     square_identity_check,
-    weights_from_primes,
 )
 
 
@@ -159,7 +159,7 @@ def test_quadratic_equivalence_examples():
     assert quadratic_equivalence_check(PrimeSet([2]), 1.0)
     # both sides false simultaneously for a big alphabet near t=1
     big = sieve_primes(10**5)
-    xs = weights_from_primes(big, 1.02)
+    xs = power_weights(big, 1.02)
     s1 = math.fsum(xs)
     s2 = math.fsum(x * x for x in xs)
     h = h_all(xs, 2)
@@ -206,5 +206,5 @@ def test_decomposition_exhaustive_small_alphabets():
 
 def test_weights_validation():
     with pytest.raises(ValueError):
-        weights_from_primes(PrimeSet([2]), 0.0)
-    assert weights_from_primes(PrimeSet([2, 3]), 1.0) == [0.5, 1 / 3]
+        power_weights(PrimeSet([2]), 0.0)
+    assert power_weights(PrimeSet([2, 3]), 1.0) == [0.5, 1 / 3]
