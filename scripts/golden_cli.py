@@ -13,12 +13,14 @@ give identical directories:
     python scripts/golden_cli.py /tmp/golden-b /path/to/checkout-b
     diff -r /tmp/golden-a /tmp/golden-b
 
-The 94 lines cover every argument line of tests/test_cli.py, each of the
+The 97 lines cover every argument line of tests/test_cli.py, each of the
 19 subcommands, the three certify-large ``verify-tbest`` instances of
 perfbench, ``suite`` at seeds 0 and 1 with and without ``--quick``, one
 clamped tie at t = 8 through ``verify-tbest`` and ``oracle``, where the
 optimum has more than one member set, t whose n^-t weights underflow to 0
-in every command that weighs by n^-t, and an infinite Brun bound.
+in every command that weighs by n^-t, an infinite Brun bound, and the
+three twin-scan commands at a limit past the sieve's first wheel segment
+(whose last value is 6 * 2^19 + 1 = 3,145,729).
 """
 
 from __future__ import annotations
@@ -123,6 +125,10 @@ LINES = [
     # only the primes' weights underflow: 877^-110 is the first to reach 0
     ["verify-tbest", "--primes-below", "1000", "--k", "1", "--max-omega", "2",
      "--max-value", "100", "--t", "110"],
+    # every twin scan across the first wheel segment boundary
+    ["twin", "--below", "3200000"],
+    ["brun", "--limit", "3200000"],
+    ["corollary", "--brun-bound", "2.0959621", "--with-three", "--limit", "3200000"],
 ]
 
 _RUNTIME = re.compile(r'("runtime_ms": |runtime: )\d+')

@@ -49,6 +49,7 @@ from .twin import (
     brun_partial,
     corollary_check,
     full_twin_check,
+    full_twin_verdict,
     twin_reciprocal_bound,
     twin_square_bound,
 )
@@ -91,6 +92,7 @@ __all__ = [
     "sigma_t",
     "square_identity_check",
     "full_twin_check",
+    "full_twin_verdict",
     "tau_root",
     "twin_primes",
     "twin_reciprocal_bound",

@@ -89,9 +89,11 @@ def _twin_chain_with_proven_bound(rng, quick):
 @_check("twin_with_three_conditional", "twin-with-3 condition at limit {limit}",
         "holds/fails", 60.0)
 def _twin_with_three_conditional(rng, quick):
+    # one square-sum enclosure, judged against both Brun bounds
     limit = _twin_limit(quick)
-    hold_report = twin.full_twin_check(twin.BrunInput(2.0959621, "required bound"), limit)
-    fail_report = twin.full_twin_check(twin.BrunInput(2.347, "proven bound"), limit)
+    square = twin.twin_square_bound(limit, include_three=True)
+    hold_report = twin.full_twin_verdict(twin.BrunInput(2.0959621, "required bound"), limit, square)
+    fail_report = twin.full_twin_verdict(twin.BrunInput(2.347, "proven bound"), limit, square)
     ok = hold_report.holds() and fail_report.verdict == FAILS
     return f"{hold_report.verdict}/{fail_report.verdict}", ok
 

@@ -1,8 +1,10 @@
 """Prime generation, twin-prime enumeration, and factorization over a fixed alphabet.
 
-Everything here is exact integer arithmetic.  The sieve is a segmented,
-odd-only Eratosthenes on numpy bool masks, so limits up to 1e9 stay within
-a few MB of working memory.
+Everything here is exact integer arithmetic.  The sieve is a segmented
+Eratosthenes on the mod-6 wheel: every prime p >= 5 is 6n - 1 or 6n + 1, so
+a segment is two numpy bool masks over n, one per residue, and limits up to
+1e9 stay within a few MB of working memory.  The prime list and the twin
+pairs are both read from those masks; the twin scan never builds the list.
 """
 
 from __future__ import annotations
@@ -12,8 +14,10 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-# Odd numbers per sieve segment (~4 MB of bool mask).
-_SEGMENT_ODDS = 1 << 22
+# Wheel indices n per sieve segment: two bool masks of 2^19 bytes (1 MB, so
+# both fit in a 2 MB L2 cache), covering the 6n +- 1 values from 6 n0 - 1
+# to 6 (n0 + 2^19) - 5.
+_SEGMENT_N = 1 << 19
 
 # Fixed witness set: deterministic Miller-Rabin for all n < 3.3e24,
 # which covers the 64-bit range used throughout.
@@ -130,28 +134,48 @@ def _simple_sieve(limit: int) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int64)
 
 
+def _wheel_segments(limit: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Primality of every 6n - 1 and 6n + 1 up to limit, one segment at a time.
+
+    Yields ``(n0, minus, plus)`` per segment: ``minus[i]`` says whether
+    6(n0 + i) - 1 is prime and ``plus[i]`` whether 6(n0 + i) + 1 is, for
+    n0 + i = 1, 2, ... up to the last n with 6n - 1 <= limit.  Values above
+    limit read False.  Every prime p >= 5 crosses off one residue class of n
+    (stride p) in each mask, from its first multiple at or above p * p.
+    """
+    n_top = (limit + 1) // 6
+    if n_top < 1:
+        return
+    base = [int(p) for p in _simple_sieve(math.isqrt(limit)) if p > 3]
+    # first n of each class holding a multiple p * q, q >= p: p * p is
+    # 1 mod 6, and the least q >= p with p * q = -1 mod 6 is p + 4 or p + 2
+    stride = np.array(base, dtype=np.int64)
+    first_plus = np.array([(p * p - 1) // 6 for p in base], dtype=np.int64)
+    first_minus = np.array(
+        [(p * (p + 4 if p % 6 == 1 else p + 2) + 1) // 6 for p in base], dtype=np.int64
+    )
+    for n0 in range(1, n_top + 1, _SEGMENT_N):
+        count = min(_SEGMENT_N, n_top + 1 - n0)
+        minus = np.ones(count, dtype=bool)
+        plus = np.ones(count, dtype=bool)
+        at_minus = np.where(first_minus >= n0, first_minus - n0, (first_minus - n0) % stride)
+        at_plus = np.where(first_plus >= n0, first_plus - n0, (first_plus - n0) % stride)
+        for p, a, b in zip(base, at_minus.tolist(), at_plus.tolist()):
+            minus[a::p] = False
+            plus[b::p] = False
+        if 6 * (n0 + count - 1) + 1 > limit:
+            plus[-1] = False
+        yield n0, minus, plus
+
+
 def _sieve_array(limit: int) -> np.ndarray:
-    """All primes <= limit, odd-only segmented sieve."""
-    if limit < 2:
-        return np.array([], dtype=np.int64)
-    base = _simple_sieve(math.isqrt(limit))
-    base_odd = base[base > 2]
-    chunks = [np.array([2], dtype=np.int64)]
-    low = 3
-    while low <= limit:
-        high = min(low + 2 * _SEGMENT_ODDS, limit + 1)  # exclusive
-        count = (high - low + 1) // 2
-        mask = np.ones(count, dtype=bool)
-        for p in base_odd:
-            p = int(p)
-            start = max(p * p, ((low + p - 1) // p) * p)
-            if start % 2 == 0:
-                start += p
-            if start >= high:
-                continue
-            mask[(start - low) // 2 :: p] = False
-        chunks.append(low + 2 * np.flatnonzero(mask).astype(np.int64))
-        low = high
+    """All primes <= limit: 2 and 3, then the 6n +- 1 wheel in order."""
+    chunks = [np.array([p for p in (2, 3) if p <= limit], dtype=np.int64)]
+    for n0, minus, plus in _wheel_segments(limit):
+        # row i of the pair is (6(n0 + i) - 1, 6(n0 + i) + 1), so the
+        # flattened index j names 6 n0 - 1 + 3 j - (j & 1)
+        j = np.flatnonzero(np.column_stack((minus, plus)))
+        chunks.append(6 * n0 - 1 + 3 * j - (j & 1))
     return np.concatenate(chunks)
 
 
@@ -168,10 +192,18 @@ def sieve_primes(limit: int) -> PrimeSet:
 
 
 def _twin_lower_members(limit: int) -> np.ndarray:
-    """Lower members p <= limit of twin pairs (p, p+2), ascending."""
-    primes = _sieve_array(limit + 2)
-    lower = primes[:-1][np.diff(primes) == 2]
-    return lower[lower <= limit]
+    """Lower members p <= limit of twin pairs (p, p+2), ascending.
+
+    Past (3, 5) every pair is (6n - 1, 6n + 1), so the pairs are the n where
+    both wheel masks of a sieve to limit + 2 read True.
+    """
+    if limit > MAX_ELEMENT - 2:
+        # refused before any mask is allocated
+        raise ValueError(f"twin limit must be <= {MAX_ELEMENT - 2}: the scan sieves to limit + 2")
+    chunks = [np.array([3] if limit >= 3 else [], dtype=np.int64)]
+    for n0, minus, plus in _wheel_segments(limit + 2):
+        chunks.append(6 * (n0 + np.flatnonzero(minus & plus)) - 1)
+    return np.concatenate(chunks)
 
 
 def twin_pair_lower_members(limit: int) -> np.ndarray:

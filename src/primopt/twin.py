@@ -160,8 +160,16 @@ def full_twin_check(brun: BrunInput, limit: int = 10**8) -> VerificationReport:
     The reciprocal sum over that set is B - 1/5 (5 is counted twice in B),
     so the condition reads B - 1/5 <= 1 + sqrt(1 - S) with S the squared
     sum; holds exactly when B stays below 1.2 + sqrt(1 - S) ~ 2.09596...
+    S does not depend on B: it is computed once per limit, by
+    ``twin_square_bound(limit, include_three=True)``, and a caller judging
+    several Brun bounds at one limit passes it to :func:`full_twin_verdict`.
     """
-    square = twin_square_bound(limit, include_three=True)
+    return full_twin_verdict(brun, limit, twin_square_bound(limit, include_three=True))
+
+
+def full_twin_verdict(brun: BrunInput, limit: int, square: ErrBoundReal) -> VerificationReport:
+    """The full-twin condition for one Brun bound, against the enclosure
+    ``square`` of S over the twins up to limit, including 3."""
     lhs = ErrBoundReal.exact(brun.upper_bound_B) - ErrBoundReal.exact(0.2)
     rhs = condition_rhs_from_square_sum(square)
     comparison = ConditionVerdict.compare(lhs, rhs)

@@ -233,6 +233,15 @@ def test_domain_error_exit_3(capsys):
     capsys.readouterr()
     assert main(["corollary", "--brun-bound", "inf", "--limit", "1000"]) == 3
     assert "Brun bound must be finite" in capsys.readouterr().err
+    # the twin scan sieves to limit + 2, so 2^63 - 2 is the first limit refused
+    too_far = str((1 << 63) - 2)
+    for argv in (
+        ["twin", "--below", too_far],
+        ["brun", "--limit", too_far],
+        ["corollary", "--brun-bound", "2.0959621", "--with-three", "--limit", too_far],
+    ):
+        assert main(argv) == 3, argv
+        assert "twin limit must be <=" in capsys.readouterr().err, argv
     primes, caps = ["--primes", "2,3"], ["--max-omega", "2", "--max-value", "100"]
     for argv in (
         ["prime-zeta"],

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primopt.primes import (
+    _SEGMENT_N,
     PrimeSet,
     is_prime,
     omega,
@@ -46,6 +47,38 @@ def test_sieve_across_first_segment_boundary(limit):
     assert int(np.searchsorted(primes, 1 << 23, side="right")) == 564_163
     tail = [n for n in range(limit - 499, limit + 1) if is_prime(n)]
     assert primes[primes > limit - 500].tolist() == tail
+
+
+def test_wheel_outputs_match_trial_division_at_every_small_limit():
+    primes = trial_division_primes(402)
+    prime_set = set(primes)
+    for limit in range(2, 401):
+        assert sieve_primes(limit).as_list() == [p for p in primes if p <= limit], limit
+    for limit in range(5, 401):
+        lower = [p for p in primes if p <= limit and p + 2 in prime_set]
+        twins = [p for p in primes if p <= limit and (p - 2 in prime_set or p + 2 in prime_set)]
+        assert twin_pair_lower_members(limit).tolist() == lower, limit
+        assert twin_primes(limit, include_three=True).as_list() == twins, limit
+        assert twin_primes(limit).as_list() == twins[1:], limit
+
+
+def test_wheel_across_its_first_segment_boundary():
+    # the first wheel segment holds n = 1 .. _SEGMENT_N, the values 5 .. last
+    last = 6 * _SEGMENT_N + 1
+    limit = last + 500
+    window = range(last - 499, limit + 1)
+    primes = sieve_primes(limit).as_array()
+    assert primes[primes >= window[0]].tolist() == [n for n in window if is_prime(n)]
+    lower = twin_pair_lower_members(limit)
+    assert lower[lower >= window[0]].tolist() == [
+        n for n in window if is_prime(n) and is_prime(n + 2)
+    ]
+
+
+def test_counts_at_ten_million():
+    assert len(sieve_primes(10**7)) == 664_579
+    assert len(twin_pair_lower_members(10**7)) == 58_980
+    assert len(twin_primes(10**7, include_three=True)) == 117_959
 
 
 def test_sieve_rejects_small_limits():

@@ -1,8 +1,10 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from primopt import checks, primes
 from primopt.twin import (
     BrunInput,
     PROVEN_BRUN_BOUND,
@@ -11,6 +13,7 @@ from primopt.twin import (
     corollary_check,
     six_n_square_tail,
     full_twin_check,
+    full_twin_verdict,
     twin_reciprocal_bound,
     twin_square_bound,
 )
@@ -144,6 +147,63 @@ def test_full_twin_square_enclosure_consistent_with_published_bracket():
     assert any("consistent" in n for n in report.notes)
     threshold = report.quantities["critical_brun_threshold"]
     assert threshold == pytest.approx(1.2 + math.sqrt(1 - square.upper()), abs=1e-12)
+
+
+def test_twin_with_three_row_sieves_once(monkeypatch):
+    scans = []
+
+    def counting_wheel(limit):
+        scans.append(limit)
+        return wheel(limit)
+
+    wheel = primes._wheel_segments
+    monkeypatch.setattr(primes, "_wheel_segments", counting_wheel)
+    row = next(c for c in checks.CHECKS if c.name == "twin_with_three_conditional")
+    assert row.run(random.Random(0), True) == ("holds/fails", True)
+    assert scans == [10**7 + 2]
+
+
+def test_full_twin_check_report_at_ten_million():
+    # the enclosure, threshold and verdicts the check gave when it still
+    # computed S once per Brun bound; the tolerance allows for numpy's
+    # summation order on another CPU, a few ulps of binary64
+    close = dict(rel=1e-14, abs=0.0)
+    square = twin_square_bound(10**7, include_three=True)
+    assert square.value == pytest.approx(0.19725179233496232, **close)
+    assert square.radius == pytest.approx(1.666667119799701e-08, **close)
+    for bound, verdict in ((2.0959621, "holds"), (2.347, "fails")):
+        brun = BrunInput(bound, "pinned")
+        report = full_twin_check(brun, 10**7)
+        assert report.verdict == verdict
+        threshold = report.quantities["critical_brun_threshold"]
+        assert threshold == pytest.approx(2.095962159356279, **close)
+        assert report.quantities["comparison"].rhs.value == pytest.approx(1.8959621686572696, **close)
+        assert report.to_json() == full_twin_verdict(brun, 10**7, square).to_json()
+
+
+def _sieve_flags(n):
+    flags = bytearray([1]) * (n + 1)
+    flags[:2] = b"\0\0"
+    for d in range(2, math.isqrt(n) + 1):
+        if flags[d]:
+            flags[d * d :: d] = bytes(len(range(d * d, n + 1, d)))
+    return flags
+
+
+@pytest.mark.parametrize("limit", [10**4, 10**5])
+@pytest.mark.parametrize("include_three", [False, True])
+def test_twin_square_bound_encloses_exact_partial_sum(limit, include_three):
+    # exact rational sum over twins found by a plain bytearray sieve; the
+    # enclosure less its tail term must still hold it
+    flags = _sieve_flags(limit + 2)
+    twins = [
+        p for p in range(3 if include_three else 5, limit + 1)
+        if flags[p] and (flags[p - 2] or flags[p + 2])
+    ]
+    exact = sum(Fraction(1, p * p) for p in twins)
+    bound = twin_square_bound(limit, include_three=include_three)
+    tail = Fraction(six_n_square_tail(limit))
+    assert Fraction(bound.lower()) <= exact <= Fraction(bound.upper()) - tail
 
 
 def test_square_bound_with_three_includes_one_ninth_term():
