@@ -417,8 +417,10 @@ def main(argv=None) -> int:
         report = args.handler(args)
     except PrecisionError as exc:
         report = _envelope(str(exc), INCONCLUSIVE)
-    except SizeLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (SizeLimitError, MemoryError) as exc:
+        # out of memory is a resource limit too; as a traceback it would
+        # exit 1, which reads as a failed claim
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 4
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import primopt
 
+from primopt import cli
 from primopt.cli import main
 
 ENVELOPE_KEYS = {"claim", "verdict", "lhs", "rhs", "runtime_ms", "detail"}
@@ -299,6 +301,30 @@ def test_resource_error_exit_4(capsys):
         "universe", "--primes", "2,3,5", "--k-lo", "1", "--max-omega", "12",
         "--max-value", "1000000", "--max-elements", "50",
     ]) == 4
+
+
+def test_sieve_past_its_budget_exits_4_before_allocating(capsys):
+    for argv, limit in (
+        (["check-condition", "--primes-below", "1000000000000000000", "--t", "2"], 10**18),
+        (["twin", "--below", "100000000000"], 10**11 + 2),
+    ):
+        started = time.monotonic()
+        assert main(argv) == 4, argv
+        assert time.monotonic() - started < 1.0, argv
+        assert f"sieve limit {limit} exceeds the sieve budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("message,shown", [
+    ("Unable to allocate 745. GiB for an array", "Unable to allocate 745. GiB for an array"),
+    ("", "out of memory"),
+])
+def test_memory_error_exits_4_without_a_traceback(capsys, monkeypatch, message, shown):
+    def exhausted(args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "_cmd_hk", exhausted)
+    assert main(["hk", "--primes", "2,3", "--kmax", "100000000"]) == 4
+    assert capsys.readouterr() == ("", f"error: {shown}\n")
 
 
 def test_python_m_primopt_runs_the_cli():

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import random
@@ -10,8 +11,10 @@ from hypothesis import strategies as st
 from primopt import oracle
 from primopt.errors import SizeLimitError
 from primopt.oracle import (
+    DEFAULT_MAX_ELEMENTS,
     Antichain,
     _Dinic,
+    _antichain_at,
     _flow_optimum,
     _greedy_chains,
     _residual_optimum,
@@ -68,7 +71,9 @@ def test_build_universe_examples():
 
 @pytest.mark.parametrize(
     "primes,k_lo,max_omega,max_value",
-    [((2, 3), 1, 3, 200), ((2, 3, 5), 2, 4, 500), ((5, 7), 1, 5, 9999), ((2,), 0, 10, 1024)],
+    [((2, 3), 1, 3, 200), ((2, 3, 5), 2, 4, 500), ((5, 7), 1, 5, 9999), ((2,), 0, 10, 1024),
+     # bound min(comb(28, 3), 10^5) = 3276: built as numpy columns
+     (tuple(sieve_primes(100)), 2, 3, 10**5)],
 )
 def test_build_universe_matches_integer_scan(primes, k_lo, max_omega, max_value):
     u = build_universe(PrimeSet(primes), k_lo, max_omega, max_value)
@@ -87,6 +92,17 @@ def test_build_universe_guards():
         build_universe(PrimeSet([2]), 1, 2, 1)
     with pytest.raises(SizeLimitError):
         build_universe(PrimeSet([2, 3, 5]), 1, 12, 10**6, max_elements=50)
+    # above the column cutoff: 2,504 elements, refused at one fewer
+    wide = (sieve_primes(100), 2, 3, 10**5)
+    assert len(build_universe(*wide, max_elements=2504)) == 2504
+    with pytest.raises(SizeLimitError):
+        build_universe(*wide, max_elements=2503)
+    # the band {25, 35, ..., 95} has 9 elements, but the level-1 frontier
+    # below it holds 23 primes, and no level may pass max_elements
+    below_band = (PrimeSet(sieve_primes(100).as_list()[2:]), 2, 2, 100)
+    assert len(build_universe(*below_band, max_elements=23)) == 9
+    with pytest.raises(SizeLimitError):
+        build_universe(*below_band, max_elements=22)
     with pytest.raises(ValueError):
         build_universe(PrimeSet([2, 3]), 1, 2, 100, max_elements=0)
     with pytest.raises(ValueError):
@@ -110,6 +126,45 @@ def truncations(draw):
     return tuple(sorted(primes)), k_lo, max_omega, max_value
 
 
+def _on_path(columns_from, prime_set, k_lo, max_omega, max_value, max_elements):
+    """The universe's elements, Omegas and edge columns, built with the column
+    cutoff at ``columns_from``, or the SizeLimitError message."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_COLUMNS_FROM", columns_from)
+        try:
+            u = build_universe(prime_set, k_lo, max_omega, max_value, max_elements)
+        except SizeLimitError as exc:
+            return str(exc)
+        edges = u.covering_edges()
+    return u.elements, u.omegas, edges.lower, edges.higher
+
+
+@given(truncations(), st.one_of(st.just(DEFAULT_MAX_ELEMENTS), st.integers(1, 60)))
+@settings(max_examples=200, deadline=None)
+@example(((2,), 0, 63, MAX_ELEMENT), DEFAULT_MAX_ELEMENTS)
+@example(((3037000493,), 1, 2, 3037000493**2), DEFAULT_MAX_ELEMENTS)
+@example(((2, 3, 5, 7), 2, 2, 10**5), 3)  # the level-1 frontier is refused
+def test_column_and_list_paths_agree(case, max_elements):
+    primes, k_lo, max_omega, max_value = case
+    args = (PrimeSet(primes), k_lo, max_omega, max_value, max_elements)
+    columns = _on_path(0, *args)
+    assert columns == _on_path(math.inf, *args)
+    if not isinstance(columns, str):
+        assert all(type(n) is int for column in columns for n in column)
+
+
+@pytest.mark.parametrize("columns_from", [0, math.inf])
+def test_build_universe_leaves_no_cyclic_garbage(monkeypatch, columns_from):
+    monkeypatch.setattr(oracle, "_COLUMNS_FROM", columns_from)
+    gc.collect()
+    gc.disable()
+    try:
+        build_universe(PrimeSet([2, 3]), 1, 2, 100).covering_edges()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 @given(truncations())
 @settings(max_examples=100, deadline=None)
 @example(((2, 3), 1, 4, 200))
@@ -119,16 +174,17 @@ def truncations(draw):
 def test_covering_edges_generate_divisibility(case):
     primes, k_lo, max_omega, max_value = case
     u = build_universe(PrimeSet(primes), k_lo, max_omega, max_value)
-    idx = u.index()
+    idx = {n: i for i, n in enumerate(u.elements)}
     naive = {
         (i, idx[n * p]) for i, n in enumerate(u.elements) for p in primes if n * p in idx
     }
     edges = u.covering_edges()
-    assert len(edges) == len(naive) and set(edges) == naive
+    pairs = list(zip(edges.lower, edges.higher))
+    assert len(edges) == len(naive) and set(pairs) == naive
     # reachability along the edges is divisibility; edges point to larger
     # elements, so one descending pass closes the reach sets
     reach = [0] * len(u)
-    for i, j in sorted(edges, reverse=True):
+    for i, j in sorted(pairs, reverse=True):
         reach[i] |= (1 << j) | reach[j]
     for a, b in itertools.combinations(range(len(u)), 2):
         divides = u.elements[b] % u.elements[a] == 0
@@ -274,6 +330,36 @@ def test_antichain_validates():
         Antichain((2, 6))
 
 
+def test_one_level_optimum_skips_the_divisibility_scan(monkeypatch):
+    def scan(members):
+        raise AssertionError("one Omega level needs no scan")
+
+    monkeypatch.setattr(oracle, "is_primitive", scan)
+    u = build_universe(PrimeSet([2, 3]), 2, 3, 1000)
+    antichain, _ = max_weight_antichain_flow(u, 1.0)
+    assert antichain == Antichain((4, 6, 9), _omegas=(2, 2, 2))
+    assert verify_tbest(PrimeSet([2, 3, 5]), 1.5, 1, 6, 10**6).optimum_set.members == (2, 3, 5)
+
+
+def test_mixed_omega_members_are_still_scanned():
+    u = build_universe(PrimeSet([2, 3]), 1, 2, 100)
+    assert u.elements == (2, 3, 4, 6, 9)
+    with pytest.raises(ValueError, match="not pairwise non-divisible"):
+        _antichain_at(u, [0, 3])  # 2 divides 6
+    assert _antichain_at(u, [1, 2]).members == (3, 4)  # mixed, but an antichain
+    with pytest.raises(ValueError, match="not pairwise non-divisible"):
+        Antichain((2, 6), _omegas=(1, 2))
+    with pytest.raises(ValueError, match="k_lo must be >= 1"):
+        Antichain((1,), _omegas=(0,))
+
+
+@given(st.lists(st.floats(0.0, 1.0, exclude_min=True), max_size=50))
+@settings(max_examples=300, deadline=None)
+@example([0.5 * 2**-50, 1.5 * 2**-50, 2.5 * 2**-50, 2**-51, 2**-60, 1.0, 5e-324])
+def test_scaled_weights_round_half_to_even_like_round(weights):
+    assert _scaled_weights(weights) == [max(1, round(w * 2**50)) for w in weights]
+
+
 def test_flow_on_chain_picks_max_weight_element():
     chain = build_universe(PrimeSet([2]), 1, 4, 100)
     antichain, weight = max_weight_antichain_flow(chain, 1.0)
@@ -385,7 +471,7 @@ def test_flow_finishes_where_the_greedy_falls_short():
 def _greedy_flow(universe, weights):
     scaled = _scaled_weights(weights)
     edges = universe.covering_edges()
-    lower, higher = [i for i, _ in edges], [j for _, j in edges]
+    lower, higher = edges.lower, edges.higher
     return scaled, lower, higher, _greedy_chains(len(universe), lower, higher, scaled)
 
 
