@@ -13,15 +13,15 @@ give identical directories:
     python scripts/golden_cli.py /tmp/golden-b /path/to/checkout-b
     diff -r /tmp/golden-a /tmp/golden-b
 
-The 99 lines cover every argument line of tests/test_cli.py, each of the
+The 100 lines cover every argument line of tests/test_cli.py, each of the
 19 subcommands, the three certify-large ``verify-tbest`` instances of
 perfbench, ``suite`` at seeds 0 and 1 with and without ``--quick``, one
 clamped tie at t = 8 through ``verify-tbest`` and ``oracle``, where the
 optimum has more than one member set, t whose n^-t weights underflow to 0
 in every command that weighs by n^-t, an infinite Brun bound, the
 three twin-scan commands at a limit past the sieve's first wheel segment
-(whose last value is 6 * 2^19 + 1 = 3,145,729), and two sieves past the
-sieve budget, refused with exit 4.
+(whose last value is 6 * 2^19 + 1 = 3,145,729), two sieves past the
+sieve budget and one level past the level budget, refused with exit 4.
 """
 
 from __future__ import annotations
@@ -133,6 +133,8 @@ LINES = [
     # past the sieve budget: refused before anything is allocated
     ["check-condition", "--primes-below", "1000000000000000000", "--t", "2"],
     ["twin", "--below", "100000000000"],
+    # C(1234, 6) products: refused before any is formed
+    ["decompose", "--primes-below", "10000", "--ell", "6", "--s", "64"],
 ]
 
 _RUNTIME = re.compile(r'("runtime_ms": |runtime: )\d+')

@@ -9,9 +9,10 @@ The truncation is enumerated level by level, Omega = 1, 2, ..., from a
 frontier of values and, per value, the index of its largest prime.  A value
 v whose largest prime has index i extends by the primes from index i up to
 max_value // v, so each multiset of primes appears once and no product
-passes the cap.  The edges come the same way: element n at Omega below the
-cap covers n * p for exactly the primes p <= max_value // n, and each
-n * p is found by a search of the sorted elements.  Both run as numpy
+passes the cap; the value a row extends is its parent in the tree below.
+The edges come the same way: element n at Omega below the cap covers
+n * p for exactly the primes p <= max_value // n, and each n * p is found
+by a search of the sorted elements.  Both run as numpy
 columns (a ragged repeat per level, one searchsorted for all edges) from
 ``_COLUMNS_FROM`` elements on, and as the same loops over Python lists
 below it, where numpy's per-call overhead would cost more than the loops.
@@ -19,12 +20,27 @@ No level may pass ``max_elements``: the column path sizes each level
 before it allocates it, and the list path's levels, which hold fewer than
 ``_COLUMNS_FROM`` rows, are checked once built.
 
-The optimizer runs weighted Dilworth duality.  The network has a split arc
-v_in -> v_out with lower bound w(v) per element, and unbounded arcs
-source -> v_in, v_out -> sink and v_out -> u_in per covering edge.  Each
-unit of flow runs along a chain, which crosses an antichain at most once,
-so every feasible flow is worth at least every antichain's weight: a flow
-and an antichain of equal value are both optimal, and the minimum flow
+The optimizer first tries a bound from Erdos's tree.  Every element above
+level k_lo has the parent n / P(n), P(n) its largest prime, which is itself
+a member (one level lower, smaller value); the level-k_lo elements are the
+roots.  An ancestor in this forest divides its descendant, so every
+divisibility antichain is an antichain of the forest too, and the heaviest
+forest antichain bounds the optimum from above.  In a forest it is the sum
+over roots r of max(w(r), arriving(r)), where arriving(v) is the sum over
+v's children c of max(w(c), arriving(c)): one pass over the elements in
+descending order, exact in Python integers on the scaled weights.  When
+arriving(r) <= w(r) at every root, that bound is the weight of level k_lo,
+itself a divisibility antichain, so the roots are optimal and no edge is
+built.  Under n^-t weights with sum p^-t < 1, each element outweighs its
+children together, so the bound closes unless rounding to the scaling
+quantum breaks that inequality.
+
+Otherwise the optimizer runs weighted Dilworth duality.  The network has a
+split arc v_in -> v_out with lower bound w(v) per element, and unbounded
+arcs source -> v_in, v_out -> sink and v_out -> u_in per covering edge.
+Each unit of flow runs along a chain, which crosses an antichain at most
+once, so every feasible flow is worth at least every antichain's weight: a
+flow and an antichain of equal value are both optimal, and the minimum flow
 equals the maximum antichain weight.
 
 The flow starts as a greedy one, which joins each element's own path from
@@ -32,12 +48,10 @@ source to sink onto a divisor's, along a chain of lower covers, so that one
 unit of flow meets both lower bounds.  The minimal elements form an
 antichain and keep their whole start capacity, so when no other element
 keeps any, the flow's value sum(start_left) is their weight and both are
-optimal, with no network built.  When sum p^-t < 1 every element outweighs
-its upper covers together, so this is the case unless rounding to the
-scaling quantum breaks that inequality.  Otherwise one max-flow from sink
-to source over the residual network cancels ``rest`` more units, the
-minimum flow is sum(start_left) - rest, and the optimal antichain is the
-split arcs crossing the final reachability cut.  The set reachable from the
+optimal, with no network built.  Otherwise one max-flow from sink to source
+over the residual network cancels ``rest`` more units, the minimum flow is
+sum(start_left) - rest, and the optimal antichain is the split arcs
+crossing the final reachability cut.  The set reachable from the
 max-flow's source in the final residual graph is the same for every maximum
 flow, so those members do not depend on the order of the arcs or on the
 flow the search starts from.
@@ -55,8 +69,8 @@ An optimum is checked to be an antichain before it is returned.  When its
 members share one Omega the check is free: if a | b with a != b in the
 semigroup, b / a is a product of at least one prime, so Omega(b) >
 Omega(a), and no two members of one level divide each other.  Every
-greedy-shortcut optimum of a certification is one level.  Otherwise the
-members go through ``is_primitive``.
+tree-bound or greedy-shortcut optimum of a certification is one level.
+Otherwise the members go through ``is_primitive``.
 """
 
 from __future__ import annotations
@@ -112,7 +126,13 @@ def _ragged(counts: np.ndarray, starts) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True)
 class TruncatedUniverse:
     """A finite slice of the semigroup: k_lo <= Omega(n) <= max_omega and
-    n <= max_value, ordered by divisibility."""
+    n <= max_value, ordered by divisibility.
+
+    ``elements`` ascend; ``omegas`` holds each one's Omega, and
+    ``parents[c]`` the index of elements[c] // P(elements[c]), P being the
+    largest prime factor, or -1 on level k_lo.  A parent is always smaller,
+    so its index is too.
+    """
 
     prime_set: PrimeSet
     k_lo: int
@@ -120,6 +140,7 @@ class TruncatedUniverse:
     max_value: int
     elements: tuple[int, ...]
     omegas: tuple[int, ...]
+    parents: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -170,21 +191,22 @@ def _check_level_size(size: int, max_elements: int) -> None:
 
 def _list_levels(
     primes: list[int], k_lo: int, max_omega: int, max_value: int, max_elements: int
-) -> tuple[list[int], list[int]]:
-    """The Omega levels k_lo..max_omega as value and Omega lists, by Python
-    loops over a frontier of (value, index of its largest prime, Omega).
-    A level is checked once built; by the path's bound it has fewer than
-    ``_COLUMNS_FROM`` rows."""
-    frontier = [(1, 0, 0)]
+) -> tuple[list[int], list[int], list[int]]:
+    """The Omega levels k_lo..max_omega as value, Omega and parent lists, by
+    Python loops over a frontier of (value, index of its largest prime,
+    Omega, value of its parent or 0 on level k_lo).  A level is checked once built; by the
+    path's bound it has fewer than ``_COLUMNS_FROM`` rows."""
+    frontier = [(1, 0, 0, 0)]
     found = frontier[:] if k_lo == 0 else []
     for om in range(1, max_omega + 1):
         level = []
-        for value, last, _ in frontier:
+        for value, last, _, _ in frontier:
             cap = max_value // value
+            parent = value if om > k_lo else 0
             for i in range(last, len(primes)):
                 if primes[i] > cap:
                     break
-                level.append((value * primes[i], i, om))
+                level.append((value * primes[i], i, om, parent))
         if om >= k_lo:
             found += level
         _check_level_size(len(found) if om >= k_lo else len(level), max_elements)
@@ -192,17 +214,25 @@ def _list_levels(
             break
         frontier = level
     found.sort()
-    return [value for value, _, _ in found], [om for _, _, om in found]
+    index = {value: i for i, (value, _, _, _) in enumerate(found)}
+    return (
+        [value for value, _, _, _ in found],
+        [om for _, _, om, _ in found],
+        [index[parent] if parent else -1 for _, _, _, parent in found],
+    )
 
 
 def _column_levels(
     primes: np.ndarray, k_lo: int, max_omega: int, max_value: int, max_elements: int
-) -> tuple[list[int], list[int]]:
-    """The Omega levels k_lo..max_omega as value and Omega columns, by numpy."""
+) -> tuple[list[int], list[int], list[int]]:
+    """The Omega levels k_lo..max_omega as value, Omega and parent columns,
+    by numpy.  A parent is first kept as its position among the kept rows
+    and mapped through the inverse of the final sort."""
     values = np.ones(1, dtype=np.int64)
     last = np.zeros(1, dtype=np.int64)
     kept_values = [values] if k_lo == 0 else []
     kept_omegas = [np.zeros(1, dtype=np.int64)] if k_lo == 0 else []
+    kept_parents = [np.full(1, -1, dtype=np.int64)] if k_lo == 0 else []
     kept = len(kept_values)
     for om in range(1, max_omega + 1):
         counts = np.searchsorted(primes, max_value // values, "right") - last
@@ -212,16 +242,26 @@ def _column_levels(
         if not count:
             break
         rows, last = _ragged(counts, last)
+        if om > k_lo:  # the level below is the last one kept
+            kept_parents.append(rows + (kept - len(values)))
+        elif om == k_lo:
+            kept_parents.append(np.full(count, -1, dtype=np.int64))
         values = values[rows] * primes[last]
         if om >= k_lo:
             kept_values.append(values)
             kept_omegas.append(np.full(count, om, dtype=np.int64))
             kept += count
     if not kept:
-        return [], []
+        return [], [], []
     values = np.concatenate(kept_values)
     order = np.argsort(values)
-    return values[order].tolist(), np.concatenate(kept_omegas)[order].tolist()
+    rank = np.full(kept + 1, -1, dtype=np.int64)  # rank[-1] keeps a root's -1
+    rank[order] = np.arange(kept)
+    return (
+        values[order].tolist(),
+        np.concatenate(kept_omegas)[order].tolist(),
+        rank[np.concatenate(kept_parents)[order]].tolist(),
+    )
 
 
 def build_universe(
@@ -254,11 +294,11 @@ def build_universe(
     m = len(prime_set)
     bound = min(math.comb(m + min(max_omega, max_value.bit_length()), m), max_value)
     if bound >= _COLUMNS_FROM:
-        elements, omegas = _column_levels(
+        elements, omegas, parents = _column_levels(
             prime_set.as_array(), k_lo, max_omega, max_value, max_elements
         )
     else:
-        elements, omegas = _list_levels(
+        elements, omegas, parents = _list_levels(
             prime_set.as_list(), k_lo, max_omega, max_value, max_elements
         )
     return TruncatedUniverse(
@@ -268,6 +308,7 @@ def build_universe(
         max_value=max_value,
         elements=tuple(elements),
         omegas=tuple(omegas),
+        parents=tuple(parents),
     )
 
 
@@ -451,7 +492,8 @@ def _scaled_weights(weights: list[float]) -> list[int]:
 def _greedy_chains(
     count: int, lower: list[int], higher: list[int], scaled: list[int]
 ) -> tuple[list[int], list[int], list[int], list[int], int]:
-    """A feasible flow of the reduction network, built from divisor chains.
+    """A feasible flow of the reduction network, built from divisor chains,
+    for the universes whose tree bound (``_tree_optimum``) does not close.
 
     Elements are visited in ascending order.  Element j still holding start
     capacity walks down its lower covers (edge k runs lower[k] -> higher[k])
@@ -510,6 +552,25 @@ def _greedy_chains(
     return start_left, end_left, split, poset, stranded
 
 
+def _tree_optimum(parents: tuple[int, ...], scaled: list[int]) -> Optional[list[int]]:
+    """The indices of the roots (level k_lo) when the largest-prime-factor
+    forest proves them a maximum-weight antichain, else None.
+
+    Children come after their parents, so one pass in descending order
+    gives each node the weight ``arriving`` of the heaviest antichains of
+    its children's subtrees; the roots' sums land in the extra last slot,
+    which parents[r] = -1 indexes.
+    """
+    arriving = [0] * (len(scaled) + 1)
+    for c in range(len(scaled) - 1, -1, -1):
+        below, own = arriving[c], scaled[c]
+        arriving[parents[c]] += own if own > below else below
+    roots = [r for r, parent in enumerate(parents) if parent < 0]
+    if all(arriving[r] <= scaled[r] for r in roots):
+        return roots
+    return None
+
+
 def _flow_optimum(universe: TruncatedUniverse, scaled: list[int]) -> tuple[list[int], int]:
     """A maximum-weight antichain under the integer weights ``scaled``,
     aligned with ``universe.elements``: its member indices, ascending, and
@@ -517,6 +578,9 @@ def _flow_optimum(universe: TruncatedUniverse, scaled: list[int]) -> tuple[list[
     count = len(universe)
     if count == 0:
         raise ValueError("universe is empty")
+    roots = _tree_optimum(universe.parents, scaled)
+    if roots is not None:
+        return roots, sum(scaled[r] for r in roots)
     edges = universe.covering_edges()
     lower, higher = edges.lower, edges.higher
     greedy = _greedy_chains(count, lower, higher, scaled)
@@ -617,23 +681,25 @@ def max_weight_antichain_bruteforce(
     for i in range(count - 1, -1, -1):
         suffix[i] = suffix[i + 1] + weights[i]
 
+    # Depth-first over (next index, chosen, blocked, weight so far): element
+    # i is taken before it is left out, so the inclusion branch goes on the
+    # stack last.  A branch is pruned when it is popped, against the best
+    # weight found by then.
     best_weight = -1.0
     best_set = 0
-
-    def rec(i: int, chosen: int, blocked: int, acc: float) -> None:
-        nonlocal best_weight, best_set
+    stack = [(0, 0, 0, 0.0)]
+    while stack:
+        i, chosen, blocked, acc = stack.pop()
         if acc + suffix[i] <= best_weight:
-            return
+            continue
         if i == count:
             if acc > best_weight:
                 best_weight = acc
                 best_set = chosen
-            return
+            continue
+        stack.append((i + 1, chosen, blocked, acc))
         if not (blocked >> i) & 1:
-            rec(i + 1, chosen | (1 << i), blocked | incompatible[i], acc + weights[i])
-        rec(i + 1, chosen, blocked, acc)
-
-    rec(0, 0, 0, 0.0)
+            stack.append((i + 1, chosen | (1 << i), blocked | incompatible[i], acc + weights[i]))
     members = sorted(values[i] for i in range(count) if (best_set >> i) & 1)
     return Antichain(tuple(members)), best_weight
 

@@ -17,12 +17,17 @@ from math import gcd
 from typing import Optional, Sequence, Union
 
 from .analytic import HOLDS, INCONCLUSIVE, FAILS, VerificationReport
-from .errors import PrecisionError
+from .errors import PrecisionError, SizeLimitError
 from .primes import PrimeSet, omega
 
 Number = Union[float, Fraction]
 
 REL_TOL = 1e-12
+
+# Most elements level_elements enumerates.  On 2 vCPUs a level takes about
+# 0.7 us and 60 bytes per element: 1.35 million (200 primes, k = 3) took
+# 0.98 s and 84 MB, 4.4 million (100 primes, k = 4) 3.7 s and 266 MB.
+_LEVEL_BUDGET = 10**6
 
 
 def _check_weights(xs: Sequence[Number]) -> None:
@@ -161,10 +166,18 @@ def quadratic_equivalence_check(prime_set: PrimeSet, t: float) -> bool:
 def level_elements(prime_set: PrimeSet, k: int) -> list[int]:
     """All semigroup elements with exactly k prime factors, sorted.
 
-    The count is C(k + m - 1, m - 1); callers keep k and m small.
+    The count is C(k + m - 1, m - 1); past ``_LEVEL_BUDGET`` the level is
+    refused before any product is formed.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
+    m = len(prime_set)
+    count = math.comb(k + m - 1, m - 1) if m else int(k == 0)
+    if count > _LEVEL_BUDGET:
+        raise SizeLimitError(
+            f"level {k} of {m} primes has {count} elements, "
+            f"past the level budget of {_LEVEL_BUDGET}"
+        )
     return sorted(
         math.prod(c) for c in itertools.combinations_with_replacement(prime_set.as_list(), k)
     )

@@ -314,6 +314,14 @@ def test_sieve_past_its_budget_exits_4_before_allocating(capsys):
         assert f"sieve limit {limit} exceeds the sieve budget" in capsys.readouterr().err
 
 
+def test_oversized_level_exits_4_before_enumerating(capsys):
+    # level 6 of the 1229 primes below 10^4 has C(1234, 6) = 4.8e15 elements
+    started = time.monotonic()
+    assert main(["decompose", "--primes-below", "10000", "--ell", "6", "--s", "64"]) == 4
+    assert time.monotonic() - started < 1.0
+    assert "past the level budget" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("message,shown", [
     ("Unable to allocate 745. GiB for an array", "Unable to allocate 745. GiB for an array"),
     ("", "out of memory"),

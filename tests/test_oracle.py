@@ -19,6 +19,7 @@ from primopt.oracle import (
     _greedy_chains,
     _residual_optimum,
     _scaled_weights,
+    _tree_optimum,
     build_universe,
     is_primitive,
     max_weight_antichain_bruteforce,
@@ -45,18 +46,21 @@ def semigroup_filter(primes, k_lo, max_omega, max_value):
     return out
 
 
-def exhaustive_optimum(universe, weights):
-    """Independent oracle: try every subset (universe must be tiny)."""
+def antichains(universe):
+    """Independent oracle: every nonempty antichain, as index tuples, found
+    by trying every subset (universe must be tiny)."""
     elements = universe.elements
     assert len(elements) <= 14
-    best = 0.0
     for r in range(1, len(elements) + 1):
         for combo in itertools.combinations(range(len(elements)), r):
             if all(
                 elements[b] % elements[a] for a, b in itertools.combinations(combo, 2)
             ):
-                best = max(best, math.fsum(weights[i] for i in combo))
-    return best
+                yield combo
+
+
+def exhaustive_optimum(universe, weights):
+    return max(math.fsum(weights[i] for i in combo) for combo in antichains(universe))
 
 
 def test_build_universe_examples():
@@ -127,8 +131,9 @@ def truncations(draw):
 
 
 def _on_path(columns_from, prime_set, k_lo, max_omega, max_value, max_elements):
-    """The universe's elements, Omegas and edge columns, built with the column
-    cutoff at ``columns_from``, or the SizeLimitError message."""
+    """The universe's elements, Omegas, parents and edge columns, built with
+    the column cutoff at ``columns_from``, or the SizeLimitError message.
+    Each parent is checked against the largest prime factor on the way."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(oracle, "_COLUMNS_FROM", columns_from)
         try:
@@ -136,7 +141,13 @@ def _on_path(columns_from, prime_set, k_lo, max_omega, max_value, max_elements):
         except SizeLimitError as exc:
             return str(exc)
         edges = u.covering_edges()
-    return u.elements, u.omegas, edges.lower, edges.higher
+    for n, om, parent in zip(u.elements, u.omegas, u.parents):
+        if om == k_lo:
+            assert parent == -1
+        else:
+            largest = max(p for p in prime_set if n % p == 0)
+            assert u.elements[parent] * largest == n
+    return u.elements, u.omegas, u.parents, edges.lower, edges.higher
 
 
 @given(truncations(), st.one_of(st.just(DEFAULT_MAX_ELEMENTS), st.integers(1, 60)))
@@ -160,6 +171,17 @@ def test_build_universe_leaves_no_cyclic_garbage(monkeypatch, columns_from):
     gc.disable()
     try:
         build_universe(PrimeSet([2, 3]), 1, 2, 100).covering_edges()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_bruteforce_leaves_no_cyclic_garbage():
+    universe = build_universe(PrimeSet([2, 3]), 1, 2, 100)
+    gc.collect()
+    gc.disable()
+    try:
+        max_weight_antichain_bruteforce(universe, 1.5)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -454,6 +476,22 @@ def test_flow_core_scales_with_integer_weights(case, c):
     assert _flow_optimum(universe, [c * w for w in scaled]) == (members, c * optimum_scaled)
 
 
+@given(weighted_small_universes())
+@settings(max_examples=300, deadline=None)
+# 6 and 4 hang under 2 (6 // 3 = 2), 9 under 3: the bound closes
+@example((build_universe(PrimeSet([2, 3]), 1, 2, 100), {2: 0.5, 3: 0.4, 4: 0.2, 6: 0.1, 9: 0.1}))
+# 4 and 6 outweigh 2, so the bound stays open
+@example((build_universe(PrimeSet([2, 3]), 1, 2, 100), {2: 0.1, 3: 0.4, 4: 0.2, 6: 0.1, 9: 0.1}))
+def test_tree_bound_closes_only_on_an_optimum(case):
+    universe, by_element = case
+    scaled = _scaled_weights([by_element[n] for n in universe.elements])
+    roots = _tree_optimum(universe.parents, scaled)
+    if roots is not None:
+        assert roots == [i for i, om in enumerate(universe.omegas) if om == universe.k_lo]
+        best = max(sum(scaled[i] for i in combo) for combo in antichains(universe))
+        assert sum(scaled[r] for r in roots) == best
+
+
 def test_flow_finishes_where_the_greedy_falls_short():
     # 49, 133 and 217 all lie over 7; the greedy spends 7 on 49 and 133 and
     # leaves 217 only 31, while the maximum sends 133 through 19 first
@@ -476,14 +514,17 @@ def _greedy_flow(universe, weights):
 
 
 def test_greedy_certificate_matches_dinic_on_seeded_universes():
-    # Where the greedy chains strand no start capacity above the minimal
-    # elements, those are the members, and Dinic run on the same flow must
-    # reach the same optimum.
+    # A differential of _flow_optimum, which tries the tree bound first,
+    # against the edges, greedy chains and Dinic.  Where the greedy chains
+    # strand no start capacity above the minimal elements, those are the
+    # members, and Dinic run on the same flow must reach the same optimum.
+    # Where the tree bound closes, the members are the minimal elements too.
     rng = random.Random(1301)
     pool = sieve_primes(400).as_list()
     kinds = (1.01, 1.1, 1.5, 2.0, 3.0, 8.0, "erdos", "arbitrary")
     universes = 0
     took = {True: 0, False: 0}
+    closed = 0
     while universes < 1040:
         primes = sorted(rng.sample(pool[: rng.choice((6, 25, 78))], rng.randint(1, 5)))
         k_lo = rng.randint(1, 3)
@@ -506,15 +547,19 @@ def test_greedy_certificate_matches_dinic_on_seeded_universes():
         took[shortcut] += 1
         cut_members, rest = _residual_optimum(scaled, lower, higher, greedy)
         assert sum(greedy[0]) - rest == optimum_scaled
+        covered = set(higher)
+        minimal = [i for i in range(len(universe)) if i not in covered]
         if shortcut:
-            covered = set(higher)
-            minimal = [i for i in range(len(universe)) if i not in covered]
             assert members == minimal
             assert optimum_scaled == sum(scaled[i] for i in minimal)
         else:
             assert members == cut_members
-    # both paths ran often enough to mean something
+        if _tree_optimum(universe.parents, scaled) is not None:
+            closed += 1
+            assert members == minimal
+    # every path ran often enough to mean something
     assert min(took.values()) >= 50, took
+    assert 50 <= closed <= universes - 50, closed
 
 
 def test_greedy_certificate_picks_the_minimal_elements_on_a_clamped_tie():
@@ -533,21 +578,40 @@ def test_greedy_certificate_picks_the_minimal_elements_on_a_clamped_tie():
 
 def test_dinic_is_built_only_where_the_greedy_falls_short(monkeypatch):
     built = []
+    covered = []
+    chained = []
 
     class CountingDinic(_Dinic):
         def __init__(self, *args, **kwargs):
             built.append(args[0])
             super().__init__(*args, **kwargs)
 
+    covering_edges = oracle.TruncatedUniverse.covering_edges
+
+    def counting_edges(universe):
+        covered.append(len(universe))
+        return covering_edges(universe)
+
+    def counting_chains(*args):
+        chained.append(args[0])
+        return _greedy_chains(*args)
+
     monkeypatch.setattr(oracle, "_Dinic", CountingDinic)
+    monkeypatch.setattr(oracle.TruncatedUniverse, "covering_edges", counting_edges)
+    monkeypatch.setattr(oracle, "_greedy_chains", counting_chains)
     assert verify_tbest(PrimeSet([2, 3, 5]), 1.5, 1, 6, 10**6).holds()
     assert verify_erdos_best(PrimeSet([5, 7, 11, 13]), 1, 4, 10**6).holds()
     # 14,909 of these 14,949 weights clamp to one quantum, and still no network
     assert verify_tbest(PrimeSet([2, 3, 5, 7]), 8.0, 1, 22, 2**62).holds()
+    # the other two certify-large instances of perfbench: wide and deep
+    assert verify_tbest(sieve_primes(1000), 1.5, 2, 3, 10**6).holds()
+    assert verify_tbest(PrimeSet([2, 3, 5, 7]), 1.5, 1, 22, 2**62).holds()
     assert built == []
+    assert covered == [] and chained == []
     report = verify_tbest(sieve_primes(300), 1.02, 1, 2, 300**2)
     assert report.verdict == "fails"
     assert len(built) == 1
+    assert len(covered) == 1 and len(chained) == 1
 
 
 def test_flow_equals_bruteforce_on_exhaustive_grid():

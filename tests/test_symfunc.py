@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from primopt import symfunc
 from primopt.analytic import sigma_t
+from primopt.errors import SizeLimitError
 from primopt.primes import PrimeSet, sieve_primes
 from primopt.symfunc import (
     REL_TOL,
@@ -180,6 +182,14 @@ def test_level_elements_counts_and_membership():
     # 1229 primes: more than the interpreter's recursion limit
     primes = sieve_primes(10**4)
     assert level_elements(primes, 1) == primes.as_list()
+
+
+def test_level_elements_refuses_a_level_past_its_budget(monkeypatch):
+    monkeypatch.setattr(symfunc, "_LEVEL_BUDGET", 10)
+    P = PrimeSet([2, 3, 5])
+    assert len(level_elements(P, 3)) == 10
+    with pytest.raises(SizeLimitError, match="level 4 of 3 primes has 15 elements"):
+        level_elements(P, 4)
 
 
 def test_decomposition_examples():
