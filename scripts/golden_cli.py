@@ -13,15 +13,17 @@ give identical directories:
     python scripts/golden_cli.py /tmp/golden-b /path/to/checkout-b
     diff -r /tmp/golden-a /tmp/golden-b
 
-The 100 lines cover every argument line of tests/test_cli.py, each of the
+The 106 lines cover every argument line of tests/test_cli.py, each of the
 19 subcommands, the three certify-large ``verify-tbest`` instances of
 perfbench, ``suite`` at seeds 0 and 1 with and without ``--quick``, one
 clamped tie at t = 8 through ``verify-tbest`` and ``oracle``, where the
 optimum has more than one member set, t whose n^-t weights underflow to 0
 in every command that weighs by n^-t, an infinite Brun bound, the
 three twin-scan commands at a limit past the sieve's first wheel segment
-(whose last value is 6 * 2^19 + 1 = 3,145,729), two sieves past the
-sieve budget and one level past the level budget, refused with exit 4.
+(whose last value is 6 * 2^19 + 1 = 3,145,729) and again past the twin
+kernel's first one-mask segment (6 * 2^20 + 1 = 6,291,457), two sieves past
+the sieve budget, one level past the level budget and three kmax lines past
+the h_all budget, refused with exit 4.
 """
 
 from __future__ import annotations
@@ -135,6 +137,14 @@ LINES = [
     ["twin", "--below", "100000000000"],
     # C(1234, 6) products: refused before any is formed
     ["decompose", "--primes-below", "10000", "--ell", "6", "--s", "64"],
+    # every twin scan across the twin kernel's first segment boundary
+    ["twin", "--below", "6300000"],
+    ["brun", "--limit", "6300000"],
+    ["corollary", "--brun-bound", "2.0959621", "--with-three", "--limit", "6300000"],
+    # kmax * max(1, weights) past the h_all budget: refused before the row exists
+    ["hk", *PRIMES, "--kmax", "100000000"],
+    ["chain", *PRIMES, "--kmax", "10000000"],
+    ["schur", "--weights", "0.5,0.25", "--kmax", "100000000"],
 ]
 
 _RUNTIME = re.compile(r'("runtime_ms": |runtime: )\d+')

@@ -213,7 +213,7 @@ def _cmd_twin(args):
         f"twin primes up to {args.below}",
         HOLDS,
         count=len(twins),
-        members=twins.as_list()[:1000],
+        members=twins.as_array()[:1000].tolist(),
     )
 
 

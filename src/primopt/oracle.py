@@ -671,35 +671,41 @@ def max_weight_antichain_bruteforce(
     values = [universe.elements[i] for i in order]
     weights = [weights[i] for i in order]
 
+    # the values are distinct, so only the smaller of a pair can divide
     incompatible = [0] * count
     for a in range(count):
-        for b in range(count):
-            if a != b and (values[a] % values[b] == 0 or values[b] % values[a] == 0):
+        x = values[a]
+        for b in range(a + 1, count):
+            y = values[b]
+            if (y % x if x < y else x % y) == 0:
                 incompatible[a] |= 1 << b
+                incompatible[b] |= 1 << a
 
     suffix = [0.0] * (count + 1)
     for i in range(count - 1, -1, -1):
         suffix[i] = suffix[i + 1] + weights[i]
 
-    # Depth-first over (next index, chosen, blocked, weight so far): element
-    # i is taken before it is left out, so the inclusion branch goes on the
-    # stack last.  A branch is pruned when it is popped, against the best
-    # weight found by then.
+    # Depth-first over (free, chosen, weight so far), where free holds the
+    # undecided indices that nothing chosen blocks.  Each node branches on
+    # its lowest free index i, taking it before leaving it out, so the
+    # inclusion branch goes on the stack last.  A branch is pruned when it
+    # is popped, against the best weight found by then.
     best_weight = -1.0
     best_set = 0
-    stack = [(0, 0, 0, 0.0)]
+    stack = [((1 << count) - 1, 0, 0.0)]
     while stack:
-        i, chosen, blocked, acc = stack.pop()
-        if acc + suffix[i] <= best_weight:
-            continue
-        if i == count:
+        free, chosen, acc = stack.pop()
+        if not free:
             if acc > best_weight:
                 best_weight = acc
                 best_set = chosen
             continue
-        stack.append((i + 1, chosen, blocked, acc))
-        if not (blocked >> i) & 1:
-            stack.append((i + 1, chosen | (1 << i), blocked | incompatible[i], acc + weights[i]))
+        i = (free & -free).bit_length() - 1
+        if acc + suffix[i] <= best_weight:
+            continue
+        rest = free & (free - 1)
+        stack.append((rest, chosen, acc))
+        stack.append((rest & ~incompatible[i], chosen | (1 << i), acc + weights[i]))
     members = sorted(values[i] for i in range(count) if (best_set >> i) & 1)
     return Antichain(tuple(members)), best_weight
 

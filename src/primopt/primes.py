@@ -3,8 +3,9 @@
 Everything here is exact integer arithmetic.  The sieve is a segmented
 Eratosthenes on the mod-6 wheel: every prime p >= 5 is 6n - 1 or 6n + 1, so
 a segment is two numpy bool masks over n, one per residue, and limits up to
-1e9 stay within a few MB of working memory.  The prime list and the twin
-pairs are both read from those masks; the twin scan never builds the list.
+1e9 stay within a few MB of working memory.  The prime list is read from
+those two masks.  The twin scan crosses both residues off one mask, so an n
+left standing is a pair (6n - 1, 6n + 1); it never builds the prime list.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from .errors import SizeLimitError
 
 # Wheel indices n per sieve segment: two bool masks of 2^19 bytes (1 MB, so
 # both fit in a 2 MB L2 cache), covering the 6n +- 1 values from 6 n0 - 1
-# to 6 (n0 + 2^19) - 5.
+# to 6 (n0 + 2^19) - 5.  The twin scan's one mask spans 2^20 indices in the
+# same 1 MB, so its first segment ends at 6 * 2^20 + 1 = 6,291,457.
 _SEGMENT_N = 1 << 19
 
 # Fixed witness set: deterministic Miller-Rabin for all n < 3.3e24,
@@ -27,9 +29,10 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 MAX_ELEMENT = (1 << 63) - 1
 
-# Largest limit any sieve runs to.  On 2 vCPUs the wheel segments to 1e9
-# take 2.5 s (0.14 s to 1e8), and sieve_primes(1e9) returns 50.8 million
-# primes, 407 MB as int64; 1e10 would take about 25 s and 3.6 GB.
+# Largest limit any sieve runs to.  On 2 vCPUs the two-mask wheel segments
+# to 1e9 take 2.6 s (0.17 s to 1e8) and the one-mask twin segments 1.7 s
+# (0.11 s to 1e8); sieve_primes(1e9) returns 50.8 million primes, 407 MB as
+# int64, and 1e10 would take about 25 s and 3.6 GB.
 _SIEVE_BUDGET = 10**9
 
 
@@ -92,13 +95,13 @@ class PrimeSet:
         return self._values
 
     def as_list(self) -> list[int]:
-        return [int(v) for v in self._values]
+        return self._values.tolist()
 
     def __len__(self) -> int:
         return int(self._values.size)
 
     def __iter__(self) -> Iterator[int]:
-        return (int(v) for v in self._values)
+        return iter(self._values.tolist())
 
     def __contains__(self, n: int) -> bool:
         if self._member_set is None:
@@ -141,7 +144,9 @@ def _simple_sieve(limit: int) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int64)
 
 
-def _wheel_segments(limit: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+def _wheel_segments(
+    limit: int, twin: bool = False
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Primality of every 6n - 1 and 6n + 1 up to limit, one segment at a time.
 
     Yields ``(n0, minus, plus)`` per segment: ``minus[i]`` says whether
@@ -149,6 +154,11 @@ def _wheel_segments(limit: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     n0 + i = 1, 2, ... up to the last n with 6n - 1 <= limit.  Values above
     limit read False.  Every prime p >= 5 crosses off one residue class of n
     (stride p) in each mask, from its first multiple at or above p * p.
+
+    With ``twin``, ``plus`` is the same array as ``minus``: both classes are
+    crossed off one mask, whose entry i then says whether 6(n0 + i) - 1 and
+    6(n0 + i) + 1 are both prime.  One such mask takes the cache of the two,
+    so a twin segment holds 2 * ``_SEGMENT_N`` indices.
     """
     n_top = (limit + 1) // 6
     if n_top < 1:
@@ -161,10 +171,11 @@ def _wheel_segments(limit: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     first_minus = np.array(
         [(p * (p + 4 if p % 6 == 1 else p + 2) + 1) // 6 for p in base], dtype=np.int64
     )
-    for n0 in range(1, n_top + 1, _SEGMENT_N):
-        count = min(_SEGMENT_N, n_top + 1 - n0)
+    span = 2 * _SEGMENT_N if twin else _SEGMENT_N
+    for n0 in range(1, n_top + 1, span):
+        count = min(span, n_top + 1 - n0)
         minus = np.ones(count, dtype=bool)
-        plus = np.ones(count, dtype=bool)
+        plus = minus if twin else np.ones(count, dtype=bool)
         at_minus = np.where(first_minus >= n0, first_minus - n0, (first_minus - n0) % stride)
         at_plus = np.where(first_plus >= n0, first_plus - n0, (first_plus - n0) % stride)
         for p, a, b in zip(base, at_minus.tolist(), at_plus.tolist()):
@@ -211,15 +222,15 @@ def _twin_lower_members(limit: int) -> np.ndarray:
     """Lower members p <= limit of twin pairs (p, p+2), ascending.
 
     Past (3, 5) every pair is (6n - 1, 6n + 1), so the pairs are the n where
-    both wheel masks of a sieve to limit + 2 read True.
+    the one twin mask of a wheel sieve to limit + 2 reads True.
     """
     if limit > MAX_ELEMENT - 2:
         # refused before any mask is allocated
         raise ValueError(f"twin limit must be <= {MAX_ELEMENT - 2}: the scan sieves to limit + 2")
     _check_sieve_budget(limit + 2)
     chunks = [np.array([3] if limit >= 3 else [], dtype=np.int64)]
-    for n0, minus, plus in _wheel_segments(limit + 2):
-        chunks.append(6 * (n0 + np.flatnonzero(minus & plus)) - 1)
+    for n0, both, _ in _wheel_segments(limit + 2, twin=True):
+        chunks.append(6 * (n0 + np.flatnonzero(both)) - 1)
     return np.concatenate(chunks)
 
 

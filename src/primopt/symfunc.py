@@ -29,6 +29,12 @@ REL_TOL = 1e-12
 # 0.98 s and 84 MB, 4.4 million (100 primes, k = 4) 3.7 s and 266 MB.
 _LEVEL_BUDGET = 10**6
 
+# Most DP steps, kmax * max(1, weights), h_all takes.  On 2 vCPUs a float
+# step takes 130-240 ns and the row 32 bytes per entry: 10^7 steps took
+# 1.3 s over 168 weights and 2.4 s over one, and a row of kmax = 10^6 held
+# 32 MB.  The budget keeps a call near one second and its row near 160 MB.
+_H_ALL_BUDGET = 5 * 10**6
+
 
 def _check_weights(xs: Sequence[Number]) -> None:
     for x in xs:
@@ -63,10 +69,17 @@ def h_all(xs: Sequence[Number], kmax: int) -> list[Number]:
 
     Rolling-row DP over variables: after processing i variables the row
     holds the sums restricted to those variables.  O(m * kmax) time,
-    O(kmax) memory.  Works on floats and Fractions alike.
+    O(kmax) memory.  Works on floats and Fractions alike.  Past
+    ``_H_ALL_BUDGET`` steps the sums are refused before the row exists.
     """
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
+    steps = kmax * max(1, len(xs))
+    if steps > _H_ALL_BUDGET:
+        raise SizeLimitError(
+            f"h_0..h_{kmax} over {len(xs)} weights takes {steps} steps, "
+            f"past the h_all budget of {_H_ALL_BUDGET}"
+        )
     row: list[Number] = [1] + [0] * kmax
     for x in xs:
         for k in range(1, kmax + 1):

@@ -322,6 +322,18 @@ def test_oversized_level_exits_4_before_enumerating(capsys):
     assert "past the level budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["hk", "--primes", "2,3", "--kmax", "100000000"],
+    ["chain", "--primes", "2,3", "--kmax", "10000000"],
+    ["schur", "--weights", "0.5,0.25", "--kmax", "100000000"],
+])
+def test_oversized_kmax_exits_4_before_allocating(capsys, argv):
+    started = time.monotonic()
+    assert main(argv) == 4
+    assert time.monotonic() - started < 1.0
+    assert "past the h_all budget" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("message,shown", [
     ("Unable to allocate 745. GiB for an array", "Unable to allocate 745. GiB for an array"),
     ("", "out of memory"),

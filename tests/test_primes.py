@@ -75,6 +75,23 @@ def test_wheel_across_its_first_segment_boundary():
     ]
 
 
+def test_twin_kernel_across_its_first_segment_boundary():
+    # the one-mask twin scan's first segment holds n = 1 .. 2 * _SEGMENT_N,
+    # whose last pair is (6,291,455, 6,291,457)
+    last = 6 * 2 * _SEGMENT_N + 1
+    assert last == 6_291_457
+    window = range(last - 600, last + 601)
+    expected = [n for n in window if is_prime(n) and is_prime(n + 2)]
+    for limit in (last - 2, last, last + 600):
+        lower = twin_pair_lower_members(limit)
+        assert lower[lower >= window[0]].tolist() == [n for n in expected if n <= limit]
+        twins = twin_primes(limit).as_array()
+        assert twins[twins >= window[0]].tolist() == [
+            n for n in window
+            if n <= limit and is_prime(n) and (is_prime(n - 2) or is_prime(n + 2))
+        ]
+
+
 def test_counts_at_ten_million():
     assert len(sieve_primes(10**7)) == 664_579
     assert len(twin_pair_lower_members(10**7)) == 58_980

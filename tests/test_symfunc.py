@@ -192,6 +192,16 @@ def test_level_elements_refuses_a_level_past_its_budget(monkeypatch):
         level_elements(P, 4)
 
 
+def test_h_all_refuses_sums_past_its_budget(monkeypatch):
+    monkeypatch.setattr(symfunc, "_H_ALL_BUDGET", 10)
+    assert h_all([0.5, 0.25], 5)[5] == pytest.approx(sum(0.5**i * 0.25 ** (5 - i) for i in range(6)))
+    assert h_all([], 10) == [1] + [0] * 10
+    with pytest.raises(SizeLimitError, match="h_0..h_6 over 2 weights takes 12 steps"):
+        h_all([0.5, 0.25], 6)
+    with pytest.raises(SizeLimitError, match="past the h_all budget of 10"):
+        h_all([], 11)
+
+
 def test_decomposition_examples():
     assert decomposition_partition_check(PrimeSet([2, 3]), 2, 6)
     assert decomposition_partition_check(PrimeSet([2]), 3, 8)

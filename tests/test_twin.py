@@ -152,9 +152,9 @@ def test_full_twin_square_enclosure_consistent_with_published_bracket():
 def test_twin_with_three_row_sieves_once(monkeypatch):
     scans = []
 
-    def counting_wheel(limit):
+    def counting_wheel(limit, *args, **kwargs):
         scans.append(limit)
-        return wheel(limit)
+        return wheel(limit, *args, **kwargs)
 
     wheel = primes._wheel_segments
     monkeypatch.setattr(primes, "_wheel_segments", counting_wheel)
