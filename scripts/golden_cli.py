@@ -13,7 +13,7 @@ give identical directories:
     python scripts/golden_cli.py /tmp/golden-b /path/to/checkout-b
     diff -r /tmp/golden-a /tmp/golden-b
 
-The 106 lines cover every argument line of tests/test_cli.py, each of the
+The 111 lines cover every argument line of tests/test_cli.py, each of the
 19 subcommands, the three certify-large ``verify-tbest`` instances of
 perfbench, ``suite`` at seeds 0 and 1 with and without ``--quick``, one
 clamped tie at t = 8 through ``verify-tbest`` and ``oracle``, where the
@@ -22,8 +22,11 @@ in every command that weighs by n^-t, an infinite Brun bound, the
 three twin-scan commands at a limit past the sieve's first wheel segment
 (whose last value is 6 * 2^19 + 1 = 3,145,729) and again past the twin
 kernel's first one-mask segment (6 * 2^20 + 1 = 6,291,457), two sieves past
-the sieve budget, one level past the level budget and three kmax lines past
-the h_all budget, refused with exit 4.
+the sieve budget, one level past the level budget, three kmax lines past
+the h_all budget and two exact ``hk`` lines past the digit budget, refused
+with exit 4, and three certifications on which the tree bound stays open,
+so that Dinic runs: one where the roots are still optimal, and one through
+both ``verify-tbest`` and ``oracle`` where they are not.
 """
 
 from __future__ import annotations
@@ -145,6 +148,16 @@ LINES = [
     ["hk", *PRIMES, "--kmax", "100000000"],
     ["chain", *PRIMES, "--kmax", "10000000"],
     ["schur", "--weights", "0.5,0.25", "--kmax", "100000000"],
+    # exact sums whose digits pass Python's int-to-string limit: refused
+    # before the DP and before the weights
+    ["hk", *PRIMES, "--t", "1", "--kmax", "6000", "--exact"],
+    ["hk", *PRIMES, "--t", "1000000", "--kmax", "1", "--exact"],
+    # the tree bound stays open: Dinic runs, and its optimum is the roots
+    ["verify-tbest", "--primes-below", "1000", "--t", "1.2", "--k", "1",
+     "--max-omega", "2", "--max-value", "100000"],
+    # the tree bound stays open and the optimum is Dinic's cut
+    *([*argv, "--primes-below", "300", "--t", "1.02", "--max-omega", "2",
+       "--max-value", "90000"] for argv in (["verify-tbest", "--k", "1"], ["oracle", "--k-lo", "1"])),
 ]
 
 _RUNTIME = re.compile(r'("runtime_ms": |runtime: )\d+')

@@ -20,7 +20,7 @@ from .analytic import (
     sigma_t,
     tau_root,
 )
-from .erdos import dominance_transfer_check, erdos_sum, integral_bridge_check
+from .erdos import erdos_sum, integral_bridge_check
 from .errors import PrecisionError, SizeLimitError
 from .oracle import (
     Antichain,
@@ -31,7 +31,6 @@ from .oracle import (
     max_weight_antichain_bruteforce,
     max_weight_antichain_flow,
     verify_erdos_best,
-    verify_gcd_block_reduction,
     verify_tbest,
 )
 from .primes import PrimeSet, is_prime, omega, sieve_primes, twin_primes
@@ -74,7 +73,6 @@ __all__ = [
     "condition_rhs",
     "corollary_check",
     "decomposition_partition_check",
-    "dominance_transfer_check",
     "erdos_sum",
     "h_all",
     "integral_bridge_check",
@@ -98,7 +96,6 @@ __all__ = [
     "twin_reciprocal_bound",
     "twin_square_bound",
     "verify_erdos_best",
-    "verify_gcd_block_reduction",
     "verify_tbest",
 ]
 

@@ -109,7 +109,7 @@ def _cmd_check_condition(args):
 def _cmd_hk(args):
     prime_set = _prime_set(args)
     if args.exact:
-        xs = symfunc.exact_weights_from_primes(prime_set, args.t)
+        xs = symfunc.exact_weights_from_primes(prime_set, args.t, args.kmax)
     else:
         xs = symfunc.power_weights(prime_set, args.t)
     h = symfunc.h_all(xs, args.kmax)

@@ -71,25 +71,3 @@ def integral_bridge_check(members: Sequence[int], quad_tolerance: float = 1e-6) 
     integral = _adaptive_simpson(power_sum, 1.0, _SPLIT_POINT, quad_tolerance / 4.0)
     tail = math.fsum(x ** (-_SPLIT_POINT) / math.log(x) for x in floats)
     return abs(integral + tail - erdos_sum(values))
-
-
-def dominance_transfer_check(
-    set_a: Sequence[int],
-    set_b: Sequence[int],
-    grid_points: int = 200,
-    quad_tolerance: float = 1e-6,
-) -> bool:
-    """If the power-weight sum of A stays at or below that of B across a
-    grid on (1, 50] and termwise at the tail, the reciprocal-log sum of A
-    cannot exceed that of B beyond quadrature noise."""
-    a = sorted(set(int(n) for n in set_a))
-    b = sorted(set(int(n) for n in set_b))
-    for i in range(grid_points):
-        t = 1.0 + (_SPLIT_POINT - 1.0) * (i + 1) / grid_points
-        if math.fsum(float(n) ** (-t) for n in a) > math.fsum(
-            float(n) ** (-t) for n in b
-        ):
-            return False
-    if min(a) < min(b):
-        return False  # the smallest element dominates the tail integrand
-    return erdos_sum(a) <= erdos_sum(b) + 2.0 * quad_tolerance

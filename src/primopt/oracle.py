@@ -12,13 +12,14 @@ max_value // v, so each multiset of primes appears once and no product
 passes the cap; the value a row extends is its parent in the tree below.
 The edges come the same way: element n at Omega below the cap covers
 n * p for exactly the primes p <= max_value // n, and each n * p is found
-by a search of the sorted elements.  Both run as numpy
-columns (a ragged repeat per level, one searchsorted for all edges) from
-``_COLUMNS_FROM`` elements on, and as the same loops over Python lists
-below it, where numpy's per-call overhead would cost more than the loops.
-No level may pass ``max_elements``: the column path sizes each level
-before it allocates it, and the list path's levels, which hold fewer than
-``_COLUMNS_FROM`` rows, are checked once built.
+by a search of the sorted elements.  The edges are numpy columns (a ragged
+repeat, one searchsorted for all of them).  The levels are numpy columns
+too (a ragged repeat per level) from ``_COLUMNS_FROM`` elements on, and
+the same loops over Python lists below it, where numpy's per-call overhead
+would cost more than the loops.  No level may pass ``max_elements``: the
+column path sizes each level before it allocates it, and the list path's
+levels, which hold fewer than ``_COLUMNS_FROM`` rows, are checked once
+built.
 
 The optimizer first tries a bound from Erdos's tree.  Every element above
 level k_lo has the parent n / P(n), P(n) its largest prime, which is itself
@@ -43,18 +44,15 @@ once, so every feasible flow is worth at least every antichain's weight: a
 flow and an antichain of equal value are both optimal, and the minimum flow
 equals the maximum antichain weight.
 
-The flow starts as a greedy one, which joins each element's own path from
-source to sink onto a divisor's, along a chain of lower covers, so that one
-unit of flow meets both lower bounds.  The minimal elements form an
-antichain and keep their whole start capacity, so when no other element
-keeps any, the flow's value sum(start_left) is their weight and both are
-optimal, with no network built.  Otherwise one max-flow from sink to source
-over the residual network cancels ``rest`` more units, the minimum flow is
-sum(start_left) - rest, and the optimal antichain is the split arcs
-crossing the final reachability cut.  The set reachable from the
-max-flow's source in the final residual graph is the same for every maximum
-flow, so those members do not depend on the order of the arcs or on the
-flow the search starts from.
+The flow starts as each element's own path source -> v_in -> v_out ->
+sink carrying w(v), which meets every lower bound and is worth the total
+weight.  One max-flow from sink to source over its residual network
+cancels ``rest`` units, the minimum flow is the total weight minus
+``rest``, and the optimal antichain is the split arcs crossing the final
+reachability cut.  The set reachable from the max-flow's source in the
+final residual graph is the same for every maximum flow, so those members
+do not depend on the order of the arcs.  When the roots weigh as much as
+that cut, the roots are returned instead, as the tree bound returns them.
 
 The max-flow is Dinic's algorithm with an iterative blocking-flow search
 (no step recurses), over arc ends paired as e and e ^ 1 and grouped by
@@ -68,9 +66,8 @@ the returned members; verdict tolerances absorb the scaling quantum.
 An optimum is checked to be an antichain before it is returned.  When its
 members share one Omega the check is free: if a | b with a != b in the
 semigroup, b / a is a product of at least one prime, so Omega(b) >
-Omega(a), and no two members of one level divide each other.  Every
-tree-bound or greedy-shortcut optimum of a certification is one level.
-Otherwise the members go through ``is_primitive``.
+Omega(a), and no two members of one level divide each other.  The roots
+are one level; other members go through ``is_primitive``.
 """
 
 from __future__ import annotations
@@ -83,23 +80,21 @@ import numpy as np
 
 from .analytic import HOLDS, FAILS, ConditionVerdict, check_condition
 from .errors import SizeLimitError
-from .primes import MAX_ELEMENT, PrimeSet, omega
-from .symfunc import gcd_blocks, h_all, level_elements, power_weights, sigma_nk
+from .primes import MAX_ELEMENT, PrimeSet
+from .symfunc import h_all, power_weights, sigma_nk
 
 DEFAULT_MAX_ELEMENTS = 200_000
 _BRUTE_FORCE_CAP = 40
 _WEIGHT_SCALE = 1 << 50
 _TIE_TOL = 1e-9
-# Size from which the universe (by its bound on the element count, see
-# build_universe) and its edges (by the element count) are built as numpy
-# columns rather than Python lists.  Per call, on 460 universes of 1 to
-# 2,000 elements (2 vCPUs, Python 3.11, numpy 2.4): the list build won
-# below a bound of 300 (161 against 173 us at bounds 200-299), the column
-# build from there (231 against 189 us at 300-499, 1515 against 385 us
-# past 5,000); the column edges won from about 50 elements (19 against
-# 27 us below 50, 112 against 44 us at 50-99).  The one constant sits at
-# the build's crossover, so no build below it pays numpy's per-level
-# overhead; edges of 50 to 299 elements stay on the slower list path.
+# Bound on the element count (see build_universe) from which the universe
+# is built as numpy columns rather than Python lists.  Per call, on 460
+# universes of 1 to 2,000 elements (2 vCPUs, Python 3.11, numpy 2.4): the
+# list build won below a bound of 300 (161 against 173 us at bounds
+# 200-299), the column build from there (231 against 189 us at 300-499,
+# 1515 against 385 us past 5,000).  Covering edges are always columns; below
+# 50 elements that costs about 8 us per call over a list loop, paid only
+# where the tree bound stays open.
 _COLUMNS_FROM = 300
 
 
@@ -153,31 +148,17 @@ class TruncatedUniverse:
 
         Every n * p <= max_value of an element below the Omega cap is itself
         a member, so each element pairs with exactly the primes up to
-        max_value // n, and elements at the cap have no covers.  From
-        ``_COLUMNS_FROM`` elements on, the pairs are one ragged repeat of the
-        element indices and one searchsorted of the products.
+        max_value // n, and elements at the cap have no covers.  The pairs
+        are one ragged repeat of the element indices and one searchsorted of
+        the products.
         """
-        if len(self) >= _COLUMNS_FROM:
-            primes = self.prime_set.as_array()
-            values = np.array(self.elements, dtype=np.int64)
-            counts = np.searchsorted(primes, self.max_value // values, "right")
-            counts[np.array(self.omegas) == self.max_omega] = 0
-            lower, position = _ragged(counts, 0)
-            higher = np.searchsorted(values, values[lower] * primes[position])
-            return CoveringEdges(lower.tolist(), higher.tolist())
-        idx = {n: i for i, n in enumerate(self.elements)}
-        primes = self.prime_set.as_list()
-        lower: list[int] = []
-        higher: list[int] = []
-        for i, (n, om) in enumerate(zip(self.elements, self.omegas)):
-            if om < self.max_omega:
-                cap = self.max_value // n
-                for p in primes:
-                    if p > cap:
-                        break
-                    lower.append(i)
-                    higher.append(idx[n * p])
-        return CoveringEdges(lower, higher)
+        primes = self.prime_set.as_array()
+        values = np.array(self.elements, dtype=np.int64)
+        counts = np.searchsorted(primes, self.max_value // values, "right")
+        counts[np.array(self.omegas) == self.max_omega] = 0
+        lower, position = _ragged(counts, 0)
+        higher = np.searchsorted(values, values[lower] * primes[position])
+        return CoveringEdges(lower.tolist(), higher.tolist())
 
 
 def _check_level_size(size: int, max_elements: int) -> None:
@@ -380,14 +361,12 @@ class _Dinic:
 
     The arcs (tails[a] -> heads[a], caps[a]) are given at once.  Arc a has
     two ends: end 2a leaves tails[a] for to[2a] = heads[a] with residual
-    capacity cap[2a], and end 2a + 1 runs back with cap[2a + 1] = ``back[a]``
-    (0 without ``back``), so the partner of end e is e ^ 1.  The ends leaving
-    node u are order[start[u]:start[u+1]], in arc order.  An initial flow is
-    loaded by passing its residual as ``caps`` and the flow itself as
-    ``back``, and ``max_flow`` then returns only what is left to push.
-    ``start``, ``order`` and ``to`` are memoryviews of int64 arrays, which
-    index to Python ints without a copy; ``cap`` is a list of Python ints, so
-    capacities of any size stay exact.
+    capacity cap[2a], and end 2a + 1 runs back with cap[2a + 1] = 0, so the
+    partner of end e is e ^ 1.  The ends leaving node u are
+    order[start[u]:start[u+1]], in arc order.  ``start``, ``order`` and
+    ``to`` are memoryviews of int64 arrays, which index to Python ints
+    without a copy; ``cap`` is a list of Python ints, so capacities of any
+    size stay exact.
 
     Each phase builds BFS levels and then a blocking flow by an iterative DFS
     with current-arc pointers; a node found to be a dead end leaves the level
@@ -395,14 +374,7 @@ class _Dinic:
     memory, not by the interpreter stack.
     """
 
-    def __init__(
-        self,
-        n: int,
-        tails: list[int],
-        heads: list[int],
-        caps: list[int],
-        back: Optional[list[int]] = None,
-    ):
+    def __init__(self, n: int, tails: list[int], heads: list[int], caps: list[int]):
         ends = np.empty((len(tails), 2), dtype=np.int64)  # ravel()[e]: the node e leaves
         ends[:, 0] = tails
         ends[:, 1] = heads
@@ -412,8 +384,6 @@ class _Dinic:
         del ends  # freed before cap is built, which lowers the peak memory
         self.cap = [0] * (2 * len(tails))
         self.cap[0::2] = caps
-        if back is not None:
-            self.cap[1::2] = back
 
     def max_flow(self, source: int, sink: int) -> tuple[int, list[int]]:
         """The maximum flow value, and the BFS levels of the final residual
@@ -489,69 +459,6 @@ def _scaled_weights(weights: list[float]) -> list[int]:
     return scaled.astype(np.int64).tolist()
 
 
-def _greedy_chains(
-    count: int, lower: list[int], higher: list[int], scaled: list[int]
-) -> tuple[list[int], list[int], list[int], list[int], int]:
-    """A feasible flow of the reduction network, built from divisor chains,
-    for the universes whose tree bound (``_tree_optimum``) does not close.
-
-    Elements are visited in ascending order.  Element j still holding start
-    capacity walks down its lower covers (edge k runs lower[k] -> higher[k])
-    to a divisor a still holding end capacity, and min(left_j, left_a) goes
-    along that chain: both cancel arcs, the poset arcs of the chain and the
-    split arcs of the nodes strictly between.  Each node keeps one pointer
-    over its lower covers that only moves past dead ones, a node being dead
-    once its end is spent and its lower covers are dead; capacities only
-    fall, so a dead node stays dead and the pass costs O(E + pushes * depth).
-
-    Returns the start and end residuals, the flow on the split and the
-    poset arcs, and how many elements with a lower cover keep start
-    capacity (0 when only the minimal elements do).
-    """
-    low_start, by_head = _rows(higher, count)
-    pointer = low_start.tolist()[:-1]
-
-    start_left = scaled[:]
-    end_left = scaled[:]
-    split = [0] * count
-    poset = [0] * len(higher)
-    stranded = 0
-    for j in range(count):
-        need = start_left[j]
-        path: list[int] = []  # edges from j down to x
-        x = j
-        while True:
-            e = pointer[x]
-            if e == low_start[x + 1]:
-                if not path:
-                    break
-                # x is dead: back up and skip it for good
-                x = higher[path.pop()]
-                pointer[x] += 1
-                continue
-            k = by_head[e]
-            a = lower[k]
-            if end_left[a]:
-                amount = min(need, end_left[a])
-                need -= amount
-                end_left[a] -= amount
-                poset[k] += amount
-                for k2 in path:
-                    poset[k2] += amount
-                    split[lower[k2]] += amount
-                if not need:
-                    break
-            elif pointer[a] < low_start[a + 1]:
-                path.append(k)
-                x = a
-            else:
-                pointer[x] += 1
-        start_left[j] = need
-        if need and low_start[j] < low_start[j + 1]:
-            stranded += 1
-    return start_left, end_left, split, poset, stranded
-
-
 def _tree_optimum(parents: tuple[int, ...], scaled: list[int]) -> Optional[list[int]]:
     """The indices of the roots (level k_lo) when the largest-prime-factor
     forest proves them a maximum-weight antichain, else None.
@@ -574,35 +481,30 @@ def _tree_optimum(parents: tuple[int, ...], scaled: list[int]) -> Optional[list[
 def _flow_optimum(universe: TruncatedUniverse, scaled: list[int]) -> tuple[list[int], int]:
     """A maximum-weight antichain under the integer weights ``scaled``,
     aligned with ``universe.elements``: its member indices, ascending, and
-    its weight."""
-    count = len(universe)
-    if count == 0:
+    its weight.  An optimum that the roots (level k_lo) reach is the roots."""
+    if len(universe) == 0:
         raise ValueError("universe is empty")
     roots = _tree_optimum(universe.parents, scaled)
-    if roots is not None:
-        return roots, sum(scaled[r] for r in roots)
-    edges = universe.covering_edges()
-    lower, higher = edges.lower, edges.higher
-    greedy = _greedy_chains(count, lower, higher, scaled)
-    start_left = greedy[0]
-    if greedy[-1]:
-        members, rest = _residual_optimum(scaled, lower, higher, greedy)
-    else:
-        members, rest = [i for i, left in enumerate(start_left) if left], 0
-    return members, sum(start_left) - rest
+    if roots is None:
+        edges = universe.covering_edges()
+        members, rest = _residual_optimum(scaled, edges.lower, edges.higher)
+        optimum = sum(scaled) - rest
+        roots = [r for r, parent in enumerate(universe.parents) if parent < 0]
+        if optimum != sum(scaled[r] for r in roots):
+            return members, optimum
+    return roots, sum(scaled[r] for r in roots)
 
 
 def _residual_optimum(
-    scaled: list[int], lower: list[int], higher: list[int], greedy: tuple
+    scaled: list[int], lower: list[int], higher: list[int]
 ) -> tuple[list[int], int]:
-    """Finish the flow of ``_greedy_chains`` with Dinic: the member indices
-    of a maximum-weight antichain, ascending, and the flow cancelled."""
+    """One max-flow from the flow that runs each element's own path: the
+    member indices of a maximum-weight antichain, ascending, and the flow
+    cancelled."""
     count = len(scaled)
-    start_left, end_left, split, poset, _ = greedy
-    # Exceeds any flow, so an unbounded arc never saturates.  It stays the
-    # forward residual of every such arc whatever the greedy put on it: only
-    # whether a residual is positive matters, and one shared object costs no
-    # memory per arc.
+    # Exceeds any flow, so an unbounded arc never saturates: only whether a
+    # residual is positive matters, and one shared object costs no memory
+    # per arc.
     infinite = sum(scaled) + 1
 
     source, sink = 0, 1
@@ -610,24 +512,18 @@ def _residual_optimum(
     node_out = list(range(3, 3 + 2 * count, 2))
 
     # Reduction network: max-flow from sink to source through the residual
-    # of the feasible flow.  Backward (flow-cancelling) arcs carry the
-    # feasible flow minus the lower bound; forward arcs are unbounded.  The
+    # of the start flow, which carries w(v) along source -> v_in -> v_out ->
+    # sink.  That flow can be cancelled by w(v) on the source and sink arcs,
+    # and by nothing on the split arcs (their flow is the lower bound) or
+    # the poset arcs (no flow), so every arc's reverse end starts at 0.  The
     # unbounded arcs out of the source and into the sink are left out: no
     # augmenting path from the sink uses them, and they add nothing to the
     # set reachable from the sink.  Arc groups: cancel s -> v_in, cancel
     # v_out -> t, raise the split arc, raise each poset arc.
     tails = node_in + [sink] * count + node_in + [node_out[i] for i in lower]
     heads = [source] * count + node_out + node_out + [node_in[j] for j in higher]
-    caps = start_left + end_left + [infinite] * (count + len(lower))
-    back = (
-        [w - left for w, left in zip(scaled, start_left)]
-        + [w - left for w, left in zip(scaled, end_left)]
-        + split
-        + poset
-    )
-    dinic = _Dinic(2 + 2 * count, tails, heads, caps, back)
-
-    rest, level = dinic.max_flow(sink, source)
+    caps = scaled + scaled + [infinite] * (count + len(lower))
+    rest, level = _Dinic(2 + 2 * count, tails, heads, caps).max_flow(sink, source)
     members = [
         i
         for i, (v_in, v_out) in enumerate(zip(node_in, node_out))
@@ -881,46 +777,3 @@ def verify_erdos_best(
         condition=condition,
         claim=f"level {k} is reciprocal-log-best over the truncation",
     )
-
-
-def verify_gcd_block_reduction(
-    prime_set: PrimeSet, t: float, k: int, antichain: Antichain
-) -> bool:
-    """Numerical check of the gcd-block reduction identity for a primitive
-    subset of the Omega >= k universe.
-
-    With s a member of minimal Omega (= ell) and blocks S_d = (1/d) * {n in S :
-    gcd(n, s) = d}, the difference of level-ell and subset weights must equal
-    sum over d | s of d^-t * (level-weight of the reduced alphabet minus the
-    block weight), and the d = s block must be exactly {1}.
-    """
-    members = antichain.members
-    oms = []
-    for n in members:
-        om = omega(n, prime_set)
-        if om is None:
-            raise ValueError(f"{n} is not in the semigroup of {prime_set}")
-        if om < k:
-            raise ValueError(f"{n} has Omega < {k}")
-        oms.append(om)
-    ell = min(oms)
-    s = min(n for n, om in zip(members, oms) if om == ell)
-
-    level = level_elements(prime_set, ell)
-    lhs = math.fsum(float(n) ** (-t) for n in level) - math.fsum(
-        float(n) ** (-t) for n in members
-    )
-
-    rhs = 0.0
-    seen = 0
-    for d, q_d, om_d in gcd_blocks(prime_set, s):
-        block = sorted(n // d for n in members if math.gcd(n, s) == d)
-        seen += len(block)
-        if d == s and block != [1]:
-            return False
-        level_weight = float(sigma_nk(q_d, t, ell - om_d))
-        block_weight = math.fsum(float(m) ** (-t) for m in block)
-        rhs += float(d) ** (-t) * (level_weight - block_weight)
-    if seen != len(members):
-        return False
-    return abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs), abs(rhs))

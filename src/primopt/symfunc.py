@@ -35,6 +35,12 @@ _LEVEL_BUDGET = 10**6
 # 32 MB.  The budget keeps a call near one second and its row near 160 MB.
 _H_ALL_BUDGET = 5 * 10**6
 
+# Most decimal digits an exact sum's numerator or denominator may have:
+# Python's default limit on converting an int to a string, which printing a
+# Fraction does.  On 2 vCPUs h_0..h_5000 over {1/2, 1/3}, 3,891 digits at
+# most, took 2 s.
+_DIGIT_BUDGET = 4300
+
 
 def _check_weights(xs: Sequence[Number]) -> None:
     for x in xs:
@@ -57,9 +63,24 @@ def power_weights(values: Union[PrimeSet, Sequence[int]], t: float) -> list[floa
     return weights
 
 
-def exact_weights_from_primes(prime_set: PrimeSet, t: int) -> list[Fraction]:
+def exact_weights_from_primes(prime_set: PrimeSet, t: int, kmax: int = 1) -> list[Fraction]:
+    """The weights p^-t as Fractions, for sums up to h_kmax.
+
+    h_k's denominator divides D^k, D = prod p^t, and h_k <= (sum p^-t)^k,
+    so neither part of h_k has more than floor(k * log10(D * max(1, sum
+    p^-t))) + 1 digits.  Past ``_DIGIT_BUDGET`` digits for k = max(1, kmax)
+    the weights are refused before any is formed.
+    """
     if not (t >= 1) or not math.isfinite(t) or int(t) != t:
         raise ValueError("exact weights need a positive integer t")
+    log_d = t * math.fsum(math.log10(p) for p in prime_set)
+    log_sum = math.log10(max(1.0, math.fsum(float(p) ** -t for p in prime_set)))
+    digits = max(1, kmax) * (log_d + log_sum)
+    if digits >= _DIGIT_BUDGET:
+        raise SizeLimitError(
+            f"exact sums h_0..h_{kmax} at t={t} may reach {digits + 1:.4g} digits, "
+            f"past the digit budget of {_DIGIT_BUDGET}"
+        )
     return [Fraction(1, p ** int(t)) for p in prime_set]
 
 

@@ -334,6 +334,19 @@ def test_oversized_kmax_exits_4_before_allocating(capsys, argv):
     assert "past the h_all budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    # h_6000 over {1/2, 1/3} has a 4,669-digit denominator
+    ["hk", "--primes", "2,3", "--t", "1", "--kmax", "6000", "--exact"],
+    # 3^1000000 alone has 477,122 digits
+    ["hk", "--primes", "2,3", "--t", "1000000", "--kmax", "1", "--exact"],
+])
+def test_oversized_exact_sums_exit_4_before_the_dp(capsys, argv):
+    started = time.monotonic()
+    assert main(argv) == 4
+    assert time.monotonic() - started < 1.0
+    assert "past the digit budget" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("message,shown", [
     ("Unable to allocate 745. GiB for an array", "Unable to allocate 745. GiB for an array"),
     ("", "out of memory"),

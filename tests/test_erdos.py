@@ -3,9 +3,7 @@ import math
 import pytest
 from scipy.integrate import quad
 
-from primopt.erdos import dominance_transfer_check, erdos_sum, integral_bridge_check
-from primopt.oracle import build_universe, max_weight_antichain_flow
-from primopt.primes import PrimeSet
+from primopt.erdos import erdos_sum, integral_bridge_check
 
 
 def test_erdos_sum_examples():
@@ -45,21 +43,3 @@ def test_bridge_rejects_bad_sets():
         integral_bridge_check([1, 2])
     with pytest.raises(ValueError):
         integral_bridge_check([])
-
-
-def test_dominance_transfer_on_level_slices():
-    # deeper slices weigh less for every t, so their reciprocal-log sum
-    # cannot win either
-    assert dominance_transfer_check([4, 6, 9], [2, 3])
-    assert dominance_transfer_check([8, 12, 18, 27], [4, 6, 9])
-    # not applicable when the candidate contains smaller elements
-    assert not dominance_transfer_check([2, 3], [4, 6, 9])
-
-
-def test_dominance_transfer_on_oracle_outputs():
-    u = build_universe(PrimeSet([2, 3, 5]), 2, 4, 10**4)
-    antichain, _ = max_weight_antichain_flow(u, 1.5)
-    level2 = [n for n, om in zip(u.elements, u.omegas) if om == 2]
-    assert dominance_transfer_check(antichain.members, level2) or sorted(
-        antichain.members
-    ) == sorted(level2)

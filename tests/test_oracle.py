@@ -16,7 +16,6 @@ from primopt.oracle import (
     _Dinic,
     _antichain_at,
     _flow_optimum,
-    _greedy_chains,
     _residual_optimum,
     _scaled_weights,
     _tree_optimum,
@@ -25,7 +24,6 @@ from primopt.oracle import (
     max_weight_antichain_bruteforce,
     max_weight_antichain_flow,
     verify_erdos_best,
-    verify_gcd_block_reduction,
     verify_tbest,
 )
 from primopt.primes import MAX_ELEMENT, PrimeSet, omega, sieve_primes
@@ -131,8 +129,8 @@ def truncations(draw):
 
 
 def _on_path(columns_from, prime_set, k_lo, max_omega, max_value, max_elements):
-    """The universe's elements, Omegas, parents and edge columns, built with
-    the column cutoff at ``columns_from``, or the SizeLimitError message.
+    """The universe's elements, Omegas and parents, built with the column
+    cutoff at ``columns_from``, or the SizeLimitError message.
     Each parent is checked against the largest prime factor on the way."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(oracle, "_COLUMNS_FROM", columns_from)
@@ -140,14 +138,13 @@ def _on_path(columns_from, prime_set, k_lo, max_omega, max_value, max_elements):
             u = build_universe(prime_set, k_lo, max_omega, max_value, max_elements)
         except SizeLimitError as exc:
             return str(exc)
-        edges = u.covering_edges()
     for n, om, parent in zip(u.elements, u.omegas, u.parents):
         if om == k_lo:
             assert parent == -1
         else:
             largest = max(p for p in prime_set if n % p == 0)
             assert u.elements[parent] * largest == n
-    return u.elements, u.omegas, u.parents, edges.lower, edges.higher
+    return u.elements, u.omegas, u.parents
 
 
 @given(truncations(), st.one_of(st.just(DEFAULT_MAX_ELEMENTS), st.integers(1, 60)))
@@ -240,32 +237,26 @@ def networks(draw):
     n = draw(st.integers(2, 7))
     node = st.integers(0, n - 1)
     cap = st.one_of(st.integers(0, 3), st.integers(2**63 - 2, 2**90))
-    arcs = draw(st.lists(st.tuples(node, node, cap, cap), max_size=16))
-    return n, arcs, draw(st.booleans())
+    return n, draw(st.lists(st.tuples(node, node, cap), max_size=16))
 
 
 @given(networks())
 @settings(max_examples=300, deadline=None)
 # parallel, antiparallel and self-loop arcs, capacities past 2^63
-@example((3, [(0, 1, 5, 0), (0, 1, 2**64, 0), (1, 0, 3, 4), (1, 1, 7, 7),
-              (1, 2, 2**64 + 1, 0), (2, 1, 2**70, 1)], True))
+@example((3, [(0, 1, 5), (0, 1, 2**64), (1, 0, 3), (1, 1, 7), (1, 2, 2**64 + 1),
+              (2, 1, 2**70)]))
 # the first augmenting path 0-1-2-5 must be partly cancelled by 0-3-2-1-4-5
-@example((6, [(0, 1, 1, 0), (1, 2, 1, 0), (2, 5, 1, 0), (0, 3, 1, 0), (3, 2, 1, 0),
-              (1, 4, 1, 0), (4, 5, 1, 0)], False))
+@example((6, [(0, 1, 1), (1, 2, 1), (2, 5, 1), (0, 3, 1), (3, 2, 1), (1, 4, 1), (4, 5, 1)]))
 def test_dinic_flow_equals_min_cut_on_general_networks(case):
-    # With back, arc a also runs heads[a] -> tails[a] with capacity back[a].
-    n, arcs, with_back = case
-    tails, heads, caps, backs = (list(column) for column in zip(*arcs)) if arcs else ([],) * 4
-    if not with_back:
-        backs = [0] * len(arcs)
-    listed = list(zip(tails, heads, caps)) + list(zip(heads, tails, backs))
+    n, arcs = case
+    tails, heads, caps = (list(column) for column in zip(*arcs)) if arcs else ([],) * 3
     sink = n - 1
 
     def cut(side):
-        return sum(c for u, v, c in listed if side >> u & 1 and not side >> v & 1)
+        return sum(c for u, v, c in arcs if side >> u & 1 and not side >> v & 1)
 
     best = min(cut(side) for side in range(1 << n) if side & 1 and not side >> sink & 1)
-    dinic = _Dinic(n, tails, heads, caps, backs if with_back else None)
+    dinic = _Dinic(n, tails, heads, caps)
     flow, level = dinic.max_flow(0, sink)
     assert flow == best
     side = sum(1 << v for v in range(n) if level[v] >= 0)
@@ -275,37 +266,11 @@ def test_dinic_flow_equals_min_cut_on_general_networks(case):
     # the net flows they carry are conserved at every node but the terminals
     net = [0] * n
     for a, (u, v) in enumerate(zip(tails, heads)):
-        assert dinic.cap[2 * a] + dinic.cap[2 * a + 1] == caps[a] + backs[a]
+        assert dinic.cap[2 * a] + dinic.cap[2 * a + 1] == caps[a]
         net[u] -= caps[a] - dinic.cap[2 * a]
         net[v] += caps[a] - dinic.cap[2 * a]
     assert net[0] == -flow and net[sink] == flow
     assert not any(net[1:sink])
-
-
-_NETWORK = [(0, 1, 4), (0, 2, 3), (1, 2, 2), (1, 3, 2), (2, 4, 3), (3, 5, 4), (4, 5, 2),
-            (4, 3, 1)]
-_DIAMOND = [(0, 1, 1), (0, 2, 1), (1, 2, 1), (1, 3, 1), (2, 3, 1)]
-
-
-@pytest.mark.parametrize(
-    "arcs,loaded,rest_expected",
-    [
-        # 3 of the 5 units, on the paths 0-1-3-5 and 0-2-4-5
-        (_NETWORK, {(0, 1): 1, (1, 3): 1, (3, 5): 1, (0, 2): 2, (2, 4): 2, (4, 5): 2}, 2),
-        # a unit on 0-1-2-3, which the second unit has to cancel
-        (_DIAMOND, {(0, 1): 1, (1, 2): 1, (2, 3): 1}, 1),
-    ],
-)
-def test_dinic_from_an_initial_flow_returns_the_rest(arcs, loaded, rest_expected):
-    sink = max(v for _, v, _ in arcs)
-    tails, heads, caps = map(list, zip(*arcs))
-    cold_flow, cold_level = _Dinic(sink + 1, tails, heads, caps).max_flow(0, sink)
-    flows = [loaded.get((u, v), 0) for u, v, _ in arcs]
-    warm = _Dinic(sink + 1, tails, heads, [c - f for c, f in zip(caps, flows)], flows)
-    rest, level = warm.max_flow(0, sink)
-    assert rest == rest_expected
-    assert sum(f for (u, _), f in loaded.items() if u == 0) + rest == cold_flow
-    assert [d >= 0 for d in level] == [d >= 0 for d in cold_level]
 
 
 def test_is_primitive_examples():
@@ -447,7 +412,7 @@ def weighted_small_universes(draw):
 
 @given(weighted_small_universes())
 @settings(max_examples=300, deadline=None)
-@example((  # the greedy chain 28 -> 4 -> 2 has to raise the split arc of 4
+@example((  # 4 and 14 outweigh 2 together, so the tree bound stays open
     build_universe(PrimeSet([2, 7]), 1, 3, 239),
     {2: 0.97, 4: 0.1, 7: 0.54, 8: 0.08, 14: 0.56, 28: 0.45, 49: 0.96, 98: 0.16},
 ))
@@ -463,7 +428,7 @@ def test_flow_matches_exhaustive_under_arbitrary_weights(case):
 
 @given(weighted_small_universes(), st.integers(2, 2**40))
 @settings(max_examples=200, deadline=None)
-@example((  # the greedy falls short here, so Dinic finishes the flow
+@example((  # 49, 133 and 217 outweigh 7 together, so Dinic runs
     build_universe(PrimeSet([7, 19, 31]), 1, 4, 300),
     {7: 1.0, 19: 1e-3, 31: 1e-3, 49: 0.5, 133: 0.5, 217: 0.5},
 ), 3)
@@ -492,39 +457,33 @@ def test_tree_bound_closes_only_on_an_optimum(case):
         assert sum(scaled[r] for r in roots) == best
 
 
-def test_flow_finishes_where_the_greedy_falls_short():
-    # 49, 133 and 217 all lie over 7; the greedy spends 7 on 49 and 133 and
-    # leaves 217 only 31, while the maximum sends 133 through 19 first
+def test_flow_finds_the_cut_where_the_tree_stays_open():
+    # 49, 133 and 217 all hang under 7 and outweigh it together, so the
+    # tree bound stays open, and the cut picks the level-2 elements
     universe = build_universe(PrimeSet([7, 19, 31]), 1, 4, 300)
     assert universe.elements == (7, 19, 31, 49, 133, 217)
     weights = [1.0, 1e-3, 1e-3, 0.5, 0.5, 0.5]
-    scaled, _, _, greedy = _greedy_flow(universe, weights)
+    scaled = _scaled_weights(weights)
+    assert _tree_optimum(universe.parents, scaled) is None
     members, optimum_scaled = _flow_optimum(universe, scaled)
-    assert sum(greedy[0]) > optimum_scaled
     assert [universe.elements[i] for i in members] == [49, 133, 217]
+    assert optimum_scaled == sum(scaled[3:])
     weight = math.fsum(weights[i] for i in members)
     assert weight == 1.5 == exhaustive_optimum(universe, weights)
 
 
-def _greedy_flow(universe, weights):
-    scaled = _scaled_weights(weights)
-    edges = universe.covering_edges()
-    lower, higher = edges.lower, edges.higher
-    return scaled, lower, higher, _greedy_chains(len(universe), lower, higher, scaled)
-
-
-def test_greedy_certificate_matches_dinic_on_seeded_universes():
+def test_tree_bound_matches_dinic_on_seeded_universes():
     # A differential of _flow_optimum, which tries the tree bound first,
-    # against the edges, greedy chains and Dinic.  Where the greedy chains
-    # strand no start capacity above the minimal elements, those are the
-    # members, and Dinic run on the same flow must reach the same optimum.
-    # Where the tree bound closes, the members are the minimal elements too.
+    # against Dinic run on every universe.  Where the tree bound closes, the
+    # members are the roots and Dinic reaches their weight.  Where it stays
+    # open, the optimum is Dinic's, and the members are the roots when they
+    # weigh that much, else Dinic's cut.
     rng = random.Random(1301)
     pool = sieve_primes(400).as_list()
     kinds = (1.01, 1.1, 1.5, 2.0, 3.0, 8.0, "erdos", "arbitrary")
     universes = 0
-    took = {True: 0, False: 0}
-    closed = 0
+    closed = {True: 0, False: 0}
+    overruled = 0  # tree-open universes where the roots win over a different cut
     while universes < 1040:
         primes = sorted(rng.sample(pool[: rng.choice((6, 25, 78))], rng.randint(1, 5)))
         k_lo = rng.randint(1, 3)
@@ -541,45 +500,42 @@ def test_greedy_certificate_matches_dinic_on_seeded_universes():
             weights = [rng.uniform(1e-6, 1.0) for _ in universe.elements]
         else:
             weights = [float(n) ** (-kind) for n in universe.elements]
-        scaled, lower, higher, greedy = _greedy_flow(universe, weights)
+        scaled = _scaled_weights(weights)
         members, optimum_scaled = _flow_optimum(universe, scaled)
-        shortcut = greedy[-1] == 0
-        took[shortcut] += 1
-        cut_members, rest = _residual_optimum(scaled, lower, higher, greedy)
-        assert sum(greedy[0]) - rest == optimum_scaled
-        covered = set(higher)
-        minimal = [i for i in range(len(universe)) if i not in covered]
-        if shortcut:
-            assert members == minimal
-            assert optimum_scaled == sum(scaled[i] for i in minimal)
+        edges = universe.covering_edges()
+        cut_members, rest = _residual_optimum(scaled, edges.lower, edges.higher)
+        assert sum(scaled) - rest == optimum_scaled
+        roots = [i for i, om in enumerate(universe.omegas) if om == k_lo]
+        tree = _tree_optimum(universe.parents, scaled)
+        closed[tree is not None] += 1
+        if tree is not None or optimum_scaled == sum(scaled[i] for i in roots):
+            assert members == roots
+            overruled += tree is None and cut_members != roots
         else:
             assert members == cut_members
-        if _tree_optimum(universe.parents, scaled) is not None:
-            closed += 1
-            assert members == minimal
-    # every path ran often enough to mean something
-    assert min(took.values()) >= 50, took
-    assert 50 <= closed <= universes - 50, closed
+    # both paths ran often enough to mean something, and the roots rule bit
+    assert min(closed.values()) >= 50, closed
+    assert overruled, overruled
 
 
-def test_greedy_certificate_picks_the_minimal_elements_on_a_clamped_tie():
+def test_flow_picks_the_roots_on_a_clamped_tie():
     # 125^-8 = 1.7e-17 and 625^-8 = 4.3e-23 both clamp to one 2^-50 quantum,
-    # so {125} and {625} tie in the flow; Dinic's minimal cut names 625
+    # so {125} and {625} tie in the flow; Dinic's minimal cut names 625, and
+    # the roots rule keeps 125
     universe = build_universe(PrimeSet([5, 103, 331]), 3, 5, 1000)
     assert universe.elements == (125, 625)
-    scaled, lower, higher, greedy = _greedy_flow(universe, [125.0**-8, 625.0**-8])
-    assert scaled == [1, 1] and greedy[-1] == 0
-    assert _residual_optimum(scaled, lower, higher, greedy) == ([1], 0)
+    scaled = _scaled_weights([125.0**-8, 625.0**-8])
+    assert scaled == [1, 1]
+    assert _residual_optimum(scaled, [0], [1]) == ([1], 1)
     assert _flow_optimum(universe, scaled) == ([0], 1)
     assert max_weight_antichain_flow(universe, 8.0) == (Antichain((125,)), 125.0**-8)
     report = verify_tbest(PrimeSet([5, 103, 331]), 8.0, 3, 5, 1000)
     assert report.holds() and report.optimum_set.members == (125,)
 
 
-def test_dinic_is_built_only_where_the_greedy_falls_short(monkeypatch):
+def test_dinic_is_built_only_where_the_tree_stays_open(monkeypatch):
     built = []
     covered = []
-    chained = []
 
     class CountingDinic(_Dinic):
         def __init__(self, *args, **kwargs):
@@ -592,13 +548,8 @@ def test_dinic_is_built_only_where_the_greedy_falls_short(monkeypatch):
         covered.append(len(universe))
         return covering_edges(universe)
 
-    def counting_chains(*args):
-        chained.append(args[0])
-        return _greedy_chains(*args)
-
     monkeypatch.setattr(oracle, "_Dinic", CountingDinic)
     monkeypatch.setattr(oracle.TruncatedUniverse, "covering_edges", counting_edges)
-    monkeypatch.setattr(oracle, "_greedy_chains", counting_chains)
     assert verify_tbest(PrimeSet([2, 3, 5]), 1.5, 1, 6, 10**6).holds()
     assert verify_erdos_best(PrimeSet([5, 7, 11, 13]), 1, 4, 10**6).holds()
     # 14,909 of these 14,949 weights clamp to one quantum, and still no network
@@ -606,12 +557,10 @@ def test_dinic_is_built_only_where_the_greedy_falls_short(monkeypatch):
     # the other two certify-large instances of perfbench: wide and deep
     assert verify_tbest(sieve_primes(1000), 1.5, 2, 3, 10**6).holds()
     assert verify_tbest(PrimeSet([2, 3, 5, 7]), 1.5, 1, 22, 2**62).holds()
-    assert built == []
-    assert covered == [] and chained == []
+    assert built == [] and covered == []
     report = verify_tbest(sieve_primes(300), 1.02, 1, 2, 300**2)
     assert report.verdict == "fails"
-    assert len(built) == 1
-    assert len(covered) == 1 and len(chained) == 1
+    assert len(built) == 1 and len(covered) == 1
 
 
 def test_flow_equals_bruteforce_on_exhaustive_grid():
@@ -732,35 +681,6 @@ def test_verify_erdos_tail_unavailable_for_heavy_alphabet():
     report = verify_erdos_best(primes, 1, 3, 3000)
     assert report.tail_bound is None
     assert any("restricted to the truncation" in note for note in report.notes)
-
-
-def test_verify_lemma_reduction_examples():
-    assert verify_gcd_block_reduction(PrimeSet([2, 3]), 1.0, 2, Antichain((4, 6, 9)))
-    assert verify_gcd_block_reduction(PrimeSet([5]), 1.0, 1, Antichain((5,)))
-
-
-def test_verify_lemma_reduction_random_primitive_subsets():
-    rng = random.Random(11)
-    P = PrimeSet([2, 3, 5])
-    u = build_universe(P, 1, 3, 10**4)
-    for _ in range(25):
-        pool = list(u.elements)
-        rng.shuffle(pool)
-        chosen = []
-        for n in pool:
-            if all(n % m and m % n for m in chosen):
-                chosen.append(n)
-            if len(chosen) == rng.randint(2, 6):
-                break
-        antichain = Antichain(tuple(sorted(chosen)))
-        assert verify_gcd_block_reduction(P, 2.0, 1, antichain)
-
-
-def test_verify_lemma_reduction_rejects_foreign_elements():
-    with pytest.raises(ValueError):
-        verify_gcd_block_reduction(PrimeSet([2, 3]), 1.0, 1, Antichain((5,)))
-    with pytest.raises(ValueError):
-        verify_gcd_block_reduction(PrimeSet([2, 3]), 2, 2, Antichain((2, 3)))
 
 
 def test_sigma_nk_matches_oracle_level_enumeration():
