@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -137,9 +137,6 @@ class ErrBoundReal:
     def definitely_gt(self, other: "ErrBoundReal") -> bool:
         return self.lower() > _coerce(other).upper()
 
-    def to_json(self) -> dict:
-        return {"value": self.value, "radius": self.radius}
-
 
 def _coerce(x) -> ErrBoundReal:
     if isinstance(x, ErrBoundReal):
@@ -170,9 +167,6 @@ class ConditionVerdict:
             v = INCONCLUSIVE
         return cls(v, lhs, rhs)
 
-    def to_json(self) -> dict:
-        return jsonable(vars(self))
-
 
 @dataclass
 class VerificationReport:
@@ -186,15 +180,19 @@ class VerificationReport:
     def holds(self) -> bool:
         return self.verdict == HOLDS
 
-    def to_json(self) -> dict:
-        return jsonable(vars(self))
+
+# The most members a JSON report lists.
+MEMBERS_SHOWN = 1000
 
 
 def jsonable(x):
     """Plain-JSON form of a report value: objects with ``to_json`` use it,
-    Fractions print exactly, and dicts, lists and tuples are walked."""
+    dataclass instances become their fields in declaration order, Fractions
+    print exactly, and dicts, lists and tuples are walked."""
     if hasattr(x, "to_json"):
         return x.to_json()
+    if is_dataclass(x) and not isinstance(x, type):
+        return {f.name: jsonable(getattr(x, f.name)) for f in fields(x)}
     if isinstance(x, Fraction):
         return str(x)
     if isinstance(x, dict):

@@ -18,7 +18,7 @@ import sys
 import time
 
 from . import analytic, erdos, oracle, symfunc, twin
-from .analytic import HOLDS, FAILS, INCONCLUSIVE, ErrBoundReal, jsonable
+from .analytic import HOLDS, FAILS, INCONCLUSIVE, MEMBERS_SHOWN, ErrBoundReal, jsonable
 from .checks import CHECKS
 from .errors import PrecisionError, SizeLimitError
 from .primes import PrimeSet, sieve_primes, twin_primes
@@ -71,7 +71,7 @@ def _envelope(claim, verdict, lhs=None, rhs=None, **detail) -> dict:
 
 def _report_envelope(report, lhs=None, rhs=None) -> dict:
     """Envelope of a report: its claim and verdict, the rest of its JSON as detail."""
-    body = report.to_json()
+    body = jsonable(report)
     return _envelope(body.pop("claim"), body.pop("verdict"), lhs=lhs, rhs=rhs, **body)
 
 
@@ -140,16 +140,13 @@ def _cmd_chain(args):
 
 def _cmd_identity(args):
     prime_set = _prime_set(args)
-    residual = symfunc.square_identity_check(prime_set, args.t)
-    s1 = analytic.sigma_t(prime_set, args.t).value
-    tol = symfunc.REL_TOL * max(1.0, s1 * s1)
+    identity = symfunc.square_identity_check(prime_set, args.t)
     equivalent = symfunc.quadratic_equivalence_check(prime_set, args.t)
-    ok = residual <= tol and equivalent
     return _envelope(
         f"square identity and quadratic equivalence at t={args.t}",
-        HOLDS if ok else FAILS,
-        lhs=ErrBoundReal.exact(residual),
-        rhs=ErrBoundReal.exact(tol),
+        HOLDS if identity.verdict == HOLDS and equivalent else FAILS,
+        lhs=identity.lhs,
+        rhs=identity.rhs,
         quadratic_equivalence=equivalent,
     )
 
@@ -174,7 +171,7 @@ def _cmd_universe(args):
         "truncated universe enumeration",
         HOLDS,
         size=len(u),
-        elements=list(u.elements[:1000]),
+        elements=list(u.elements[:MEMBERS_SHOWN]),
     )
 
 
@@ -213,7 +210,7 @@ def _cmd_twin(args):
         f"twin primes up to {args.below}",
         HOLDS,
         count=len(twins),
-        members=twins.as_array()[:1000].tolist(),
+        members=twins.as_array()[:MEMBERS_SHOWN].tolist(),
     )
 
 
@@ -243,13 +240,12 @@ def _cmd_erdos_sum(args):
 
 def _cmd_bridge(args):
     members = [int(x) for x in args.members.split(",")]
-    residual = erdos.integral_bridge_check(members, args.tolerance)
-    ok = residual <= args.tolerance
+    bridge = erdos.integral_bridge_check(members, args.tolerance)
     return _envelope(
         "integral bridge between power and reciprocal-log weights",
-        HOLDS if ok else FAILS,
-        lhs=ErrBoundReal.exact(residual),
-        rhs=ErrBoundReal.exact(args.tolerance),
+        bridge.verdict,
+        lhs=bridge.lhs,
+        rhs=bridge.rhs,
         members=members,
     )
 

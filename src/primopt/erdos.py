@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+from .analytic import ConditionVerdict, ErrBoundReal
 from .errors import PrecisionError
 
 _SPLIT_POINT = 50.0
@@ -51,9 +52,11 @@ def _adaptive_simpson(f, a: float, b: float, tol: float) -> float:
     return rec(a, b, fa, fm, fb, whole, tol, 0)
 
 
-def integral_bridge_check(members: Sequence[int], quad_tolerance: float = 1e-6) -> float:
-    """Residual between the integral of the power-weight sum over (1, inf)
-    and the direct reciprocal-log sum; must be below the quadrature tolerance.
+def integral_bridge_check(
+    members: Sequence[int], quad_tolerance: float = 1e-6
+) -> ConditionVerdict:
+    """The residual between the integral of the power-weight sum over (1, inf)
+    and the direct reciprocal-log sum, against the quadrature tolerance.
 
     The integral splits at t = 50: adaptive Simpson below, and the exact
     per-term value n^-50 / log n above (the integrand decays geometrically).
@@ -70,4 +73,5 @@ def integral_bridge_check(members: Sequence[int], quad_tolerance: float = 1e-6) 
 
     integral = _adaptive_simpson(power_sum, 1.0, _SPLIT_POINT, quad_tolerance / 4.0)
     tail = math.fsum(x ** (-_SPLIT_POINT) / math.log(x) for x in floats)
-    return abs(integral + tail - erdos_sum(values))
+    residual = ErrBoundReal.exact(abs(integral + tail - erdos_sum(values)))
+    return ConditionVerdict.compare(residual, ErrBoundReal.exact(quad_tolerance))

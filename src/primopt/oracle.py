@@ -12,8 +12,8 @@ max_value // v, so each multiset of primes appears once and no product
 passes the cap; the value a row extends is its parent in the tree below.
 The edges come the same way: element n at Omega below the cap covers
 n * p for exactly the primes p <= max_value // n, and each n * p is found
-by a search of the sorted elements.  The edges are numpy columns (a ragged
-repeat, one searchsorted for all of them).  The levels are numpy columns
+by a search of the sorted elements.  The edges are one (E, 2) index array
+(a ragged repeat, one searchsorted for all of them).  The levels are numpy columns
 too (a ragged repeat per level) from ``_COLUMNS_FROM`` elements on, and
 the same loops over Python lists below it, where numpy's per-call overhead
 would cost more than the loops.  No level may pass ``max_elements``: the
@@ -78,7 +78,7 @@ from typing import Optional
 
 import numpy as np
 
-from .analytic import HOLDS, FAILS, ConditionVerdict, check_condition
+from .analytic import HOLDS, FAILS, MEMBERS_SHOWN, ConditionVerdict, check_condition
 from .errors import SizeLimitError
 from .primes import MAX_ELEMENT, PrimeSet
 from .symfunc import h_all, power_weights, sigma_nk
@@ -96,19 +96,6 @@ _TIE_TOL = 1e-9
 # 50 elements that costs about 8 us per call over a list loop, paid only
 # where the tree bound stays open.
 _COLUMNS_FROM = 300
-
-
-@dataclass(slots=True)
-class CoveringEdges:
-    """The covering edges as two index columns: edge e runs from
-    elements[lower[e]] to elements[higher[e]] = elements[lower[e]] * p for
-    a prime p, in ascending order of (lower, p).  ``len`` is the edge count."""
-
-    lower: list[int]
-    higher: list[int]
-
-    def __len__(self) -> int:
-        return len(self.lower)
 
 
 def _ragged(counts: np.ndarray, starts) -> tuple[np.ndarray, np.ndarray]:
@@ -140,11 +127,10 @@ class TruncatedUniverse:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def level(self, k: int) -> list[int]:
-        return [n for n, om in zip(self.elements, self.omegas) if om == k]
-
-    def covering_edges(self) -> CoveringEdges:
-        """Index columns of the pairs (i, j) with elements[j] = elements[i] * p.
+    def covering_edges(self) -> np.ndarray:
+        """The (E, 2) int64 array of the index pairs (i, j) with
+        elements[j] = elements[i] * p for a prime p, in ascending order of
+        (i, p); its ``len`` is the edge count E.
 
         Every n * p <= max_value of an element below the Omega cap is itself
         a member, so each element pairs with exactly the primes up to
@@ -158,7 +144,7 @@ class TruncatedUniverse:
         counts[np.array(self.omegas) == self.max_omega] = 0
         lower, position = _ragged(counts, 0)
         higher = np.searchsorted(values, values[lower] * primes[position])
-        return CoveringEdges(lower.tolist(), higher.tolist())
+        return np.column_stack((lower, higher))
 
 
 def _check_level_size(size: int, max_elements: int) -> None:
@@ -339,8 +325,8 @@ class Antichain:
         if not is_primitive(self.members):
             raise ValueError("members are not pairwise non-divisible")
 
-    def to_json(self, cap: int = 1000) -> list[int]:
-        return list(self.members[:cap])
+    def to_json(self) -> list[int]:
+        return list(self.members[:MEMBERS_SHOWN])
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +360,7 @@ class _Dinic:
     memory, not by the interpreter stack.
     """
 
-    def __init__(self, n: int, tails: list[int], heads: list[int], caps: list[int]):
+    def __init__(self, n: int, tails, heads, caps: list[int]):
         ends = np.empty((len(tails), 2), dtype=np.int64)  # ravel()[e]: the node e leaves
         ends[:, 0] = tails
         ends[:, 1] = heads
@@ -486,8 +472,7 @@ def _flow_optimum(universe: TruncatedUniverse, scaled: list[int]) -> tuple[list[
         raise ValueError("universe is empty")
     roots = _tree_optimum(universe.parents, scaled)
     if roots is None:
-        edges = universe.covering_edges()
-        members, rest = _residual_optimum(scaled, edges.lower, edges.higher)
+        members, rest = _residual_optimum(scaled, universe.covering_edges())
         optimum = sum(scaled) - rest
         roots = [r for r, parent in enumerate(universe.parents) if parent < 0]
         if optimum != sum(scaled[r] for r in roots):
@@ -495,12 +480,11 @@ def _flow_optimum(universe: TruncatedUniverse, scaled: list[int]) -> tuple[list[
     return roots, sum(scaled[r] for r in roots)
 
 
-def _residual_optimum(
-    scaled: list[int], lower: list[int], higher: list[int]
-) -> tuple[list[int], int]:
-    """One max-flow from the flow that runs each element's own path: the
-    member indices of a maximum-weight antichain, ascending, and the flow
-    cancelled."""
+def _residual_optimum(scaled: list[int], edges: np.ndarray) -> tuple[list[int], int]:
+    """One max-flow from the flow that runs each element's own path, over the
+    (E, 2) covering edges: the member indices of a maximum-weight antichain,
+    ascending, and the flow cancelled.  Node 0 is the source, 1 the sink, and
+    element i splits into v_in = 2 + 2i and v_out = 3 + 2i."""
     count = len(scaled)
     # Exceeds any flow, so an unbounded arc never saturates: only whether a
     # residual is positive matters, and one shared object costs no memory
@@ -508,8 +492,8 @@ def _residual_optimum(
     infinite = sum(scaled) + 1
 
     source, sink = 0, 1
-    node_in = list(range(2, 2 + 2 * count, 2))
-    node_out = list(range(3, 3 + 2 * count, 2))
+    node_in = np.arange(2, 2 + 2 * count, 2)
+    node_out = node_in + 1
 
     # Reduction network: max-flow from sink to source through the residual
     # of the start flow, which carries w(v) along source -> v_in -> v_out ->
@@ -520,25 +504,25 @@ def _residual_optimum(
     # augmenting path from the sink uses them, and they add nothing to the
     # set reachable from the sink.  Arc groups: cancel s -> v_in, cancel
     # v_out -> t, raise the split arc, raise each poset arc.
-    tails = node_in + [sink] * count + node_in + [node_out[i] for i in lower]
-    heads = [source] * count + node_out + node_out + [node_in[j] for j in higher]
-    caps = scaled + scaled + [infinite] * (count + len(lower))
+    tails = np.concatenate((node_in, np.full(count, sink), node_in, 3 + 2 * edges[:, 0]))
+    heads = np.concatenate((np.full(count, source), node_out, node_out, 2 + 2 * edges[:, 1]))
+    caps = scaled + scaled + [infinite] * (count + len(edges))
     rest, level = _Dinic(2 + 2 * count, tails, heads, caps).max_flow(sink, source)
-    members = [
-        i
-        for i, (v_in, v_out) in enumerate(zip(node_in, node_out))
-        if level[v_out] >= 0 and level[v_in] < 0
-    ]
+    members = [i for i in range(count) if level[3 + 2 * i] >= 0 and level[2 + 2 * i] < 0]
     return members, rest
 
 
-def max_weight_antichain_flow(
-    universe: TruncatedUniverse, t: float
-) -> tuple[Antichain, float]:
-    """Exact maximum of sum n^-t over antichains of the universe."""
-    weights = power_weights(universe.elements, t)
+def _optimum(universe: TruncatedUniverse, weights: list[float]) -> tuple[list[int], float]:
+    """The member indices of a maximum-weight antichain under ``weights``,
+    aligned with ``universe.elements``, and the fsum of their weights."""
     members, _ = _flow_optimum(universe, _scaled_weights(weights))
-    return _antichain_at(universe, members), math.fsum(weights[i] for i in members)
+    return members, math.fsum(weights[i] for i in members)
+
+
+def max_weight_antichain_flow(universe: TruncatedUniverse, t: float) -> tuple[Antichain, float]:
+    """Exact maximum of sum n^-t over antichains of the universe."""
+    members, weight = _optimum(universe, power_weights(universe.elements, t))
+    return _antichain_at(universe, members), weight
 
 
 def _antichain_at(universe: TruncatedUniverse, members: list[int]) -> Antichain:
@@ -602,8 +586,8 @@ def max_weight_antichain_bruteforce(
         rest = free & (free - 1)
         stack.append((rest, chosen, acc))
         stack.append((rest & ~incompatible[i], chosen | (1 << i), acc + weights[i]))
-    members = sorted(values[i] for i in range(count) if (best_set >> i) & 1)
-    return Antichain(tuple(members)), best_weight
+    members = sorted(order[i] for i in range(count) if (best_set >> i) & 1)
+    return _antichain_at(universe, members), best_weight
 
 
 # ---------------------------------------------------------------------------
@@ -613,34 +597,20 @@ def max_weight_antichain_bruteforce(
 
 @dataclass
 class OptimalityReport:
-    """Outcome of one optimality certification over a truncation."""
+    """Outcome of one certification over a truncation; fields in JSON key order."""
 
     claim: str
     verdict: str
     optimum_weight: float
-    optimum_set: Antichain
     reference_weight: float
-    reference_is_complete_level: bool
     tail_bound: Optional[float]
     universe_size: int
+    optimum_members: Antichain
     condition_verdict: ConditionVerdict
     notes: list[str] = field(default_factory=list)
 
     def holds(self) -> bool:
         return self.verdict == HOLDS
-
-    def to_json(self) -> dict:
-        return {
-            "claim": self.claim,
-            "verdict": self.verdict,
-            "optimum_weight": self.optimum_weight,
-            "reference_weight": self.reference_weight,
-            "tail_bound": self.tail_bound,
-            "universe_size": self.universe_size,
-            "optimum_members": self.optimum_set.to_json(),
-            "condition_verdict": self.condition_verdict.to_json(),
-            "notes": list(self.notes),
-        }
 
 
 def _omega_tail_bound(prime_set: PrimeSet, t: float, max_omega: int) -> Optional[float]:
@@ -676,12 +646,10 @@ def _certify(
     condition: ConditionVerdict,
     claim: str,
 ) -> OptimalityReport:
-    members, _ = _flow_optimum(universe, _scaled_weights(weights))
-    optimum = math.fsum(weights[i] for i in members)
+    members, optimum = _optimum(universe, weights)
     level = [i for i, om in enumerate(universe.omegas) if om == k]
     level_weight = math.fsum(weights[i] for i in level)
-    level_expected = math.comb(k + len(universe.prime_set) - 1, len(universe.prime_set) - 1)
-    level_complete = len(level) == level_expected
+    m = len(universe.prime_set)
 
     tol = _TIE_TOL + 2.0 * len(universe) / _WEIGHT_SCALE
     notes = []
@@ -701,18 +669,17 @@ def _certify(
             "weight sum of the alphabet is >= 1: no tail bound; the claim "
             "is restricted to the truncation"
         )
-    if not level_complete:
+    if len(level) != math.comb(k + m - 1, m - 1):
         notes.append("level set is truncated by the value cap")
 
     return OptimalityReport(
         claim=claim,
         verdict=verdict,
         optimum_weight=optimum,
-        optimum_set=_antichain_at(universe, members),
         reference_weight=level_weight if reference_full is None else reference_full,
-        reference_is_complete_level=level_complete,
         tail_bound=tail_bound,
         universe_size=len(universe),
+        optimum_members=_antichain_at(universe, members),
         condition_verdict=condition,
         notes=notes,
     )

@@ -16,7 +16,9 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence, Union
 
-from .analytic import HOLDS, INCONCLUSIVE, FAILS, VerificationReport
+from .analytic import (
+    HOLDS, INCONCLUSIVE, FAILS, ConditionVerdict, ErrBoundReal, VerificationReport, sigma_t,
+)
 from .errors import PrecisionError, SizeLimitError
 from .primes import PrimeSet, omega
 
@@ -159,13 +161,18 @@ def chain_check(prime_set: PrimeSet, t: float, kmax: int) -> VerificationReport:
     )
 
 
-def square_identity_check(prime_set: PrimeSet, t: float) -> float:
-    """Residual of (sum p^-t)^2 = 2 h_2(p^-t) - sum p^-2t; must vanish."""
+def square_identity_check(prime_set: PrimeSet, t: float) -> ConditionVerdict:
+    """(sum p^-t)^2 = 2 h_2(p^-t) - sum p^-2t: the residual |lhs - rhs|
+    against the tolerance REL_TOL * max(1, s1^2), s1 = ``sigma_t``."""
     xs = power_weights(prime_set, t)
     s1 = math.fsum(xs)
     s2 = math.fsum(x * x for x in xs)
     h2 = h_all(xs, 2)[2]
-    return abs(s1 * s1 - (2.0 * h2 - s2))
+    scale = sigma_t(prime_set, t).value
+    return ConditionVerdict.compare(
+        ErrBoundReal.exact(abs(s1 * s1 - (2.0 * h2 - s2))),
+        ErrBoundReal.exact(REL_TOL * max(1.0, scale * scale)),
+    )
 
 
 def quadratic_equivalence_check(prime_set: PrimeSet, t: float) -> bool:

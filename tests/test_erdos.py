@@ -23,19 +23,22 @@ def test_erdos_sum_domain_errors():
 
 
 def test_bridge_closed_form_single_element():
-    assert integral_bridge_check([2], 1e-6) <= 1e-6
+    check = integral_bridge_check([2], 1e-6)
+    assert check.verdict == "holds" and check.lhs.value <= 1e-6 and check.rhs.value == 1e-6
 
 
 @pytest.mark.parametrize("members", [[2, 3, 5], [4, 6, 9]])
 def test_bridge_small_sets(members):
-    assert integral_bridge_check(members, 1e-4) <= 1e-4
+    check = integral_bridge_check(members, 1e-4)
+    assert check.verdict == "holds" and check.lhs.value <= 1e-4 and check.rhs.value == 1e-4
 
 
 def test_bridge_agrees_with_scipy_quadrature():
     for members in ([2], [2, 3, 5], [4, 6, 9], [8, 12, 18, 27]):
         target, _ = quad(lambda t: sum(float(n) ** -t for n in members), 1.0, 200.0)
         assert target == pytest.approx(erdos_sum(members), abs=1e-9)
-        assert integral_bridge_check(members, 1e-5) <= 1e-5
+        check = integral_bridge_check(members, 1e-5)
+        assert check.verdict == "holds" and check.lhs.value <= 1e-5 and check.rhs.value == 1e-5
 
 
 def test_bridge_rejects_bad_sets():

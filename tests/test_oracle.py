@@ -4,11 +4,13 @@ import math
 import random
 import time
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from primopt import oracle
+from primopt.analytic import jsonable
 from primopt.errors import SizeLimitError
 from primopt.oracle import (
     DEFAULT_MAX_ELEMENTS,
@@ -61,6 +63,10 @@ def exhaustive_optimum(universe, weights):
     return max(math.fsum(weights[i] for i in combo) for combo in antichains(universe))
 
 
+def level_members(universe, k):
+    return [n for n, om in zip(universe.elements, universe.omegas) if om == k]
+
+
 def test_build_universe_examples():
     u = build_universe(PrimeSet([2, 3]), 1, 2, 100)
     assert u.elements == (2, 3, 4, 6, 9)
@@ -68,7 +74,7 @@ def test_build_universe_examples():
     assert chain.elements == (2, 4, 8, 16)
     u3 = build_universe(PrimeSet([2, 3, 5]), 2, 3, 1000)
     assert len(u3) == 16
-    assert len(u3.level(2)) == 6
+    assert len(level_members(u3, 2)) == 6
 
 
 @pytest.mark.parametrize(
@@ -198,7 +204,8 @@ def test_covering_edges_generate_divisibility(case):
         (i, idx[n * p]) for i, n in enumerate(u.elements) for p in primes if n * p in idx
     }
     edges = u.covering_edges()
-    pairs = list(zip(edges.lower, edges.higher))
+    assert edges.dtype == np.int64 and edges.shape == (len(naive), 2)
+    pairs = [tuple(pair) for pair in edges.tolist()]
     assert len(edges) == len(naive) and set(pairs) == naive
     # reachability along the edges is divisibility; edges point to larger
     # elements, so one descending pass closes the reach sets
@@ -325,7 +332,9 @@ def test_one_level_optimum_skips_the_divisibility_scan(monkeypatch):
     u = build_universe(PrimeSet([2, 3]), 2, 3, 1000)
     antichain, _ = max_weight_antichain_flow(u, 1.0)
     assert antichain == Antichain((4, 6, 9), _omegas=(2, 2, 2))
-    assert verify_tbest(PrimeSet([2, 3, 5]), 1.5, 1, 6, 10**6).optimum_set.members == (2, 3, 5)
+    antichain, _ = max_weight_antichain_bruteforce(u, 1.0)
+    assert antichain.members == (4, 6, 9) and antichain._omegas == (2, 2, 2)
+    assert verify_tbest(PrimeSet([2, 3, 5]), 1.5, 1, 6, 10**6).optimum_members.members == (2, 3, 5)
 
 
 def test_mixed_omega_members_are_still_scanned():
@@ -502,8 +511,7 @@ def test_tree_bound_matches_dinic_on_seeded_universes():
             weights = [float(n) ** (-kind) for n in universe.elements]
         scaled = _scaled_weights(weights)
         members, optimum_scaled = _flow_optimum(universe, scaled)
-        edges = universe.covering_edges()
-        cut_members, rest = _residual_optimum(scaled, edges.lower, edges.higher)
+        cut_members, rest = _residual_optimum(scaled, universe.covering_edges())
         assert sum(scaled) - rest == optimum_scaled
         roots = [i for i, om in enumerate(universe.omegas) if om == k_lo]
         tree = _tree_optimum(universe.parents, scaled)
@@ -526,11 +534,11 @@ def test_flow_picks_the_roots_on_a_clamped_tie():
     assert universe.elements == (125, 625)
     scaled = _scaled_weights([125.0**-8, 625.0**-8])
     assert scaled == [1, 1]
-    assert _residual_optimum(scaled, [0], [1]) == ([1], 1)
+    assert _residual_optimum(scaled, np.array([[0, 1]])) == ([1], 1)
     assert _flow_optimum(universe, scaled) == ([0], 1)
     assert max_weight_antichain_flow(universe, 8.0) == (Antichain((125,)), 125.0**-8)
     report = verify_tbest(PrimeSet([5, 103, 331]), 8.0, 3, 5, 1000)
-    assert report.holds() and report.optimum_set.members == (125,)
+    assert report.holds() and report.optimum_members.members == (125,)
 
 
 def test_dinic_is_built_only_where_the_tree_stays_open(monkeypatch):
@@ -624,17 +632,17 @@ def test_monotone_truncation_never_decreases_optimum():
 def test_verify_tbest_certifies_small_alphabet():
     report = verify_tbest(PrimeSet([2, 3, 5]), 1.5, 1, 6, 10**6)
     assert report.holds()
-    assert report.optimum_set.members == (2, 3, 5)
+    assert report.optimum_members.members == (2, 3, 5)
     assert report.condition_verdict.verdict == "holds"
     assert report.tail_bound is not None and report.tail_bound < 0.2
-    assert report.reference_is_complete_level
+    assert "level set is truncated by the value cap" not in report.notes
 
 
 def test_verify_tbest_single_prime_chain():
     for k in (1, 2, 4):
         report = verify_tbest(PrimeSet([2]), 1.25, k, k + 4, 10**6)
         assert report.holds()
-        assert report.optimum_set.members == (2**k,)
+        assert report.optimum_members.members == (2**k,)
 
 
 def test_verify_tbest_detects_level_two_overtaking():
@@ -655,7 +663,7 @@ def test_verify_tbest_level_weights_respect_chain_when_condition_holds():
     P = PrimeSet([2, 3, 5])
     u = build_universe(P, 1, 6, 10**6)
     weights = [
-        math.fsum(float(n) ** -1.5 for n in u.level(k)) for k in range(1, 7)
+        math.fsum(float(n) ** -1.5 for n in level_members(u, k)) for k in range(1, 7)
     ]
     assert all(weights[i] >= weights[i + 1] for i in range(len(weights) - 1))
 
@@ -663,17 +671,17 @@ def test_verify_tbest_level_weights_respect_chain_when_condition_holds():
 def test_verify_erdos_best_examples():
     report = verify_erdos_best(PrimeSet([5, 7, 11, 13]), 1, 4, 10**6)
     assert report.holds()
-    assert report.optimum_set.members == (5, 7, 11, 13)
+    assert report.optimum_members.members == (5, 7, 11, 13)
 
     chain = verify_erdos_best(PrimeSet([2]), 2, 6, 10**6)
     assert chain.holds()
-    assert chain.optimum_set.members == (4,)
+    assert chain.optimum_members.members == (4,)
     assert chain.optimum_weight == pytest.approx(1.0 / (4 * math.log(4)))
 
     both = verify_erdos_best(PrimeSet([2, 3]), 1, 5, 10**6)
     assert both.condition_verdict.verdict == "holds"
     assert both.holds()
-    assert both.optimum_set.members == (2, 3)
+    assert both.optimum_members.members == (2, 3)
 
 
 def test_verify_erdos_tail_unavailable_for_heavy_alphabet():
@@ -689,8 +697,9 @@ def test_sigma_nk_matches_oracle_level_enumeration():
     for primes, t, k in (((2, 3), 1.0, 3), ((2, 3, 5), 1.4, 2), ((5, 7, 11), 2.0, 4)):
         P = PrimeSet(primes)
         u = build_universe(P, k, k, max(primes) ** k + 1)
-        assert len(u.level(k)) == math.comb(k + len(primes) - 1, len(primes) - 1)
-        direct = math.fsum(float(n) ** (-t) for n in u.level(k))
+        level = level_members(u, k)
+        assert len(level) == math.comb(k + len(primes) - 1, len(primes) - 1)
+        direct = math.fsum(float(n) ** (-t) for n in level)
         assert abs(direct - float(sigma_nk(P, t, k))) <= 1e-12 * max(1.0, direct)
 
 
@@ -704,8 +713,8 @@ def test_optimum_respects_reference_plus_tail_when_condition_holds():
 
 def test_optimality_report_json_shape():
     report = verify_tbest(PrimeSet([2, 3]), 1.5, 1, 4, 10**4)
-    payload = report.to_json()
-    assert {
+    payload = jsonable(report)
+    assert list(payload) == [
         "claim",
         "verdict",
         "optimum_weight",
@@ -715,4 +724,6 @@ def test_optimality_report_json_shape():
         "optimum_members",
         "condition_verdict",
         "notes",
-    } <= set(payload)
+    ]
+    assert payload["optimum_members"] == [2, 3]
+    assert list(payload["condition_verdict"]) == ["verdict", "lhs", "rhs"]

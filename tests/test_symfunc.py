@@ -148,12 +148,16 @@ def test_square_identity_exact_rational():
 
 
 def test_square_identity_examples():
-    assert square_identity_check(PrimeSet([2, 3]), 1.0) <= 1e-12 * 1.0
-    assert square_identity_check(PrimeSet([2]), 2.0) == 0.0
+    pair = square_identity_check(PrimeSet([2, 3]), 1.0)
+    assert pair.verdict == "holds" and pair.lhs.value <= 1e-12 * 1.0
+    single = square_identity_check(PrimeSet([2]), 2.0)
+    assert single.verdict == "holds" and single.lhs.value == 0.0
     first100 = sieve_primes(541)
     assert len(first100) == 100
     s1 = sigma_t(first100, 1.3).value
-    assert square_identity_check(first100, 1.3) <= 1e-12 * max(1.0, s1 * s1)
+    check = square_identity_check(first100, 1.3)
+    assert check.verdict == "holds" and check.lhs.value <= 1e-12 * max(1.0, s1 * s1)
+    assert check.rhs.value == 1e-12 * max(1.0, s1 * s1)
 
 
 def test_quadratic_equivalence_examples():
