@@ -186,7 +186,7 @@ def _cmd_oracle(args):
         HOLDS,
         lhs=ErrBoundReal.exact(weight),
         universe_size=len(u),
-        members=antichain.to_json(),
+        members=antichain,
     )
 
 
