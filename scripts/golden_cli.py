@@ -13,7 +13,7 @@ give identical directories:
     python scripts/golden_cli.py /tmp/golden-b /path/to/checkout-b
     diff -r /tmp/golden-a /tmp/golden-b
 
-The 111 lines cover every argument line of tests/test_cli.py, each of the
+The 115 lines cover every argument line of tests/test_cli.py, each of the
 19 subcommands, the three certify-large ``verify-tbest`` instances of
 perfbench, ``suite`` at seeds 0 and 1 with and without ``--quick``, one
 clamped tie at t = 8 through ``verify-tbest`` and ``oracle``, where the
@@ -24,9 +24,13 @@ three twin-scan commands at a limit past the sieve's first wheel segment
 kernel's first one-mask segment (6 * 2^20 + 1 = 6,291,457), two sieves past
 the sieve budget, one level past the level budget, three kmax lines past
 the h_all budget and two exact ``hk`` lines past the digit budget, refused
-with exit 4, and three certifications on which the tree bound stays open,
+with exit 4, three certifications on which the tree bound stays open,
 so that Dinic runs: one where the roots are still optimal, and one through
-both ``verify-tbest`` and ``oracle`` where they are not.
+both ``verify-tbest`` and ``oracle`` where they are not, and four commands
+on universes built as int64 columns: a ``universe`` listing, a
+``verify-erdos`` run over the twin primes in (3, 1000], the brute force on
+28 elements, and an ``oracle`` run at t = 0.05 whose scaled weights total
+66 bits, past int64.
 """
 
 from __future__ import annotations
@@ -158,6 +162,16 @@ LINES = [
     # the tree bound stays open and the optimum is Dinic's cut
     *([*argv, "--primes-below", "300", "--t", "1.02", "--max-omega", "2",
        "--max-value", "90000"] for argv in (["verify-tbest", "--k", "1"], ["oracle", "--k-lo", "1"])),
+    # built as int64 columns: min(comb(m + J, m), max_value) reaches 300
+    ["universe", "--primes-below", "100", "--k-lo", "2", "--max-omega", "3",
+     "--max-value", "100000"],
+    ["verify-erdos", "--twins-below", "1000", "--k", "1", "--max-omega", "3",
+     "--max-value", "1000000"],
+    ["oracle", "--primes", "7,11,13,17,19,23,29,31,37,41,43", "--k-lo", "2",
+     "--max-omega", "3", "--max-value", "400", "--t", "1", "--brute-force"],
+    # the scaled weights total 66 bits: sums run on Python ints
+    ["oracle", "--primes-below", "1000", "--k-lo", "1", "--max-omega", "3",
+     "--max-value", "1000000", "--t", "0.05"],
 ]
 
 _RUNTIME = re.compile(r'("runtime_ms": |runtime: )\d+')

@@ -171,7 +171,7 @@ def _cmd_universe(args):
         "truncated universe enumeration",
         HOLDS,
         size=len(u),
-        elements=list(u.elements[:MEMBERS_SHOWN]),
+        elements=[int(n) for n in u.elements[:MEMBERS_SHOWN]],
     )
 
 

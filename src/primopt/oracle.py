@@ -19,7 +19,9 @@ the same loops over Python lists below it, where numpy's per-call overhead
 would cost more than the loops.  No level may pass ``max_elements``: the
 column path sizes each level before it allocates it, and the list path's
 levels, which hold fewer than ``_COLUMNS_FROM`` rows, are checked once
-built.
+built.  A universe keeps the form it was built in, int64 arrays or tuples,
+and so does its certification: the scaled weights, the tree bound, the
+level sets and the member sums run on numpy columns or on Python lists.
 
 The optimizer first tries a bound from Erdos's tree.  Every element above
 level k_lo has the parent n / P(n), P(n) its largest prime, which is itself
@@ -29,7 +31,8 @@ divisibility antichain is an antichain of the forest too, and the heaviest
 forest antichain bounds the optimum from above.  In a forest it is the sum
 over roots r of max(w(r), arriving(r)), where arriving(v) is the sum over
 v's children c of max(w(c), arriving(c)): one pass over the elements in
-descending order, exact in Python integers on the scaled weights.  When
+descending order (one Omega level at a time on columns), exact in
+integers on the scaled weights.  When
 arriving(r) <= w(r) at every root, that bound is the weight of level k_lo,
 itself a divisibility antichain, so the roots are optimal and no edge is
 built.  Under n^-t weights with sum p^-t < 1, each element outweighs its
@@ -58,10 +61,12 @@ The max-flow is Dinic's algorithm with an iterative blocking-flow search
 (no step recurses), over arc ends paired as e and e ^ 1 and grouped by
 tail with one stable argsort.  The flow core sees only element indices and
 integer weights.  Its callers evaluate each element's weight once, as a
-list aligned with ``universe.elements``, pass it in scaled to Python
-integers (value * 2^50 rounded, at least 1), so the network arithmetic is
-exact even where the total passes 2^63, and re-sum the float weights of
-the returned members; verdict tolerances absorb the scaling quantum.
+list of Python floats aligned with ``universe.elements``, pass it in
+scaled to integers (value * 2^50 rounded, at least 1), and re-sum the
+float weights of the returned members; verdict tolerances absorb the
+scaling quantum.  The integers are Python ints, or on columns int64 while
+their total proves that no sum wraps and Python ints in a numpy column
+past that, so the arithmetic is exact even where the total passes 2^63.
 
 An optimum is checked to be an antichain before it is returned.  When its
 members share one Omega the check is free: if a | b with a != b in the
@@ -74,7 +79,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -82,6 +87,9 @@ from .analytic import HOLDS, FAILS, MEMBERS_SHOWN, ConditionVerdict, check_condi
 from .errors import SizeLimitError
 from .primes import MAX_ELEMENT, PrimeSet
 from .symfunc import h_all, power_weights, sigma_nk
+
+# Element indices: a list, or an int64 array for a columnar universe.
+Indices = Union[list[int], np.ndarray]
 
 DEFAULT_MAX_ELEMENTS = 200_000
 _BRUTE_FORCE_CAP = 40
@@ -94,7 +102,9 @@ _TIE_TOL = 1e-9
 # 200-299), the column build from there (231 against 189 us at 300-499,
 # 1515 against 385 us past 5,000).  Covering edges are always columns; below
 # 50 elements that costs about 8 us per call over a list loop, paid only
-# where the tree bound stays open.
+# where the tree bound stays open.  The optimizer follows the build: with
+# every universe on columns, certify-small's flow jobs, all built as lists,
+# took 225 against 143 ms per pass.
 _COLUMNS_FROM = 300
 
 
@@ -113,16 +123,26 @@ class TruncatedUniverse:
     ``elements`` ascend; ``omegas`` holds each one's Omega, and
     ``parents[c]`` the index of elements[c] // P(elements[c]), P being the
     largest prime factor, or -1 on level k_lo.  A parent is always smaller,
-    so its index is too.
+    so its index is too.  The three columns are tuples of Python ints when
+    the universe was built by lists, and int64 arrays when it was built by
+    columns (``columnar``); the optimizer keeps to that choice throughout.
+    The prime set and the caps determine the columns, so universes compare
+    and hash by those alone.
     """
 
     prime_set: PrimeSet
     k_lo: int
     max_omega: int
     max_value: int
-    elements: tuple[int, ...]
-    omegas: tuple[int, ...]
-    parents: tuple[int, ...]
+    elements: Union[tuple[int, ...], np.ndarray] = field(compare=False)
+    omegas: Union[tuple[int, ...], np.ndarray] = field(compare=False)
+    parents: Union[tuple[int, ...], np.ndarray] = field(compare=False)
+    columnar: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # a plain attribute: every step of the optimizer reads it, and a
+        # property costs a small list-built flow about 5%
+        object.__setattr__(self, "columnar", isinstance(self.elements, np.ndarray))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -139,9 +159,9 @@ class TruncatedUniverse:
         the products.
         """
         primes = self.prime_set.as_array()
-        values = np.array(self.elements, dtype=np.int64)
+        values = np.asarray(self.elements, dtype=np.int64)
         counts = np.searchsorted(primes, self.max_value // values, "right")
-        counts[np.array(self.omegas) == self.max_omega] = 0
+        counts[np.asarray(self.omegas) == self.max_omega] = 0
         lower, position = _ragged(counts, 0)
         higher = np.searchsorted(values, values[lower] * primes[position])
         return np.column_stack((lower, higher))
@@ -191,7 +211,7 @@ def _list_levels(
 
 def _column_levels(
     primes: np.ndarray, k_lo: int, max_omega: int, max_value: int, max_elements: int
-) -> tuple[list[int], list[int], list[int]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The Omega levels k_lo..max_omega as value, Omega and parent columns,
     by numpy.  A parent is first kept as its position among the kept rows
     and mapped through the inverse of the final sort."""
@@ -219,15 +239,15 @@ def _column_levels(
             kept_omegas.append(np.full(count, om, dtype=np.int64))
             kept += count
     if not kept:
-        return [], [], []
+        return (np.zeros(0, dtype=np.int64),) * 3
     values = np.concatenate(kept_values)
     order = np.argsort(values)
     rank = np.full(kept + 1, -1, dtype=np.int64)  # rank[-1] keeps a root's -1
     rank[order] = np.arange(kept)
     return (
-        values[order].tolist(),
-        np.concatenate(kept_omegas)[order].tolist(),
-        rank[np.concatenate(kept_parents)[order]].tolist(),
+        values[order],
+        np.concatenate(kept_omegas)[order],
+        rank[np.concatenate(kept_parents)[order]],
     )
 
 
@@ -245,7 +265,8 @@ def build_universe(
     ``SizeLimitError``.  The truncation holds at most
     comb(m + J, m) multisets of at most J of the m primes, J = Omega's cap
     (a value's Omega is below its bit length), and at most max_value values:
-    from ``_COLUMNS_FROM`` on by that bound, the levels are numpy columns.
+    from ``_COLUMNS_FROM`` on by that bound, the levels are numpy columns,
+    and the universe keeps them as int64 arrays.
     """
     if max_omega < k_lo:
         raise ValueError("max_omega must be >= k_lo")
@@ -261,22 +282,12 @@ def build_universe(
     m = len(prime_set)
     bound = min(math.comb(m + min(max_omega, max_value.bit_length()), m), max_value)
     if bound >= _COLUMNS_FROM:
-        elements, omegas, parents = _column_levels(
-            prime_set.as_array(), k_lo, max_omega, max_value, max_elements
-        )
+        columns = _column_levels(prime_set.as_array(), k_lo, max_omega, max_value, max_elements)
     else:
-        elements, omegas, parents = _list_levels(
+        columns = map(tuple, _list_levels(
             prime_set.as_list(), k_lo, max_omega, max_value, max_elements
-        )
-    return TruncatedUniverse(
-        prime_set=prime_set,
-        k_lo=k_lo,
-        max_omega=max_omega,
-        max_value=max_value,
-        elements=tuple(elements),
-        omegas=tuple(omegas),
-        parents=tuple(parents),
-    )
+        ))
+    return TruncatedUniverse(prime_set, k_lo, max_omega, max_value, *columns)
 
 
 def is_primitive(members) -> bool:
@@ -434,26 +445,65 @@ class _Dinic:
         return level
 
 
-def _scaled_weights(weights: list[float]) -> list[int]:
-    """Float weights in (0, 1] in whole 2^-50 quanta, at least one.
+def _scaled_weights(weights):
+    """Float weights in (0, 1] in whole 2^-50 quanta, at least one: a list
+    of Python ints for a list of weights, an int64 array for an array.
 
     w * 2^50 is exact, and np.rint rounds it half to even as ``round`` does.
     """
     scaled = np.multiply(weights, float(_WEIGHT_SCALE))
     np.rint(scaled, out=scaled)
     np.maximum(scaled, 1.0, out=scaled)
-    return scaled.astype(np.int64).tolist()
+    scaled = scaled.astype(np.int64)
+    return scaled if isinstance(weights, np.ndarray) else scaled.tolist()
 
 
-def _tree_optimum(parents: tuple[int, ...], scaled: list[int]) -> Optional[list[int]]:
+def _integer_column(scaled) -> np.ndarray:
+    """Non-negative integer weights as one numpy column: int64 when their
+    float total is below 2^62, which proves that no sum of them wraps (the
+    float total errs by a relative n * 2^-53 at most, far below the factor
+    2 up to 2^63), else Python ints (dtype object), on which the same numpy
+    code is exact."""
+    if np.asarray(scaled, dtype=np.float64).sum() < 2.0**62:
+        return np.asarray(scaled, dtype=np.int64)
+    return np.array(scaled, dtype=object)
+
+
+def _level(universe: TruncatedUniverse, k: int) -> Indices:
+    """The indices of the level-k elements, ascending: a list, or an int64
+    array for a columnar universe."""
+    if universe.columnar:
+        return np.flatnonzero(universe.omegas == k)
+    return [i for i, om in enumerate(universe.omegas) if om == k]
+
+
+def _sum_at(scaled, indices: Indices) -> int:
+    """The sum of the integer weights at ``indices``, as a Python int."""
+    if isinstance(scaled, np.ndarray):
+        return int(scaled[indices].sum())
+    return sum(scaled[i] for i in indices)
+
+
+def _tree_optimum(universe: TruncatedUniverse, scaled) -> Optional[Indices]:
     """The indices of the roots (level k_lo) when the largest-prime-factor
     forest proves them a maximum-weight antichain, else None.
 
     Children come after their parents, so one pass in descending order
     gives each node the weight ``arriving`` of the heaviest antichains of
     its children's subtrees; the roots' sums land in the extra last slot,
-    which parents[r] = -1 indexes.
+    which parents[r] = -1 indexes.  A columnar universe takes the pass one
+    Omega level at a time, top down, since a node's children all lie on the
+    level above it: one maximum and one scatter-add per level.
     """
+    if universe.columnar:
+        omegas, parents = universe.omegas, universe.parents
+        arriving = np.zeros_like(scaled)
+        for om in range(int(omegas.max()), universe.k_lo, -1):
+            level = np.flatnonzero(omegas == om)
+            np.add.at(arriving, parents[level], np.maximum(scaled[level], arriving[level]))
+        roots = _level(universe, universe.k_lo)
+        return roots if (arriving[roots] <= scaled[roots]).all() else None
+    parents = universe.parents
     arriving = [0] * (len(scaled) + 1)
     for c in range(len(scaled) - 1, -1, -1):
         below, own = arriving[c], scaled[c]
@@ -464,20 +514,27 @@ def _tree_optimum(parents: tuple[int, ...], scaled: list[int]) -> Optional[list[
     return None
 
 
-def _flow_optimum(universe: TruncatedUniverse, scaled: list[int]) -> tuple[list[int], int]:
+def _flow_optimum(universe: TruncatedUniverse, scaled) -> tuple[Indices, int]:
     """A maximum-weight antichain under the integer weights ``scaled``,
     aligned with ``universe.elements``: its member indices, ascending, and
-    its weight.  An optimum that the roots (level k_lo) reach is the roots."""
+    its weight.  An optimum that the roots (level k_lo) reach is the roots.
+    A columnar universe runs its weights as one ``_integer_column`` and
+    returns its indices as an int64 array."""
     if len(universe) == 0:
         raise ValueError("universe is empty")
-    roots = _tree_optimum(universe.parents, scaled)
+    if universe.columnar:
+        scaled = _integer_column(scaled)
+    roots = _tree_optimum(universe, scaled)
     if roots is None:
-        members, rest = _residual_optimum(scaled, universe.covering_edges())
-        optimum = sum(scaled) - rest
-        roots = [r for r, parent in enumerate(universe.parents) if parent < 0]
-        if optimum != sum(scaled[r] for r in roots):
+        listed = scaled.tolist() if universe.columnar else scaled
+        members, rest = _residual_optimum(listed, universe.covering_edges())
+        optimum = sum(listed) - rest
+        roots = _level(universe, universe.k_lo)
+        if optimum != _sum_at(scaled, roots):
+            if universe.columnar:
+                members = np.array(members, dtype=np.int64)
             return members, optimum
-    return roots, sum(scaled[r] for r in roots)
+    return roots, _sum_at(scaled, roots)
 
 
 def _residual_optimum(scaled: list[int], edges: np.ndarray) -> tuple[list[int], int]:
@@ -512,11 +569,21 @@ def _residual_optimum(scaled: list[int], edges: np.ndarray) -> tuple[list[int], 
     return members, rest
 
 
-def _optimum(universe: TruncatedUniverse, weights: list[float]) -> tuple[list[int], float]:
+def _weight_at(weights, indices: Indices) -> float:
+    """The fsum of the float weights at ``indices``: a list, or an int64
+    array into a float64 array."""
+    if isinstance(indices, np.ndarray):
+        return math.fsum(np.asarray(weights)[indices].tolist())
+    return math.fsum(weights[i] for i in indices)
+
+
+def _optimum(universe: TruncatedUniverse, weights: list[float]) -> tuple[Indices, float]:
     """The member indices of a maximum-weight antichain under ``weights``,
     aligned with ``universe.elements``, and the fsum of their weights."""
+    if universe.columnar:
+        weights = np.array(weights)
     members, _ = _flow_optimum(universe, _scaled_weights(weights))
-    return members, math.fsum(weights[i] for i in members)
+    return members, _weight_at(weights, members)
 
 
 def max_weight_antichain_flow(universe: TruncatedUniverse, t: float) -> tuple[Antichain, float]:
@@ -525,8 +592,13 @@ def max_weight_antichain_flow(universe: TruncatedUniverse, t: float) -> tuple[An
     return _antichain_at(universe, members), weight
 
 
-def _antichain_at(universe: TruncatedUniverse, members: list[int]) -> Antichain:
+def _antichain_at(universe: TruncatedUniverse, members: Indices) -> Antichain:
     """The antichain of the elements at the indices ``members``."""
+    if universe.columnar:
+        return Antichain(
+            tuple(universe.elements[members].tolist()),
+            _omegas=tuple(universe.omegas[members].tolist()),
+        )
     return Antichain(
         tuple(universe.elements[i] for i in members),
         _omegas=tuple(universe.omegas[i] for i in members),
@@ -647,13 +719,15 @@ def _certify(
     claim: str,
 ) -> OptimalityReport:
     members, optimum = _optimum(universe, weights)
-    level = [i for i, om in enumerate(universe.omegas) if om == k]
-    level_weight = math.fsum(weights[i] for i in level)
+    level = _level(universe, k)
+    on_level = np.array_equal(members, level) if universe.columnar else members == level
+    # fsum rounds the exact sum once, so the same members weigh the same
+    level_weight = optimum if on_level else _weight_at(weights, level)
     m = len(universe.prime_set)
 
     tol = _TIE_TOL + 2.0 * len(universe) / _WEIGHT_SCALE
     notes = []
-    if abs(optimum - level_weight) <= tol and members != level:
+    if abs(optimum - level_weight) <= tol and not on_level:
         notes.append("optimum ties the level set within scaling tolerance")
 
     # the truncated level is part of the full one, so this bounds both
@@ -716,6 +790,15 @@ def verify_tbest(
     )
 
 
+def _erdos_weights(values) -> list[float]:
+    """The weights 1/(n log n) as Python floats.  An int64 array is cast to
+    float64, which rounds each value as int * float and math.log do, so
+    both give the same bits."""
+    if isinstance(values, np.ndarray):
+        values = values.astype(np.float64).tolist()
+    return [1.0 / (n * math.log(n)) for n in values]
+
+
 def verify_erdos_best(
     prime_set: PrimeSet,
     k: int,
@@ -737,7 +820,7 @@ def verify_erdos_best(
 
     return _certify(
         universe,
-        [1.0 / (n * math.log(n)) for n in universe.elements],
+        _erdos_weights(universe.elements),
         k,
         reference_full=None,
         tail_bound=tail,

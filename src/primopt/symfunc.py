@@ -16,6 +16,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence, Union
 
+import numpy as np
+
 from .analytic import (
     HOLDS, INCONCLUSIVE, FAILS, ConditionVerdict, ErrBoundReal, VerificationReport, sigma_t,
 )
@@ -50,15 +52,23 @@ def _check_weights(xs: Sequence[Number]) -> None:
             raise ValueError(f"weight {x} outside (0, 1)")
 
 
-def power_weights(values: Union[PrimeSet, Sequence[int]], t: float) -> list[float]:
+def power_weights(values: Union[PrimeSet, Sequence[int], np.ndarray], t: float) -> list[float]:
     """The weights n^-t of primes or of semigroup elements, in their order.
 
     t must be finite and positive, and no weight may underflow to 0: a zero
-    weight would drop its element from every sum it enters.
+    weight would drop its element from every sum it enters.  An int64 array
+    is cast to float64, which rounds each value as ``float`` does.
     """
     if not (t > 0) or not math.isfinite(t):
         raise ValueError("weights need a finite t > 0")
-    weights = [float(n) ** (-t) for n in values]
+    # Python's float ** stays, also for arrays: numpy 2.4's AVX-512 power
+    # differed from it in 86,010 of 1,623,384 weights, and np.log from
+    # math.log in 81 of 2 * 10^6, on a 2-vCPU Xeon VM; a vectorised weight
+    # would change reported optima in their last bits.
+    if isinstance(values, np.ndarray):
+        weights = [x ** (-t) for x in values.astype(np.float64).tolist()]
+    else:
+        weights = [float(n) ** (-t) for n in values]
     if 0.0 in weights:
         n = next(n for n, w in zip(values, weights) if w == 0.0)
         raise PrecisionError(f"weight {n}^-{t} underflows to 0 in binary64")

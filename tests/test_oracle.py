@@ -1,5 +1,6 @@
 import gc
 import itertools
+import json
 import math
 import random
 import time
@@ -17,7 +18,9 @@ from primopt.oracle import (
     Antichain,
     _Dinic,
     _antichain_at,
+    _erdos_weights,
     _flow_optimum,
+    _integer_column,
     _residual_optimum,
     _scaled_weights,
     _tree_optimum,
@@ -29,7 +32,7 @@ from primopt.oracle import (
     verify_tbest,
 )
 from primopt.primes import MAX_ELEMENT, PrimeSet, omega, sieve_primes
-from primopt.symfunc import sigma_nk
+from primopt.symfunc import power_weights, sigma_nk
 
 
 def semigroup_filter(primes, k_lo, max_omega, max_value):
@@ -67,6 +70,37 @@ def level_members(universe, k):
     return [n for n, om in zip(universe.elements, universe.omegas) if om == k]
 
 
+# _COLUMNS_FROM at these values builds every universe of these tests as
+# int64 columns, or as Python lists
+COLUMNS, LISTS = 0, 10**9
+
+
+def built(columns_from, *args):
+    """build_universe(*args) with the column cutoff at ``columns_from``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_COLUMNS_FROM", columns_from)
+        return build_universe(*args)
+
+
+def both_regimes(universe):
+    """The same truncation built as Python lists, then as int64 columns."""
+    args = (universe.prime_set, universe.k_lo, universe.max_omega, universe.max_value)
+    lists, columns = built(LISTS, *args), built(COLUMNS, *args)
+    assert not lists.columnar and columns.columnar
+    return lists, columns
+
+
+def as_list(column):
+    """A column of Python ints as a list: indices, elements or scaled weights."""
+    return column.tolist() if isinstance(column, np.ndarray) else list(column)
+
+
+def scaled_for(universe, weights):
+    """The integer weights the optimizer runs on the universe: an int64
+    column for a columnar universe, as ``oracle._optimum`` makes them."""
+    return _scaled_weights(np.array(weights) if universe.columnar else weights)
+
+
 def test_build_universe_examples():
     u = build_universe(PrimeSet([2, 3]), 1, 2, 100)
     assert u.elements == (2, 3, 4, 6, 9)
@@ -91,6 +125,12 @@ def test_build_universe_matches_integer_scan(primes, k_lo, max_omega, max_value)
     assert list(u.elements) == expected
     for n, om in zip(u.elements, u.omegas):
         assert omega(n, u.prime_set) == om
+
+
+def test_universes_compare_by_their_truncation():
+    lists, columns = both_regimes(build_universe(sieve_primes(100), 2, 3, 10**5))
+    assert lists == columns and hash(lists) == hash(columns)
+    assert columns != build_universe(columns.prime_set, 2, 3, 10**5 - 1)
 
 
 def test_build_universe_guards():
@@ -135,22 +175,30 @@ def truncations(draw):
 
 
 def _on_path(columns_from, prime_set, k_lo, max_omega, max_value, max_elements):
-    """The universe's elements, Omegas and parents, built with the column
-    cutoff at ``columns_from``, or the SizeLimitError message.
-    Each parent is checked against the largest prime factor on the way."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(oracle, "_COLUMNS_FROM", columns_from)
-        try:
-            u = build_universe(prime_set, k_lo, max_omega, max_value, max_elements)
-        except SizeLimitError as exc:
-            return str(exc)
-    for n, om, parent in zip(u.elements, u.omegas, u.parents):
+    """The universe's elements, Omegas and parents as tuples of Python ints,
+    built with the column cutoff at ``columns_from``, or the SizeLimitError
+    message.  The columns are int64 arrays on the column path and tuples of
+    Python ints on the list path.  Each parent is checked against the
+    largest prime factor on the way."""
+    try:
+        u = built(columns_from, prime_set, k_lo, max_omega, max_value, max_elements)
+    except SizeLimitError as exc:
+        return str(exc)
+    columns = (u.elements, u.omegas, u.parents)
+    assert u.columnar == (columns_from == COLUMNS)
+    if u.columnar:
+        assert all(column.dtype == np.int64 and column.shape == (len(u),) for column in columns)
+        columns = tuple(tuple(column.tolist()) for column in columns)
+    assert all(type(column) is tuple for column in columns)
+    assert all(type(n) is int for column in columns for n in column)
+    elements, omegas, parents = columns
+    for n, om, parent in zip(elements, omegas, parents):
         if om == k_lo:
             assert parent == -1
         else:
             largest = max(p for p in prime_set if n % p == 0)
-            assert u.elements[parent] * largest == n
-    return u.elements, u.omegas, u.parents
+            assert elements[parent] * largest == n
+    return columns
 
 
 @given(truncations(), st.one_of(st.just(DEFAULT_MAX_ELEMENTS), st.integers(1, 60)))
@@ -161,10 +209,7 @@ def _on_path(columns_from, prime_set, k_lo, max_omega, max_value, max_elements):
 def test_column_and_list_paths_agree(case, max_elements):
     primes, k_lo, max_omega, max_value = case
     args = (PrimeSet(primes), k_lo, max_omega, max_value, max_elements)
-    columns = _on_path(0, *args)
-    assert columns == _on_path(math.inf, *args)
-    if not isinstance(columns, str):
-        assert all(type(n) is int for column in columns for n in column)
+    assert _on_path(COLUMNS, *args) == _on_path(LISTS, *args)
 
 
 @pytest.mark.parametrize("columns_from", [0, math.inf])
@@ -198,23 +243,24 @@ def test_bruteforce_leaves_no_cyclic_garbage():
 @example(((3037000493,), 1, 2, 3037000493**2 - 1))  # one below it
 def test_covering_edges_generate_divisibility(case):
     primes, k_lo, max_omega, max_value = case
-    u = build_universe(PrimeSet(primes), k_lo, max_omega, max_value)
-    idx = {n: i for i, n in enumerate(u.elements)}
-    naive = {
-        (i, idx[n * p]) for i, n in enumerate(u.elements) for p in primes if n * p in idx
-    }
-    edges = u.covering_edges()
-    assert edges.dtype == np.int64 and edges.shape == (len(naive), 2)
-    pairs = [tuple(pair) for pair in edges.tolist()]
-    assert len(edges) == len(naive) and set(pairs) == naive
-    # reachability along the edges is divisibility; edges point to larger
-    # elements, so one descending pass closes the reach sets
-    reach = [0] * len(u)
-    for i, j in sorted(pairs, reverse=True):
-        reach[i] |= (1 << j) | reach[j]
-    for a, b in itertools.combinations(range(len(u)), 2):
-        divides = u.elements[b] % u.elements[a] == 0
-        assert bool(reach[a] >> b & 1) == divides
+    for u in both_regimes(build_universe(PrimeSet(primes), k_lo, max_omega, max_value)):
+        elements = as_list(u.elements)
+        idx = {n: i for i, n in enumerate(elements)}
+        naive = {
+            (i, idx[n * p]) for i, n in enumerate(elements) for p in primes if n * p in idx
+        }
+        edges = u.covering_edges()
+        assert edges.dtype == np.int64 and edges.shape == (len(naive), 2)
+        pairs = [tuple(pair) for pair in edges.tolist()]
+        assert len(edges) == len(naive) and set(pairs) == naive
+        # reachability along the edges is divisibility; edges point to larger
+        # elements, so one descending pass closes the reach sets
+        reach = [0] * len(u)
+        for i, j in sorted(pairs, reverse=True):
+            reach[i] |= (1 << j) | reach[j]
+        for a, b in itertools.combinations(range(len(u)), 2):
+            divides = elements[b] % elements[a] == 0
+            assert bool(reach[a] >> b & 1) == divides
 
 
 def test_dinic_max_flow_on_a_long_path():
@@ -353,7 +399,10 @@ def test_mixed_omega_members_are_still_scanned():
 @settings(max_examples=300, deadline=None)
 @example([0.5 * 2**-50, 1.5 * 2**-50, 2.5 * 2**-50, 2**-51, 2**-60, 1.0, 5e-324])
 def test_scaled_weights_round_half_to_even_like_round(weights):
-    assert _scaled_weights(weights) == [max(1, round(w * 2**50)) for w in weights]
+    expected = [max(1, round(w * 2**50)) for w in weights]
+    assert _scaled_weights(weights) == expected
+    column = _scaled_weights(np.array(weights, dtype=np.float64))
+    assert column.dtype == np.int64 and column.tolist() == expected
 
 
 def test_flow_on_chain_picks_max_weight_element():
@@ -397,14 +446,15 @@ def test_flow_equals_exhaustive_subset_search():
         ((2, 7), 1, 4, 300),
     ]
     for primes, k_lo, max_omega, max_value in cases:
-        u = build_universe(PrimeSet(primes), k_lo, max_omega, max_value)
-        assert len(u) <= 14
+        lists, columns = both_regimes(build_universe(PrimeSet(primes), k_lo, max_omega, max_value))
+        assert len(lists) <= 14
         for t in (1.0, 1.3, rng.uniform(1.0, 2.5)):
-            expected = exhaustive_optimum(u, [float(n) ** (-t) for n in u.elements])
-            _, flow_w = max_weight_antichain_flow(u, t)
-            _, brute_w = max_weight_antichain_bruteforce(u, t)
-            assert abs(flow_w - expected) <= 1e-9
-            assert abs(brute_w - expected) <= 1e-9
+            expected = exhaustive_optimum(lists, [float(n) ** (-t) for n in lists.elements])
+            for u in (lists, columns):
+                _, flow_w = max_weight_antichain_flow(u, t)
+                _, brute_w = max_weight_antichain_bruteforce(u, t)
+                assert abs(flow_w - expected) <= 1e-9
+                assert abs(brute_w - expected) <= 1e-9
 
 
 @st.composite
@@ -428,11 +478,13 @@ def weighted_small_universes(draw):
 def test_flow_matches_exhaustive_under_arbitrary_weights(case):
     universe, by_element = case
     weights = [by_element[n] for n in universe.elements]
-    members, optimum_scaled = _flow_optimum(universe, _scaled_weights(weights))
-    assert is_primitive([universe.elements[i] for i in members])
     expected = exhaustive_optimum(universe, weights)
-    assert abs(math.fsum(weights[i] for i in members) - expected) <= 1e-12
-    assert abs(optimum_scaled / 2**50 - expected) <= 1e-12
+    for universe in both_regimes(universe):
+        members, optimum_scaled = _flow_optimum(universe, scaled_for(universe, weights))
+        members = as_list(members)
+        assert is_primitive([as_list(universe.elements)[i] for i in members])
+        assert abs(math.fsum(weights[i] for i in members) - expected) <= 1e-12
+        assert abs(optimum_scaled / 2**50 - expected) <= 1e-12
 
 
 @given(weighted_small_universes(), st.integers(2, 2**40))
@@ -441,13 +493,26 @@ def test_flow_matches_exhaustive_under_arbitrary_weights(case):
     build_universe(PrimeSet([7, 19, 31]), 1, 4, 300),
     {7: 1.0, 19: 1e-3, 31: 1e-3, 49: 0.5, 133: 0.5, 217: 0.5},
 ), 3)
+@example((  # Dinic runs on sums far past 2^63
+    build_universe(PrimeSet([7, 19, 31]), 1, 4, 300),
+    {7: 1.0, 19: 1e-3, 31: 1e-3, 49: 0.5, 133: 0.5, 217: 0.5},
+), 2**40)
+@example((  # the tree bound closes, on sums far past 2^63
+    build_universe(PrimeSet([2, 3]), 1, 2, 100),
+    {2: 0.5, 3: 0.4, 4: 0.2, 6: 0.1, 9: 0.1},
+), 2**40)
 def test_flow_core_scales_with_integer_weights(case, c):
     # the core sees only integers: c times every weight is c times the
-    # optimum, with the same members
+    # optimum, with the same members, also where the sums pass 2^63 and a
+    # columnar universe runs them as Python ints
     universe, by_element = case
-    scaled = _scaled_weights([by_element[n] for n in universe.elements])
-    members, optimum_scaled = _flow_optimum(universe, scaled)
-    assert _flow_optimum(universe, [c * w for w in scaled]) == (members, c * optimum_scaled)
+    for universe in both_regimes(universe):
+        scaled = as_list(scaled_for(universe, [by_element[n] for n in universe.elements]))
+        members, optimum_scaled = _flow_optimum(universe, scaled)
+        members = as_list(members)
+        big_members, big_optimum = _flow_optimum(universe, [c * w for w in scaled])
+        assert (as_list(big_members), big_optimum) == (members, c * optimum_scaled)
+        assert type(big_optimum) is int
 
 
 @given(weighted_small_universes())
@@ -458,42 +523,47 @@ def test_flow_core_scales_with_integer_weights(case, c):
 @example((build_universe(PrimeSet([2, 3]), 1, 2, 100), {2: 0.1, 3: 0.4, 4: 0.2, 6: 0.1, 9: 0.1}))
 def test_tree_bound_closes_only_on_an_optimum(case):
     universe, by_element = case
-    scaled = _scaled_weights([by_element[n] for n in universe.elements])
-    roots = _tree_optimum(universe.parents, scaled)
-    if roots is not None:
-        assert roots == [i for i, om in enumerate(universe.omegas) if om == universe.k_lo]
-        best = max(sum(scaled[i] for i in combo) for combo in antichains(universe))
-        assert sum(scaled[r] for r in roots) == best
+    closed = []
+    for universe in both_regimes(universe):
+        scaled = scaled_for(universe, [by_element[n] for n in universe.elements])
+        roots = _tree_optimum(universe, scaled)
+        closed.append(roots is not None)
+        if roots is not None:
+            roots, scaled = as_list(roots), as_list(scaled)
+            assert roots == [i for i, om in enumerate(universe.omegas) if om == universe.k_lo]
+            best = max(sum(scaled[i] for i in combo) for combo in antichains(universe))
+            assert sum(scaled[r] for r in roots) == best
+    assert closed[0] == closed[1]
 
 
 def test_flow_finds_the_cut_where_the_tree_stays_open():
     # 49, 133 and 217 all hang under 7 and outweigh it together, so the
     # tree bound stays open, and the cut picks the level-2 elements
-    universe = build_universe(PrimeSet([7, 19, 31]), 1, 4, 300)
-    assert universe.elements == (7, 19, 31, 49, 133, 217)
     weights = [1.0, 1e-3, 1e-3, 0.5, 0.5, 0.5]
-    scaled = _scaled_weights(weights)
-    assert _tree_optimum(universe.parents, scaled) is None
-    members, optimum_scaled = _flow_optimum(universe, scaled)
-    assert [universe.elements[i] for i in members] == [49, 133, 217]
-    assert optimum_scaled == sum(scaled[3:])
-    weight = math.fsum(weights[i] for i in members)
-    assert weight == 1.5 == exhaustive_optimum(universe, weights)
+    for universe in both_regimes(build_universe(PrimeSet([7, 19, 31]), 1, 4, 300)):
+        assert as_list(universe.elements) == [7, 19, 31, 49, 133, 217]
+        scaled = scaled_for(universe, weights)
+        assert _tree_optimum(universe, scaled) is None
+        members, optimum_scaled = _flow_optimum(universe, scaled)
+        members = as_list(members)
+        assert [as_list(universe.elements)[i] for i in members] == [49, 133, 217]
+        assert optimum_scaled == sum(as_list(scaled)[3:])
+        weight = math.fsum(weights[i] for i in members)
+        assert weight == 1.5 == exhaustive_optimum(universe, weights)
 
 
-def test_tree_bound_matches_dinic_on_seeded_universes():
-    # A differential of _flow_optimum, which tries the tree bound first,
-    # against Dinic run on every universe.  Where the tree bound closes, the
-    # members are the roots and Dinic reaches their weight.  Where it stays
-    # open, the optimum is Dinic's, and the members are the roots when they
-    # weigh that much, else Dinic's cut.
+_WEIGHT_KINDS = (1.01, 1.1, 1.5, 2.0, 3.0, 8.0, "erdos", "arbitrary")
+
+
+def seeded_universes(count):
+    """``count`` universes of 1 to 400 elements from a fixed seed, each with
+    a weight kind: a t of n^-t, "erdos" for 1/(n log n), or "arbitrary",
+    and with weights drawn for that kind as a list aligned with the
+    elements."""
     rng = random.Random(1301)
     pool = sieve_primes(400).as_list()
-    kinds = (1.01, 1.1, 1.5, 2.0, 3.0, 8.0, "erdos", "arbitrary")
     universes = 0
-    closed = {True: 0, False: 0}
-    overruled = 0  # tree-open universes where the roots win over a different cut
-    while universes < 1040:
+    while universes < count:
         primes = sorted(rng.sample(pool[: rng.choice((6, 25, 78))], rng.randint(1, 5)))
         k_lo = rng.randint(1, 3)
         universe = build_universe(
@@ -502,25 +572,41 @@ def test_tree_bound_matches_dinic_on_seeded_universes():
         if not 1 <= len(universe) <= 400:
             continue
         universes += 1
-        kind = kinds[universes % len(kinds)]
+        kind = _WEIGHT_KINDS[universes % len(_WEIGHT_KINDS)]
         if kind == "erdos":
             weights = [1.0 / (n * math.log(n)) for n in universe.elements]
         elif kind == "arbitrary":
             weights = [rng.uniform(1e-6, 1.0) for _ in universe.elements]
         else:
             weights = [float(n) ** (-kind) for n in universe.elements]
-        scaled = _scaled_weights(weights)
-        members, optimum_scaled = _flow_optimum(universe, scaled)
-        cut_members, rest = _residual_optimum(scaled, universe.covering_edges())
-        assert sum(scaled) - rest == optimum_scaled
-        roots = [i for i, om in enumerate(universe.omegas) if om == k_lo]
-        tree = _tree_optimum(universe.parents, scaled)
-        closed[tree is not None] += 1
-        if tree is not None or optimum_scaled == sum(scaled[i] for i in roots):
-            assert members == roots
-            overruled += tree is None and cut_members != roots
-        else:
-            assert members == cut_members
+        yield universe, kind, weights
+
+
+def test_tree_bound_matches_dinic_on_seeded_universes():
+    # A differential of _flow_optimum, which tries the tree bound first,
+    # against Dinic run on every universe, in both regimes.  Where the tree
+    # bound closes, the members are the roots and Dinic reaches their
+    # weight.  Where it stays open, the optimum is Dinic's, and the members
+    # are the roots when they weigh that much, else Dinic's cut.
+    closed = {True: 0, False: 0}
+    overruled = 0  # tree-open universes where the roots win over a different cut
+    for universe, _, weights in seeded_universes(1040):
+        trees = []
+        for universe in both_regimes(universe):
+            tree = _tree_optimum(universe, scaled_for(universe, weights))
+            trees.append(None if tree is None else as_list(tree))
+            members, optimum_scaled = _flow_optimum(universe, scaled_for(universe, weights))
+            members, scaled = as_list(members), as_list(scaled_for(universe, weights))
+            cut_members, rest = _residual_optimum(scaled, universe.covering_edges())
+            assert sum(scaled) - rest == optimum_scaled
+            roots = [i for i, om in enumerate(universe.omegas) if om == universe.k_lo]
+            if tree is not None or optimum_scaled == sum(scaled[i] for i in roots):
+                assert members == roots
+                overruled += tree is None and cut_members != roots
+            else:
+                assert members == cut_members
+        assert trees[0] == trees[1]
+        closed[trees[0] is not None] += 1
     # both paths ran often enough to mean something, and the roots rule bit
     assert min(closed.values()) >= 50, closed
     assert overruled, overruled
@@ -530,15 +616,91 @@ def test_flow_picks_the_roots_on_a_clamped_tie():
     # 125^-8 = 1.7e-17 and 625^-8 = 4.3e-23 both clamp to one 2^-50 quantum,
     # so {125} and {625} tie in the flow; Dinic's minimal cut names 625, and
     # the roots rule keeps 125
-    universe = build_universe(PrimeSet([5, 103, 331]), 3, 5, 1000)
-    assert universe.elements == (125, 625)
-    scaled = _scaled_weights([125.0**-8, 625.0**-8])
-    assert scaled == [1, 1]
-    assert _residual_optimum(scaled, np.array([[0, 1]])) == ([1], 1)
-    assert _flow_optimum(universe, scaled) == ([0], 1)
-    assert max_weight_antichain_flow(universe, 8.0) == (Antichain((125,)), 125.0**-8)
+    weights = [125.0**-8, 625.0**-8]
+    for universe in both_regimes(build_universe(PrimeSet([5, 103, 331]), 3, 5, 1000)):
+        assert as_list(universe.elements) == [125, 625]
+        scaled = scaled_for(universe, weights)
+        assert as_list(scaled) == [1, 1]
+        assert _residual_optimum(as_list(scaled), np.array([[0, 1]])) == ([1], 1)
+        members, optimum = _flow_optimum(universe, scaled)
+        assert (as_list(members), optimum) == ([0], 1)
+        assert max_weight_antichain_flow(universe, 8.0) == (Antichain((125,)), 125.0**-8)
     report = verify_tbest(PrimeSet([5, 103, 331]), 8.0, 3, 5, 1000)
     assert report.holds() and report.optimum_members.members == (125,)
+
+
+def test_integer_column_is_int64_only_while_every_sum_fits():
+    fits = _integer_column([2**50] * 4095)
+    assert fits.dtype == np.int64 and fits.sum() == 4095 * 2**50
+    # a total of 2^62 might round below 2^63 while a sum passes it: Python ints
+    wide = _integer_column(np.full(4096, 2**50, dtype=np.int64))
+    assert wide.dtype == object and type(wide[0]) is int
+    assert type(wide.sum()) is int and wide.sum() == 2**62
+    huge = _integer_column([2**90, 1])
+    assert huge.dtype == object and huge.tolist() == [2**90, 1]
+
+
+def _json_in(columns_from, call):
+    """The JSON of call()'s result, or its error, with the column cutoff at
+    ``columns_from``; json.dumps refuses a numpy integer."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_COLUMNS_FROM", columns_from)
+        try:
+            return json.dumps(jsonable(call()))
+        except (ValueError, ArithmeticError) as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+
+def assert_same_in_both_regimes(call):
+    assert _json_in(LISTS, call) == _json_in(COLUMNS, call)
+
+
+def test_regimes_give_identical_reports_on_seeded_universes():
+    for universe, kind, _ in seeded_universes(1040):
+        args = (universe.prime_set, universe.k_lo, universe.max_omega, universe.max_value)
+        if kind == "erdos":
+            assert_same_in_both_regimes(lambda: verify_erdos_best(*args))
+        elif kind != "arbitrary":
+            prime_set, k, max_omega, max_value = args
+            assert_same_in_both_regimes(lambda: verify_tbest(prime_set, kind, *args[1:]))
+            assert_same_in_both_regimes(
+                lambda: max_weight_antichain_flow(build_universe(*args), kind)
+            )
+
+
+# values up to 2^62, so most of them are not binary64 numbers
+_DEEP = (PrimeSet([2, 3, 5, 7]), 1, 22, 2**62)
+
+
+@pytest.mark.parametrize("call", [
+    *(lambda t=t: verify_tbest(_DEEP[0], t, *_DEEP[1:]) for t in (1.5, 8.0, 40.0)),
+    lambda: verify_erdos_best(*_DEEP),
+    lambda: max_weight_antichain_flow(build_universe(*_DEEP), 1.5),
+    # the tree bound stays open and Dinic decides: the roots are optimal
+    lambda: verify_tbest(sieve_primes(1000), 1.2, 1, 2, 10**5),
+    # the tree bound stays open and the optimum is Dinic's cut
+    lambda: verify_tbest(sieve_primes(300), 1.02, 1, 2, 90000),
+    lambda: max_weight_antichain_flow(build_universe(sieve_primes(300), 1, 2, 90000), 1.02),
+], ids=["deep-1.5", "deep-8", "deep-underflow", "deep-erdos", "deep-flow",
+        "open-roots", "open-cut", "open-cut-flow"])
+def test_regimes_give_identical_reports(call):
+    assert_same_in_both_regimes(call)
+
+
+def test_column_weights_are_python_float_weights_bit_for_bit():
+    universe = built(COLUMNS, *_DEEP)
+    assert universe.columnar
+    column = np.concatenate((universe.elements, [2**53 + 1, 2**62 + 1, 3**39, MAX_ELEMENT]))
+    values = column.tolist()
+    # above 2^53 float(n) rounds, and the cast must round the same way
+    assert sum(n > 2**53 and float(n) != n for n in values) > 100
+    for t in (0.05, 1.02, 1.5, 8.0):
+        weights = power_weights(column, t)
+        assert all(type(w) is float for w in weights)
+        assert [w.hex() for w in weights] == [(float(n) ** -t).hex() for n in values]
+    erdos = _erdos_weights(column)
+    assert all(type(w) is float for w in erdos)
+    assert [w.hex() for w in erdos] == [(1.0 / (n * math.log(n))).hex() for n in values]
 
 
 def test_dinic_is_built_only_where_the_tree_stays_open(monkeypatch):
