@@ -661,8 +661,7 @@ def test_regimes_give_identical_reports_on_seeded_universes():
         if kind == "erdos":
             assert_same_in_both_regimes(lambda: verify_erdos_best(*args))
         elif kind != "arbitrary":
-            prime_set, k, max_omega, max_value = args
-            assert_same_in_both_regimes(lambda: verify_tbest(prime_set, kind, *args[1:]))
+            assert_same_in_both_regimes(lambda: verify_tbest(args[0], kind, *args[1:]))
             assert_same_in_both_regimes(
                 lambda: max_weight_antichain_flow(build_universe(*args), kind)
             )
