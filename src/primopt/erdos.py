@@ -1,5 +1,9 @@
 """Reciprocal-log weights 1/(n log n) and their integral bridge to power weights.
 
+``erdos_weights`` is the one kernel for the weight, in the form of its
+input and with the same bits in either; ``erdos_sum`` sums it, and the
+oracle's ``verify_erdos_best`` certifies under it.
+
 For a finite set, the reciprocal-log sum equals the integral over t in
 (1, inf) of the power-weight sum: each term integrates to n^-1/log n.  The
 bridge check integrates numerically (adaptive Simpson on (1, 50], exact
@@ -10,13 +14,29 @@ lets power-weight dominance transfer to reciprocal-log dominance.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Sequence, Union
+
+import numpy as np
 
 from .analytic import ConditionVerdict, ErrBoundReal
 from .errors import PrecisionError
 
 _SPLIT_POINT = 50.0
 _MAX_DEPTH = 40
+
+
+def erdos_weights(values: Union[Sequence[int], np.ndarray]):
+    """The weights 1/(n log n) of integers >= 2, in their order: a float64
+    column for an int64 column, else a list of Python floats.
+
+    An int64 column is cast to float64, which rounds each value as int *
+    float and ``math.log`` do, and both forms use Python's float arithmetic
+    (np.log differs from ``math.log`` in some last bits), so they agree.
+    """
+    if isinstance(values, np.ndarray):
+        floats = values.astype(np.float64).tolist()
+        return np.fromiter((1.0 / (x * math.log(x)) for x in floats), np.float64, len(floats))
+    return [1.0 / (n * math.log(n)) for n in values]
 
 
 def erdos_sum(members: Sequence[int]) -> float:
@@ -26,7 +46,7 @@ def erdos_sum(members: Sequence[int]) -> float:
         raise ValueError("sum is defined for nonempty sets")
     if values[0] < 2:
         raise ValueError("weights 1/(n log n) need every element >= 2")
-    return math.fsum(1.0 / (n * math.log(n)) for n in values)
+    return math.fsum(erdos_weights(values))
 
 
 def _adaptive_simpson(f, a: float, b: float, tol: float) -> float:

@@ -20,8 +20,9 @@ would cost more than the loops.  No level may pass ``max_elements``: the
 column path sizes each level before it allocates it, and the list path's
 levels, which hold fewer than ``_COLUMNS_FROM`` rows, are checked once
 built.  A universe keeps the form it was built in, int64 arrays or tuples,
-and so does its certification: the scaled weights, the tree bound, the
-level sets and the member sums run on numpy columns or on Python lists.
+and so does its certification: the weights, their integer quanta, the tree
+bound, the level sets and the member sums run on numpy columns or on
+Python lists.
 
 The optimizer first tries a bound from Erdos's tree.  Every element above
 level k_lo has the parent n / P(n), P(n) its largest prime, which is itself
@@ -60,13 +61,16 @@ that cut, the roots are returned instead, as the tree bound returns them.
 The max-flow is Dinic's algorithm with an iterative blocking-flow search
 (no step recurses), over arc ends paired as e and e ^ 1 and grouped by
 tail with one stable argsort.  The flow core sees only element indices and
-integer weights.  Its callers evaluate each element's weight once, as a
-list of Python floats aligned with ``universe.elements``, pass it in
-scaled to integers (value * 2^50 rounded, at least 1), and re-sum the
-float weights of the returned members; verdict tolerances absorb the
-scaling quantum.  The integers are Python ints, or on columns int64 while
-their total proves that no sum wraps and Python ints in a numpy column
-past that, so the arithmetic is exact even where the total passes 2^63.
+integer weights.  Its callers evaluate each element's weight once, aligned
+with ``universe.elements`` and in its form: a list of Python floats, or a
+float64 column of the same Python float arithmetic (``power_weights``,
+``erdos_weights``).  ``_scaled_weights`` is the one step to integers,
+value * 2^50 rounded and at least 1: Python ints for a list, and for a
+column int64 while the float total proves that no sum wraps, Python ints in
+a numpy column past that, so the arithmetic is exact even where the total
+passes 2^63.  ``_gather`` reads either form back as Python numbers, and the
+float weights of the returned members are re-summed by fsum; verdict
+tolerances absorb the scaling quantum.
 
 An optimum is checked to be an antichain before it is returned.  When its
 members share one Omega the check is free: if a | b with a != b in the
@@ -84,6 +88,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .analytic import HOLDS, FAILS, MEMBERS_SHOWN, ConditionVerdict, check_condition
+from .erdos import erdos_weights
 from .errors import SizeLimitError
 from .primes import MAX_ELEMENT, PrimeSet
 from .symfunc import h_all, power_weights, sigma_nk
@@ -446,27 +451,30 @@ class _Dinic:
 
 
 def _scaled_weights(weights):
-    """Float weights in (0, 1] in whole 2^-50 quanta, at least one: a list
-    of Python ints for a list of weights, an int64 array for an array.
-
-    w * 2^50 is exact, and np.rint rounds it half to even as ``round`` does.
+    """Float weights in whole 2^-50 quanta, at least one each: Python ints
+    for a list (a list-built universe: fewer than ``_COLUMNS_FROM`` weights
+    of at most 1).  A float64 column gives int64 while the float total is
+    below 2^62, which proves that no sum wraps (it errs by a relative
+    n * 2^-53 at most), else Python ints (dtype object) made from the
+    floats, on which the same numpy code is exact.  w * 2^50 is exact, and
+    np.rint rounds it half to even as ``round`` does.
     """
     scaled = np.multiply(weights, float(_WEIGHT_SCALE))
     np.rint(scaled, out=scaled)
     np.maximum(scaled, 1.0, out=scaled)
-    scaled = scaled.astype(np.int64)
-    return scaled if isinstance(weights, np.ndarray) else scaled.tolist()
+    if not isinstance(weights, np.ndarray):
+        return scaled.astype(np.int64).tolist()
+    if scaled.sum() < 2.0**62:
+        return scaled.astype(np.int64)
+    return np.frompyfunc(int, 1, 1)(scaled)
 
 
-def _integer_column(scaled) -> np.ndarray:
-    """Non-negative integer weights as one numpy column: int64 when their
-    float total is below 2^62, which proves that no sum of them wraps (the
-    float total errs by a relative n * 2^-53 at most, far below the factor
-    2 up to 2^63), else Python ints (dtype object), on which the same numpy
-    code is exact."""
-    if np.asarray(scaled, dtype=np.float64).sum() < 2.0**62:
-        return np.asarray(scaled, dtype=np.int64)
-    return np.array(scaled, dtype=object)
+def _gather(column, indices: Indices) -> list:
+    """The entries of ``column`` at ``indices`` as a list of Python numbers,
+    from a list or tuple, or from a numpy column."""
+    if isinstance(column, np.ndarray):
+        return column[indices].tolist()
+    return [column[i] for i in indices]
 
 
 def _level(universe: TruncatedUniverse, k: int) -> Indices:
@@ -477,16 +485,10 @@ def _level(universe: TruncatedUniverse, k: int) -> Indices:
     return [i for i, om in enumerate(universe.omegas) if om == k]
 
 
-def _sum_at(scaled, indices: Indices) -> int:
-    """The sum of the integer weights at ``indices``, as a Python int."""
-    if isinstance(scaled, np.ndarray):
-        return int(scaled[indices].sum())
-    return sum(scaled[i] for i in indices)
-
-
-def _tree_optimum(universe: TruncatedUniverse, scaled) -> Optional[Indices]:
-    """The indices of the roots (level k_lo) when the largest-prime-factor
-    forest proves them a maximum-weight antichain, else None.
+def _tree_optimum(universe: TruncatedUniverse, scaled) -> Optional[tuple[Indices, int]]:
+    """The indices of the roots (level k_lo) and their weight when the
+    largest-prime-factor forest proves them a maximum-weight antichain, else
+    None.
 
     Children come after their parents, so one pass in descending order
     gives each node the weight ``arriving`` of the heaviest antichains of
@@ -495,46 +497,41 @@ def _tree_optimum(universe: TruncatedUniverse, scaled) -> Optional[Indices]:
     Omega level at a time, top down, since a node's children all lie on the
     level above it: one maximum and one scatter-add per level.
     """
+    roots = _level(universe, universe.k_lo)
     if universe.columnar:
         omegas, parents = universe.omegas, universe.parents
         arriving = np.zeros_like(scaled)
         for om in range(int(omegas.max()), universe.k_lo, -1):
             level = np.flatnonzero(omegas == om)
             np.add.at(arriving, parents[level], np.maximum(scaled[level], arriving[level]))
-        roots = _level(universe, universe.k_lo)
-        return roots if (arriving[roots] <= scaled[roots]).all() else None
+        own = scaled[roots]
+        return (roots, int(own.sum())) if (arriving[roots] <= own).all() else None
     parents = universe.parents
     arriving = [0] * (len(scaled) + 1)
     for c in range(len(scaled) - 1, -1, -1):
         below, own = arriving[c], scaled[c]
         arriving[parents[c]] += own if own > below else below
-    roots = [r for r, parent in enumerate(parents) if parent < 0]
     if all(arriving[r] <= scaled[r] for r in roots):
-        return roots
+        return roots, sum(scaled[r] for r in roots)
     return None
 
 
 def _flow_optimum(universe: TruncatedUniverse, scaled) -> tuple[Indices, int]:
     """A maximum-weight antichain under the integer weights ``scaled``,
     aligned with ``universe.elements``: its member indices, ascending, and
-    its weight.  An optimum that the roots (level k_lo) reach is the roots.
-    A columnar universe runs its weights as one ``_integer_column`` and
-    returns its indices as an int64 array."""
+    its weight.  An optimum that the roots (level k_lo) reach is the roots,
+    an int64 array of indices for a columnar universe; Dinic's members are
+    a list."""
     if len(universe) == 0:
         raise ValueError("universe is empty")
-    if universe.columnar:
-        scaled = _integer_column(scaled)
-    roots = _tree_optimum(universe, scaled)
-    if roots is None:
-        listed = scaled.tolist() if universe.columnar else scaled
-        members, rest = _residual_optimum(listed, universe.covering_edges())
-        optimum = sum(listed) - rest
-        roots = _level(universe, universe.k_lo)
-        if optimum != _sum_at(scaled, roots):
-            if universe.columnar:
-                members = np.array(members, dtype=np.int64)
-            return members, optimum
-    return roots, _sum_at(scaled, roots)
+    tree = _tree_optimum(universe, scaled)
+    if tree is not None:
+        return tree
+    listed = _gather(scaled, range(len(universe)))
+    members, rest = _residual_optimum(listed, universe.covering_edges())
+    optimum = sum(listed) - rest
+    roots = _level(universe, universe.k_lo)
+    return (roots if optimum == sum(_gather(scaled, roots)) else members), optimum
 
 
 def _residual_optimum(scaled: list[int], edges: np.ndarray) -> tuple[list[int], int]:
@@ -569,21 +566,11 @@ def _residual_optimum(scaled: list[int], edges: np.ndarray) -> tuple[list[int], 
     return members, rest
 
 
-def _weight_at(weights, indices: Indices) -> float:
-    """The fsum of the float weights at ``indices``: a list, or an int64
-    array into a float64 array."""
-    if isinstance(indices, np.ndarray):
-        return math.fsum(np.asarray(weights)[indices].tolist())
-    return math.fsum(weights[i] for i in indices)
-
-
-def _optimum(universe: TruncatedUniverse, weights: list[float]) -> tuple[Indices, float]:
+def _optimum(universe: TruncatedUniverse, weights) -> tuple[Indices, float]:
     """The member indices of a maximum-weight antichain under ``weights``,
     aligned with ``universe.elements``, and the fsum of their weights."""
-    if universe.columnar:
-        weights = np.array(weights)
     members, _ = _flow_optimum(universe, _scaled_weights(weights))
-    return members, _weight_at(weights, members)
+    return members, math.fsum(_gather(weights, members))
 
 
 def max_weight_antichain_flow(universe: TruncatedUniverse, t: float) -> tuple[Antichain, float]:
@@ -594,14 +581,9 @@ def max_weight_antichain_flow(universe: TruncatedUniverse, t: float) -> tuple[An
 
 def _antichain_at(universe: TruncatedUniverse, members: Indices) -> Antichain:
     """The antichain of the elements at the indices ``members``."""
-    if universe.columnar:
-        return Antichain(
-            tuple(universe.elements[members].tolist()),
-            _omegas=tuple(universe.omegas[members].tolist()),
-        )
     return Antichain(
-        tuple(universe.elements[i] for i in members),
-        _omegas=tuple(universe.omegas[i] for i in members),
+        tuple(_gather(universe.elements, members)),
+        _omegas=tuple(_gather(universe.omegas, members)),
     )
 
 
@@ -620,8 +602,8 @@ def max_weight_antichain_bruteforce(
 
     # descending weight order maximizes pruning
     order = sorted(range(count), key=lambda i: -weights[i])
-    values = [universe.elements[i] for i in order]
-    weights = [weights[i] for i in order]
+    values = _gather(universe.elements, order)
+    weights = _gather(weights, order)
 
     # the values are distinct, so only the smaller of a pair can divide
     incompatible = [0] * count
@@ -711,7 +693,7 @@ def _value_tail_bound(prime_set: PrimeSet, t: float, max_value: int) -> float:
 
 def _certify(
     universe: TruncatedUniverse,
-    weights: list[float],
+    weights,
     k: int,
     reference_full: Optional[float],
     tail_bound: Optional[float],
@@ -722,7 +704,7 @@ def _certify(
     level = _level(universe, k)
     on_level = np.array_equal(members, level) if universe.columnar else members == level
     # fsum rounds the exact sum once, so the same members weigh the same
-    level_weight = optimum if on_level else _weight_at(weights, level)
+    level_weight = optimum if on_level else math.fsum(_gather(weights, level))
     m = len(universe.prime_set)
 
     tol = _TIE_TOL + 2.0 * len(universe) / _WEIGHT_SCALE
@@ -790,15 +772,6 @@ def verify_tbest(
     )
 
 
-def _erdos_weights(values) -> list[float]:
-    """The weights 1/(n log n) as Python floats.  An int64 array is cast to
-    float64, which rounds each value as int * float and math.log do, so
-    both give the same bits."""
-    if isinstance(values, np.ndarray):
-        values = values.astype(np.float64).tolist()
-    return [1.0 / (n * math.log(n)) for n in values]
-
-
 def verify_erdos_best(
     prime_set: PrimeSet,
     k: int,
@@ -820,7 +793,7 @@ def verify_erdos_best(
 
     return _certify(
         universe,
-        _erdos_weights(universe.elements),
+        erdos_weights(universe.elements),
         k,
         reference_full=None,
         tail_bound=tail,

@@ -73,14 +73,16 @@ class PrimeSet:
     __slots__ = ("_values", "_member_set")
 
     def __init__(self, values: Iterable[int], *, validate: bool = True):
-        arr = np.asarray(sorted({int(v) for v in values}), dtype=np.int64)
-        if arr.size and arr[0] < 2:
+        ints = sorted({int(v) for v in values})
+        if ints and ints[0] < 2:
             raise ValueError("prime set elements must be >= 2")
+        if ints and ints[-1] > MAX_ELEMENT:
+            raise ValueError(f"prime set elements must be <= MAX_ELEMENT = {MAX_ELEMENT}")
         if validate:
-            for v in arr:
-                if not is_prime(int(v)):
-                    raise ValueError(f"{int(v)} is not prime")
-        self._values = arr
+            for v in ints:
+                if not is_prime(v):
+                    raise ValueError(f"{v} is not prime")
+        self._values = np.asarray(ints, dtype=np.int64)
         self._member_set: Optional[frozenset] = None
 
     @classmethod

@@ -52,21 +52,23 @@ def _check_weights(xs: Sequence[Number]) -> None:
             raise ValueError(f"weight {x} outside (0, 1)")
 
 
-def power_weights(values: Union[PrimeSet, Sequence[int], np.ndarray], t: float) -> list[float]:
-    """The weights n^-t of primes or of semigroup elements, in their order.
+def power_weights(values: Union[PrimeSet, Sequence[int], np.ndarray], t: float):
+    """The weights n^-t of primes or of semigroup elements, in their order:
+    a float64 column for an int64 column, else a list of Python floats.
 
     t must be finite and positive, and no weight may underflow to 0: a zero
-    weight would drop its element from every sum it enters.  An int64 array
-    is cast to float64, which rounds each value as ``float`` does.
+    weight would drop its element from every sum it enters.  An int64
+    column is cast to float64, which rounds each value as ``float`` does.
     """
     if not (t > 0) or not math.isfinite(t):
         raise ValueError("weights need a finite t > 0")
-    # Python's float ** stays, also for arrays: numpy 2.4's AVX-512 power
+    # Python's float ** stays, also for columns: numpy 2.4's AVX-512 power
     # differed from it in 86,010 of 1,623,384 weights, and np.log from
     # math.log in 81 of 2 * 10^6, on a 2-vCPU Xeon VM; a vectorised weight
     # would change reported optima in their last bits.
     if isinstance(values, np.ndarray):
-        weights = [x ** (-t) for x in values.astype(np.float64).tolist()]
+        floats = values.astype(np.float64).tolist()
+        weights = np.fromiter(map(pow, floats, itertools.repeat(-t)), np.float64, len(floats))
     else:
         weights = [float(n) ** (-t) for n in values]
     if 0.0 in weights:
@@ -186,32 +188,23 @@ def square_identity_check(prime_set: PrimeSet, t: float) -> ConditionVerdict:
 
 
 def quadratic_equivalence_check(prime_set: PrimeSet, t: float) -> bool:
-    """h_1 >= h_2 iff the weight sum stays below the upper root
+    """h_1 >= h_2 iff the weight sum S_1 stays below the upper root
     1 + sqrt(1 - S_2), given that it always sits above the lower root.
 
-    Checks both directions of the equivalence and the lower-root chain
-    1 - sqrt(1 - S_2) <= S_2 < S_1.  Degenerate near-equality (within
-    rounding slack of the root) counts as consistent either way.
+    Exact on the Fractions of the binary64 weights, with the root side
+    squared: S_1 <= 1 or (S_1 - 1)^2 <= 1 - S_2.  The lower root 1 -
+    sqrt(1 - S_2) is at most S_2 for every S_2 in [0, 1), so the chain
+    below S_1 needs only S_2 < S_1.
     """
-    xs = power_weights(prime_set, t)
-    s1 = math.fsum(xs)
-    s2 = math.fsum(x * x for x in xs)
-    if s2 >= 1.0:
+    xs = [Fraction(x) for x in power_weights(prime_set, t)]
+    s1 = sum(xs)
+    s2 = sum(x * x for x in xs)
+    if s2 >= 1:
         raise ValueError("squared-weight sum must stay below 1")
-    h = h_all(xs, 2)
-    upper_root = 1.0 + math.sqrt(1.0 - s2)
-    lower_root = 1.0 - math.sqrt(1.0 - s2)
-
-    if not (lower_root <= s2 * (1.0 + REL_TOL) and s2 < s1):
+    if not s2 < s1:
         return False
-
-    slack = REL_TOL * max(1.0, s1, upper_root)
-    chain_side = h[1] >= h[2] - slack
-    root_side = s1 <= upper_root + slack
-    if chain_side != root_side:
-        # disagreement is only legitimate within rounding distance of the root
-        return abs(s1 - upper_root) <= 64.0 * slack
-    return True
+    h = h_all(xs, 2)
+    return (h[1] >= h[2]) == (s1 <= 1 or (s1 - 1) ** 2 <= 1 - s2)
 
 
 def level_elements(prime_set: PrimeSet, k: int) -> list[int]:

@@ -235,6 +235,10 @@ def test_domain_error_exit_3(capsys):
     capsys.readouterr()
     assert main(["corollary", "--brun-bound", "inf", "--limit", "1000"]) == 3
     assert "Brun bound must be finite" in capsys.readouterr().err
+    # refused before the int64 conversion, which would fail with numpy's words
+    assert main(["universe", "--primes", "99999999999999999999999999", "--max-omega", "2",
+                 "--max-value", "100"]) == 3
+    assert "must be <= MAX_ELEMENT = 9223372036854775807" in capsys.readouterr().err
     # the twin scan sieves to limit + 2, so 2^63 - 2 is the first limit refused
     too_far = str((1 << 63) - 2)
     for argv in (

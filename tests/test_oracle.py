@@ -12,15 +12,14 @@ from hypothesis import strategies as st
 
 from primopt import oracle
 from primopt.analytic import jsonable
+from primopt.erdos import erdos_sum, erdos_weights
 from primopt.errors import SizeLimitError
 from primopt.oracle import (
     DEFAULT_MAX_ELEMENTS,
     Antichain,
     _Dinic,
     _antichain_at,
-    _erdos_weights,
     _flow_optimum,
-    _integer_column,
     _residual_optimum,
     _scaled_weights,
     _tree_optimum,
@@ -96,7 +95,7 @@ def as_list(column):
 
 
 def scaled_for(universe, weights):
-    """The integer weights the optimizer runs on the universe: an int64
+    """The integer weights the optimizer runs on the universe: a numpy
     column for a columnar universe, as ``oracle._optimum`` makes them."""
     return _scaled_weights(np.array(weights) if universe.columnar else weights)
 
@@ -504,13 +503,16 @@ def test_flow_matches_exhaustive_under_arbitrary_weights(case):
 def test_flow_core_scales_with_integer_weights(case, c):
     # the core sees only integers: c times every weight is c times the
     # optimum, with the same members, also where the sums pass 2^63 and a
-    # columnar universe runs them as Python ints
+    # columnar universe runs them as Python ints in a numpy column
     universe, by_element = case
     for universe in both_regimes(universe):
-        scaled = as_list(scaled_for(universe, [by_element[n] for n in universe.elements]))
+        scaled = scaled_for(universe, [by_element[n] for n in universe.elements])
         members, optimum_scaled = _flow_optimum(universe, scaled)
         members = as_list(members)
-        big_members, big_optimum = _flow_optimum(universe, [c * w for w in scaled])
+        big = [c * w for w in as_list(scaled)]
+        big_members, big_optimum = _flow_optimum(
+            universe, np.array(big, dtype=object) if universe.columnar else big
+        )
         assert (as_list(big_members), big_optimum) == (members, c * optimum_scaled)
         assert type(big_optimum) is int
 
@@ -526,13 +528,14 @@ def test_tree_bound_closes_only_on_an_optimum(case):
     closed = []
     for universe in both_regimes(universe):
         scaled = scaled_for(universe, [by_element[n] for n in universe.elements])
-        roots = _tree_optimum(universe, scaled)
-        closed.append(roots is not None)
-        if roots is not None:
-            roots, scaled = as_list(roots), as_list(scaled)
+        tree = _tree_optimum(universe, scaled)
+        closed.append(tree is not None)
+        if tree is not None:
+            (roots, weight), scaled = tree, as_list(scaled)
+            roots = as_list(roots)
             assert roots == [i for i, om in enumerate(universe.omegas) if om == universe.k_lo]
             best = max(sum(scaled[i] for i in combo) for combo in antichains(universe))
-            assert sum(scaled[r] for r in roots) == best
+            assert sum(scaled[r] for r in roots) == weight == best and type(weight) is int
     assert closed[0] == closed[1]
 
 
@@ -594,7 +597,7 @@ def test_tree_bound_matches_dinic_on_seeded_universes():
         trees = []
         for universe in both_regimes(universe):
             tree = _tree_optimum(universe, scaled_for(universe, weights))
-            trees.append(None if tree is None else as_list(tree))
+            trees.append(None if tree is None else as_list(tree[0]))
             members, optimum_scaled = _flow_optimum(universe, scaled_for(universe, weights))
             members, scaled = as_list(members), as_list(scaled_for(universe, weights))
             cut_members, rest = _residual_optimum(scaled, universe.covering_edges())
@@ -629,15 +632,18 @@ def test_flow_picks_the_roots_on_a_clamped_tie():
     assert report.holds() and report.optimum_members.members == (125,)
 
 
-def test_integer_column_is_int64_only_while_every_sum_fits():
-    fits = _integer_column([2**50] * 4095)
+def test_scaled_weights_are_int64_only_while_every_sum_fits():
+    fits = _scaled_weights(np.full(4095, 1.0))
     assert fits.dtype == np.int64 and fits.sum() == 4095 * 2**50
     # a total of 2^62 might round below 2^63 while a sum passes it: Python ints
-    wide = _integer_column(np.full(4096, 2**50, dtype=np.int64))
+    wide = _scaled_weights(np.full(4096, 1.0))
     assert wide.dtype == object and type(wide[0]) is int
     assert type(wide.sum()) is int and wide.sum() == 2**62
-    huge = _integer_column([2**90, 1])
-    assert huge.dtype == object and huge.tolist() == [2**90, 1]
+    # 2^40 quanta of 2^50 pass 2^63: each float reaches its Python int exactly
+    huge = _scaled_weights(np.array([2.0**40, 2.0**-60, 2.0**14 + 2.0**-38]))
+    assert huge.dtype == object and all(type(q) is int for q in huge)
+    assert huge.tolist() == [2**90, 1, 2**64 + 2**12]
+    assert _scaled_weights([1.0] * 4096) == [2**50] * 4096
 
 
 def _json_in(columns_from, call):
@@ -695,11 +701,30 @@ def test_column_weights_are_python_float_weights_bit_for_bit():
     assert sum(n > 2**53 and float(n) != n for n in values) > 100
     for t in (0.05, 1.02, 1.5, 8.0):
         weights = power_weights(column, t)
-        assert all(type(w) is float for w in weights)
-        assert [w.hex() for w in weights] == [(float(n) ** -t).hex() for n in values]
-    erdos = _erdos_weights(column)
-    assert all(type(w) is float for w in erdos)
-    assert [w.hex() for w in erdos] == [(1.0 / (n * math.log(n))).hex() for n in values]
+        assert isinstance(weights, np.ndarray) and weights.dtype == np.float64
+        assert [w.hex() for w in weights.tolist()] == [(float(n) ** -t).hex() for n in values]
+        listed = power_weights(values, t)
+        assert all(type(w) is float for w in listed) and listed == weights.tolist()
+    erdos = erdos_weights(column)
+    assert isinstance(erdos, np.ndarray) and erdos.dtype == np.float64
+    assert [w.hex() for w in erdos.tolist()] == [(1.0 / (n * math.log(n))).hex() for n in values]
+    listed = erdos_weights(values)
+    assert all(type(w) is float for w in listed) and listed == erdos.tolist()
+
+
+@pytest.mark.parametrize("args", [
+    (PrimeSet([5, 7, 11, 13]), 1, 4, 10**6),
+    (sieve_primes(100), 2, 3, 10**5),
+    _DEEP,
+], ids=["small", "wide", "deep"])
+def test_erdos_optimum_weight_is_erdos_sum_bit_for_bit(args):
+    for columns_from in (LISTS, COLUMNS):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "_COLUMNS_FROM", columns_from)
+            report = verify_erdos_best(*args)
+        members = report.optimum_members.members
+        assert len(members) > 1
+        assert report.optimum_weight.hex() == erdos_sum(members).hex()
 
 
 def test_dinic_is_built_only_where_the_tree_stays_open(monkeypatch):

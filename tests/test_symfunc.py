@@ -173,6 +173,37 @@ def test_quadratic_equivalence_examples():
     assert quadratic_equivalence_check(big, 1.02)
 
 
+def _root_gap(prime_set, t):
+    """S_1 - 1 - sqrt(1 - S_2) at p^-t in binary64, +inf where S_2 >= 1: it
+    falls as t grows, and its zero is the root t of the equivalence."""
+    xs = power_weights(prime_set, t)
+    s2 = math.fsum(x * x for x in xs)
+    return math.fsum(xs) - 1.0 - math.sqrt(1.0 - s2) if s2 < 1.0 else math.inf
+
+
+@given(
+    st.lists(st.sampled_from(sieve_primes(1000).as_list()), min_size=1, max_size=60, unique=True),
+    st.floats(1.0, 3.0),
+    st.integers(-3, 3),
+)
+@settings(max_examples=60, deadline=None)
+def test_quadratic_equivalence_holds_exactly_near_the_root(primes, t, ulps):
+    # a theorem, so on exact sums it holds at every t, also within a few
+    # ulps of the root, where the binary64 sums of both sides may disagree
+    prime_set = PrimeSet(primes)
+    assert quadratic_equivalence_check(prime_set, t)
+    lo, hi = 0.01, 3.0
+    if _root_gap(prime_set, lo) <= 0.0:
+        return  # one prime: S_1 < 1 + sqrt(1 - S_2) at every t
+    while math.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if _root_gap(prime_set, mid) > 0.0 else (lo, mid)
+    near = hi
+    for _ in range(abs(ulps)):
+        near = math.nextafter(near, math.copysign(math.inf, ulps))
+    assert quadratic_equivalence_check(prime_set, near)
+
+
 def test_level_elements_counts_and_membership():
     P = PrimeSet([2, 3, 5])
     for k in range(6):
