@@ -639,7 +639,7 @@ def test_scaled_weights_are_int64_only_while_every_sum_fits():
     wide = _scaled_weights(np.full(4096, 1.0))
     assert wide.dtype == object and type(wide[0]) is int
     assert type(wide.sum()) is int and wide.sum() == 2**62
-    # 2^40 quanta of 2^50 pass 2^63: each float reaches its Python int exactly
+    # 2^90 and 2^64 + 2^12 quanta pass 2^63: each float reaches its Python int exactly
     huge = _scaled_weights(np.array([2.0**40, 2.0**-60, 2.0**14 + 2.0**-38]))
     assert huge.dtype == object and all(type(q) is int for q in huge)
     assert huge.tolist() == [2**90, 1, 2**64 + 2**12]
