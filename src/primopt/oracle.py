@@ -38,7 +38,8 @@ arriving(r) <= w(r) at every root, that bound is the weight of level k_lo,
 itself a divisibility antichain, so the roots are optimal and no edge is
 built.  Under n^-t weights with sum p^-t < 1, each element outweighs its
 children together, so the bound closes unless rounding to the scaling
-quantum breaks that inequality.
+quantum breaks that inequality.  Closed or not, the pass hands on the
+roots and their integer weight, and nothing else looks for level k_lo.
 
 Otherwise the optimizer runs weighted Dilworth duality.  The network has a
 split arc v_in -> v_out with lower bound w(v) per element, and unbounded
@@ -55,8 +56,8 @@ cancels ``rest`` units, the minimum flow is the total weight minus
 ``rest``, and the optimal antichain is the split arcs crossing the final
 reachability cut.  The set reachable from the max-flow's source in the
 final residual graph is the same for every maximum flow, so those members
-do not depend on the order of the arcs.  When the roots weigh as much as
-that cut, the roots are returned instead, as the tree bound returns them.
+do not depend on the order of the arcs.  They win only when the optimum
+is greater than the roots' weight; on a tie the roots are returned.
 
 The max-flow is Dinic's algorithm with an iterative blocking-flow search
 (no step recurses), over arc ends paired as e and e ^ 1 and grouped by
@@ -100,6 +101,8 @@ DEFAULT_MAX_ELEMENTS = 200_000
 _BRUTE_FORCE_CAP = 40
 _WEIGHT_SCALE = 1 << 50
 _TIE_TOL = 1e-9
+_ONE_IS_NO_ANTICHAIN = ("{1} is not an antichain here: 1 divides every element, "
+                        "so k_lo must be >= 1")
 # Bound on the element count (see build_universe) from which the universe
 # is built as numpy columns rather than Python lists.  Per call, on 460
 # universes of 1 to 2,000 elements (2 vCPUs, Python 3.11, numpy 2.4): the
@@ -334,8 +337,7 @@ class Antichain:
 
     def __post_init__(self):
         if self.members == (1,):
-            raise ValueError("{1} is not an antichain here: 1 divides every element, "
-                             "so k_lo must be >= 1")
+            raise ValueError(_ONE_IS_NO_ANTICHAIN)
         if len(self._omegas) == len(self.members) and len(set(self._omegas)) == 1:
             return
         if not is_primitive(self.members):
@@ -477,18 +479,10 @@ def _gather(column, indices: Indices) -> list:
     return [column[i] for i in indices]
 
 
-def _level(universe: TruncatedUniverse, k: int) -> Indices:
-    """The indices of the level-k elements, ascending: a list, or an int64
-    array for a columnar universe."""
-    if universe.columnar:
-        return np.flatnonzero(universe.omegas == k)
-    return [i for i, om in enumerate(universe.omegas) if om == k]
-
-
-def _tree_optimum(universe: TruncatedUniverse, scaled) -> Optional[tuple[Indices, int]]:
-    """The indices of the roots (level k_lo) and their weight when the
-    largest-prime-factor forest proves them a maximum-weight antichain, else
-    None.
+def _tree_optimum(universe: TruncatedUniverse, scaled) -> tuple[Indices, int, bool]:
+    """The indices of the roots (no parent: level k_lo), ascending, their
+    integer weight, and whether the largest-prime-factor forest proves them
+    a maximum-weight antichain.
 
     Children come after their parents, so one pass in descending order
     gives each node the weight ``arriving`` of the heaviest antichains of
@@ -497,41 +491,40 @@ def _tree_optimum(universe: TruncatedUniverse, scaled) -> Optional[tuple[Indices
     Omega level at a time, top down, since a node's children all lie on the
     level above it: one maximum and one scatter-add per level.
     """
-    roots = _level(universe, universe.k_lo)
+    parents = universe.parents
     if universe.columnar:
-        omegas, parents = universe.omegas, universe.parents
+        omegas = universe.omegas
+        roots = np.flatnonzero(parents < 0)
         arriving = np.zeros_like(scaled)
         for om in range(int(omegas.max()), universe.k_lo, -1):
             level = np.flatnonzero(omegas == om)
             np.add.at(arriving, parents[level], np.maximum(scaled[level], arriving[level]))
         own = scaled[roots]
-        return (roots, int(own.sum())) if (arriving[roots] <= own).all() else None
-    parents = universe.parents
+        return roots, int(own.sum()), bool((arriving[roots] <= own).all())
+    roots = [c for c, parent in enumerate(parents) if parent < 0]
     arriving = [0] * (len(scaled) + 1)
     for c in range(len(scaled) - 1, -1, -1):
         below, own = arriving[c], scaled[c]
         arriving[parents[c]] += own if own > below else below
-    if all(arriving[r] <= scaled[r] for r in roots):
-        return roots, sum(scaled[r] for r in roots)
-    return None
+    return roots, sum(scaled[r] for r in roots), all(arriving[r] <= scaled[r] for r in roots)
 
 
-def _flow_optimum(universe: TruncatedUniverse, scaled) -> tuple[Indices, int]:
+def _flow_optimum(universe: TruncatedUniverse, scaled) -> tuple[Indices, int, Indices, bool]:
     """A maximum-weight antichain under the integer weights ``scaled``,
-    aligned with ``universe.elements``: its member indices, ascending, and
-    its weight.  An optimum that the roots (level k_lo) reach is the roots,
-    an int64 array of indices for a columnar universe; Dinic's members are
-    a list."""
+    aligned with ``universe.elements``: its member indices, ascending, its
+    weight, the roots and whether the members are the roots.  Dinic runs
+    only when the tree bound stays open, and its members win only when its
+    optimum is greater than the roots' weight."""
     if len(universe) == 0:
         raise ValueError("universe is empty")
-    tree = _tree_optimum(universe, scaled)
-    if tree is not None:
-        return tree
-    listed = _gather(scaled, range(len(universe)))
-    members, rest = _residual_optimum(listed, universe.covering_edges())
-    optimum = sum(listed) - rest
-    roots = _level(universe, universe.k_lo)
-    return (roots if optimum == sum(_gather(scaled, roots)) else members), optimum
+    roots, weight, closed = _tree_optimum(universe, scaled)
+    if not closed:
+        listed = _gather(scaled, range(len(universe)))
+        members, rest = _residual_optimum(listed, universe.covering_edges())
+        optimum = sum(listed) - rest
+        if optimum > weight:
+            return members, optimum, roots, False
+    return roots, weight, roots, True
 
 
 def _residual_optimum(scaled: list[int], edges: np.ndarray) -> tuple[list[int], int]:
@@ -566,16 +559,19 @@ def _residual_optimum(scaled: list[int], edges: np.ndarray) -> tuple[list[int], 
     return members, rest
 
 
-def _optimum(universe: TruncatedUniverse, weights) -> tuple[Indices, float]:
+def _optimum(universe: TruncatedUniverse, weights) -> tuple[Indices, float, Indices, bool]:
     """The member indices of a maximum-weight antichain under ``weights``,
-    aligned with ``universe.elements``, and the fsum of their weights."""
-    members, _ = _flow_optimum(universe, _scaled_weights(weights))
-    return members, math.fsum(_gather(weights, members))
+    aligned with ``universe.elements``, the fsum of their weights, the
+    roots, and whether the members are the roots."""
+    members, _, roots, on_roots = _flow_optimum(universe, _scaled_weights(weights))
+    return members, math.fsum(_gather(weights, members)), roots, on_roots
 
 
 def max_weight_antichain_flow(universe: TruncatedUniverse, t: float) -> tuple[Antichain, float]:
-    """Exact maximum of sum n^-t over antichains of the universe."""
-    members, weight = _optimum(universe, power_weights(universe.elements, t))
+    """Exact maximum of sum n^-t over antichains of the universe (k_lo >= 1)."""
+    if universe.k_lo < 1:
+        raise ValueError(_ONE_IS_NO_ANTICHAIN)
+    members, weight, _, _ = _optimum(universe, power_weights(universe.elements, t))
     return _antichain_at(universe, members), weight
 
 
@@ -590,7 +586,9 @@ def _antichain_at(universe: TruncatedUniverse, members: Indices) -> Antichain:
 def max_weight_antichain_bruteforce(
     universe: TruncatedUniverse, t: float
 ) -> tuple[Antichain, float]:
-    """Independent exhaustive optimum (universe capped at 40 elements)."""
+    """Independent exhaustive optimum (universe capped at 40 elements, k_lo >= 1)."""
+    if universe.k_lo < 1:
+        raise ValueError(_ONE_IS_NO_ANTICHAIN)
     weights = power_weights(universe.elements, t)
     count = len(universe)
     if count == 0:
@@ -694,22 +692,19 @@ def _value_tail_bound(prime_set: PrimeSet, t: float, max_value: int) -> float:
 def _certify(
     universe: TruncatedUniverse,
     weights,
-    k: int,
     reference_full: Optional[float],
     tail_bound: Optional[float],
     condition: ConditionVerdict,
     claim: str,
 ) -> OptimalityReport:
-    members, optimum = _optimum(universe, weights)
-    level = _level(universe, k)
-    on_level = np.array_equal(members, level) if universe.columnar else members == level
+    members, optimum, roots, on_roots = _optimum(universe, weights)
     # fsum rounds the exact sum once, so the same members weigh the same
-    level_weight = optimum if on_level else math.fsum(_gather(weights, level))
+    level_weight = optimum if on_roots else math.fsum(_gather(weights, roots))
     m = len(universe.prime_set)
 
     tol = _TIE_TOL + 2.0 * len(universe) / _WEIGHT_SCALE
     notes = []
-    if abs(optimum - level_weight) <= tol and not on_level:
+    if abs(optimum - level_weight) <= tol and not on_roots:
         notes.append("optimum ties the level set within scaling tolerance")
 
     # the truncated level is part of the full one, so this bounds both
@@ -725,7 +720,7 @@ def _certify(
             "weight sum of the alphabet is >= 1: no tail bound; the claim "
             "is restricted to the truncation"
         )
-    if len(level) != math.comb(k + m - 1, m - 1):
+    if len(roots) != math.comb(universe.k_lo + m - 1, m - 1):
         notes.append("level set is truncated by the value cap")
 
     return OptimalityReport(
@@ -764,7 +759,6 @@ def verify_tbest(
     return _certify(
         universe,
         power_weights(universe.elements, t),
-        k,
         reference_full=float(sigma_nk(prime_set, t, k)),
         tail_bound=tail,
         condition=condition,
@@ -794,7 +788,6 @@ def verify_erdos_best(
     return _certify(
         universe,
         erdos_weights(universe.elements),
-        k,
         reference_full=None,
         tail_bound=tail,
         condition=condition,

@@ -2,10 +2,11 @@
 
 Everything here is exact integer arithmetic.  The sieve is a segmented
 Eratosthenes on the mod-6 wheel: every prime p >= 5 is 6n - 1 or 6n + 1, so
-a segment is two numpy bool masks over n, one per residue, and limits up to
-1e9 stay within a few MB of working memory.  The prime list is read from
-those two masks.  The twin scan crosses both residues off one mask, so an n
-left standing is a pair (6n - 1, 6n + 1); it never builds the prime list.
+a segment is one numpy bool mask over n with a column per residue, and
+limits up to 1e9 stay within a few MB of working memory.  The prime list is
+read from that mask in order.  The twin scan crosses both residues off one
+column, so an n left standing is a pair (6n - 1, 6n + 1); it never builds
+the prime list.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ import numpy as np
 
 from .errors import SizeLimitError
 
-# Wheel indices n per sieve segment: two bool masks of 2^19 bytes (1 MB, so
-# both fit in a 2 MB L2 cache), covering the 6n +- 1 values from 6 n0 - 1
-# to 6 (n0 + 2^19) - 5.  The twin scan's one mask spans 2^20 indices in the
+# Wheel indices n per sieve segment: a two-column bool mask of 2^20 bytes
+# (1 MB, so it fits in a 2 MB L2 cache), covering the 6n +- 1 values from
+# 6 n0 - 1 to 6 (n0 + 2^19) - 5.  The twin scan's one mask spans 2^20 indices in the
 # same 1 MB, so its first segment ends at 6 * 2^20 + 1 = 6,291,457.
 _SEGMENT_N = 1 << 19
 
@@ -29,7 +30,7 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 MAX_ELEMENT = (1 << 63) - 1
 
-# Largest limit any sieve runs to.  On 2 vCPUs the two-mask wheel segments
+# Largest limit any sieve runs to.  On 2 vCPUs the two-column wheel segments
 # to 1e9 take 2.6 s (0.17 s to 1e8) and the one-mask twin segments 1.7 s
 # (0.11 s to 1e8); sieve_primes(1e9) returns 50.8 million primes, 407 MB as
 # int64, and 1e10 would take about 25 s and 3.6 GB.
@@ -146,21 +147,20 @@ def _simple_sieve(limit: int) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int64)
 
 
-def _wheel_segments(
-    limit: int, twin: bool = False
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+def _wheel_segments(limit: int, twin: bool = False) -> Iterator[tuple[int, np.ndarray]]:
     """Primality of every 6n - 1 and 6n + 1 up to limit, one segment at a time.
 
-    Yields ``(n0, minus, plus)`` per segment: ``minus[i]`` says whether
-    6(n0 + i) - 1 is prime and ``plus[i]`` whether 6(n0 + i) + 1 is, for
-    n0 + i = 1, 2, ... up to the last n with 6n - 1 <= limit.  Values above
-    limit read False.  Every prime p >= 5 crosses off one residue class of n
-    (stride p) in each mask, from its first multiple at or above p * p.
+    Yields ``(n0, mask)`` per segment, for n0 + i = 1, 2, ... up to the last
+    n with 6n - 1 <= limit: row i of the (count, 2) bool mask says whether
+    6(n0 + i) - 1 and whether 6(n0 + i) + 1 is prime, so the mask read in
+    order runs through those values ascending.  Values above limit read
+    False.  Every prime p >= 5 crosses off one residue class of n (stride p)
+    in each column, from its first multiple at or above p * p.
 
-    With ``twin``, ``plus`` is the same array as ``minus``: both classes are
-    crossed off one mask, whose entry i then says whether 6(n0 + i) - 1 and
-    6(n0 + i) + 1 are both prime.  One such mask takes the cache of the two,
-    so a twin segment holds 2 * ``_SEGMENT_N`` indices.
+    With ``twin``, the mask is one column that takes both classes: its entry
+    i then says whether 6(n0 + i) - 1 and 6(n0 + i) + 1 are both prime.  It
+    takes the cache of the two columns, so a twin segment holds 2 *
+    ``_SEGMENT_N`` indices.
     """
     n_top = (limit + 1) // 6
     if n_top < 1:
@@ -176,8 +176,8 @@ def _wheel_segments(
     span = 2 * _SEGMENT_N if twin else _SEGMENT_N
     for n0 in range(1, n_top + 1, span):
         count = min(span, n_top + 1 - n0)
-        minus = np.ones(count, dtype=bool)
-        plus = minus if twin else np.ones(count, dtype=bool)
+        mask = np.ones(count if twin else (count, 2), dtype=bool)
+        minus, plus = (mask, mask) if twin else (mask[:, 0], mask[:, 1])
         at_minus = np.where(first_minus >= n0, first_minus - n0, (first_minus - n0) % stride)
         at_plus = np.where(first_plus >= n0, first_plus - n0, (first_plus - n0) % stride)
         for p, a, b in zip(base, at_minus.tolist(), at_plus.tolist()):
@@ -185,16 +185,16 @@ def _wheel_segments(
             plus[b::p] = False
         if 6 * (n0 + count - 1) + 1 > limit:
             plus[-1] = False
-        yield n0, minus, plus
+        yield n0, mask
 
 
 def _sieve_array(limit: int) -> np.ndarray:
     """All primes <= limit: 2 and 3, then the 6n +- 1 wheel in order."""
     chunks = [np.array([p for p in (2, 3) if p <= limit], dtype=np.int64)]
-    for n0, minus, plus in _wheel_segments(limit):
-        # row i of the pair is (6(n0 + i) - 1, 6(n0 + i) + 1), so the
+    for n0, mask in _wheel_segments(limit):
+        # row i of the mask is (6(n0 + i) - 1, 6(n0 + i) + 1), so the
         # flattened index j names 6 n0 - 1 + 3 j - (j & 1)
-        j = np.flatnonzero(np.column_stack((minus, plus)))
+        j = np.flatnonzero(mask)
         chunks.append(6 * n0 - 1 + 3 * j - (j & 1))
     return np.concatenate(chunks)
 
@@ -231,7 +231,7 @@ def _twin_lower_members(limit: int) -> np.ndarray:
         raise ValueError(f"twin limit must be <= {MAX_ELEMENT - 2}: the scan sieves to limit + 2")
     _check_sieve_budget(limit + 2)
     chunks = [np.array([3] if limit >= 3 else [], dtype=np.int64)]
-    for n0, both, _ in _wheel_segments(limit + 2, twin=True):
+    for n0, both in _wheel_segments(limit + 2, twin=True):
         chunks.append(6 * (n0 + np.flatnonzero(both)) - 1)
     return np.concatenate(chunks)
 

@@ -191,20 +191,22 @@ def quadratic_equivalence_check(prime_set: PrimeSet, t: float) -> bool:
     """h_1 >= h_2 iff the weight sum S_1 stays below the upper root
     1 + sqrt(1 - S_2), given that it always sits above the lower root.
 
-    Exact on the Fractions of the binary64 weights, with the root side
-    squared: S_1 <= 1 or (S_1 - 1)^2 <= 1 - S_2.  The lower root 1 -
-    sqrt(1 - S_2) is at most S_2 for every S_2 in [0, 1), so the chain
-    below S_1 needs only S_2 < S_1.
+    Exact on the binary64 weights, each an integer X_i over their largest
+    (power-of-two) denominator d, so that sum X_i, sum X_i^2 and h_2(X) are
+    d S_1, d^2 S_2 and d^2 h_2; the root side is squared: S_1 <= 1 or
+    (S_1 - 1)^2 <= 1 - S_2.  The lower root 1 - sqrt(1 - S_2) is at most
+    S_2 for every S_2 in [0, 1), so the chain below S_1 needs only S_2 < S_1.
     """
-    xs = [Fraction(x) for x in power_weights(prime_set, t)]
+    ratios = [x.as_integer_ratio() for x in power_weights(prime_set, t)]
+    d = max((den for _, den in ratios), default=1)
+    xs = [num * (d // den) for num, den in ratios]
     s1 = sum(xs)
     s2 = sum(x * x for x in xs)
-    if s2 >= 1:
+    if s2 >= d * d:
         raise ValueError("squared-weight sum must stay below 1")
-    if not s2 < s1:
+    if not s2 < s1 * d:
         return False
-    h = h_all(xs, 2)
-    return (h[1] >= h[2]) == (s1 <= 1 or (s1 - 1) ** 2 <= 1 - s2)
+    return (s1 * d >= h_all(xs, 2)[2]) == (s1 <= d or (s1 - d) ** 2 <= d * d - s2)
 
 
 def level_elements(prime_set: PrimeSet, k: int) -> list[int]:

@@ -277,6 +277,12 @@ def test_domain_error_exit_3(capsys):
            "--max-value", "9223372036854775807", "--t", "1.5"]
     assert main(one) == 3
     assert "k_lo must be >= 1" in capsys.readouterr().err
+    # refused whatever t is: at t = 0.3 the optimum is not {1}
+    low_t = ["oracle", "--primes-below", "100", "--k-lo", "0", "--max-omega", "2",
+             "--max-value", "1000", "--t", "0.3"]
+    for argv in (low_t, [*low_t, "--brute-force"]):
+        assert main(argv) == 3, argv
+        assert "k_lo must be >= 1" in capsys.readouterr().err, argv
 
 
 def test_precision_error_exit_2(capsys):

@@ -175,10 +175,12 @@ def truncations(draw):
 
 def _on_path(columns_from, prime_set, k_lo, max_omega, max_value, max_elements):
     """The universe's elements, Omegas and parents as tuples of Python ints,
-    built with the column cutoff at ``columns_from``, or the SizeLimitError
+    and the optimizer's outcome under n^-t weights at t = 0.5 and 1.5, built
+    with the column cutoff at ``columns_from``, or the SizeLimitError
     message.  The columns are int64 arrays on the column path and tuples of
     Python ints on the list path.  Each parent is checked against the
-    largest prime factor on the way."""
+    largest prime factor on the way, and the optimizer's roots and their
+    weight against level k_lo."""
     try:
         u = built(columns_from, prime_set, k_lo, max_omega, max_value, max_elements)
     except SizeLimitError as exc:
@@ -197,7 +199,23 @@ def _on_path(columns_from, prime_set, k_lo, max_omega, max_value, max_elements):
         else:
             largest = max(p for p in prime_set if n % p == 0)
             assert elements[parent] * largest == n
-    return columns
+    return columns + tuple(_optimum_on(u, t) for t in (0.5, 1.5) if len(u))
+
+
+def _optimum_on(universe, t):
+    """The tree bound's and the flow's outcome under n^-t weights, checked:
+    the roots are level k_lo and weigh their integer sum whether or not the
+    tree closes, and the flow reports the members as the roots exactly when
+    its optimum is that weight."""
+    scaled = _scaled_weights(power_weights(universe.elements, t))
+    roots, weight, closed = _tree_optimum(universe, scaled)
+    members, optimum, flow_roots, on_roots = _flow_optimum(universe, scaled)
+    roots, flow_roots, scaled = as_list(roots), as_list(flow_roots), as_list(scaled)
+    assert roots == flow_roots == [c for c, om in enumerate(universe.omegas) if om == universe.k_lo]
+    assert weight == sum(scaled[c] for c in roots) and type(weight) is int
+    assert on_roots == (optimum == weight) and (on_roots or not closed)
+    assert on_roots == (as_list(members) == roots)
+    return closed, optimum, on_roots, as_list(members)
 
 
 @given(truncations(), st.one_of(st.just(DEFAULT_MAX_ELEMENTS), st.integers(1, 60)))
@@ -479,7 +497,7 @@ def test_flow_matches_exhaustive_under_arbitrary_weights(case):
     weights = [by_element[n] for n in universe.elements]
     expected = exhaustive_optimum(universe, weights)
     for universe in both_regimes(universe):
-        members, optimum_scaled = _flow_optimum(universe, scaled_for(universe, weights))
+        members, optimum_scaled, _, _ = _flow_optimum(universe, scaled_for(universe, weights))
         members = as_list(members)
         assert is_primitive([as_list(universe.elements)[i] for i in members])
         assert abs(math.fsum(weights[i] for i in members) - expected) <= 1e-12
@@ -507,13 +525,15 @@ def test_flow_core_scales_with_integer_weights(case, c):
     universe, by_element = case
     for universe in both_regimes(universe):
         scaled = scaled_for(universe, [by_element[n] for n in universe.elements])
-        members, optimum_scaled = _flow_optimum(universe, scaled)
+        members, optimum_scaled, _, on_roots = _flow_optimum(universe, scaled)
         members = as_list(members)
         big = [c * w for w in as_list(scaled)]
-        big_members, big_optimum = _flow_optimum(
+        big_members, big_optimum, _, big_on_roots = _flow_optimum(
             universe, np.array(big, dtype=object) if universe.columnar else big
         )
-        assert (as_list(big_members), big_optimum) == (members, c * optimum_scaled)
+        assert (as_list(big_members), big_optimum, big_on_roots) == (
+            members, c * optimum_scaled, on_roots
+        )
         assert type(big_optimum) is int
 
 
@@ -528,14 +548,14 @@ def test_tree_bound_closes_only_on_an_optimum(case):
     closed = []
     for universe in both_regimes(universe):
         scaled = scaled_for(universe, [by_element[n] for n in universe.elements])
-        tree = _tree_optimum(universe, scaled)
-        closed.append(tree is not None)
-        if tree is not None:
-            (roots, weight), scaled = tree, as_list(scaled)
-            roots = as_list(roots)
-            assert roots == [i for i, om in enumerate(universe.omegas) if om == universe.k_lo]
+        roots, weight, tree_closed = _tree_optimum(universe, scaled)
+        closed.append(tree_closed)
+        roots, scaled = as_list(roots), as_list(scaled)
+        assert roots == [i for i, om in enumerate(universe.omegas) if om == universe.k_lo]
+        assert sum(scaled[r] for r in roots) == weight and type(weight) is int
+        if tree_closed:
             best = max(sum(scaled[i] for i in combo) for combo in antichains(universe))
-            assert sum(scaled[r] for r in roots) == weight == best and type(weight) is int
+            assert weight == best
     assert closed[0] == closed[1]
 
 
@@ -546,9 +566,10 @@ def test_flow_finds_the_cut_where_the_tree_stays_open():
     for universe in both_regimes(build_universe(PrimeSet([7, 19, 31]), 1, 4, 300)):
         assert as_list(universe.elements) == [7, 19, 31, 49, 133, 217]
         scaled = scaled_for(universe, weights)
-        assert _tree_optimum(universe, scaled) is None
-        members, optimum_scaled = _flow_optimum(universe, scaled)
+        assert not _tree_optimum(universe, scaled)[2]
+        members, optimum_scaled, _, on_roots = _flow_optimum(universe, scaled)
         members = as_list(members)
+        assert not on_roots
         assert [as_list(universe.elements)[i] for i in members] == [49, 133, 217]
         assert optimum_scaled == sum(as_list(scaled)[3:])
         weight = math.fsum(weights[i] for i in members)
@@ -587,29 +608,37 @@ def seeded_universes(count):
 
 def test_tree_bound_matches_dinic_on_seeded_universes():
     # A differential of _flow_optimum, which tries the tree bound first,
-    # against Dinic run on every universe, in both regimes.  Where the tree
-    # bound closes, the members are the roots and Dinic reaches their
+    # against Dinic run on every universe, in both regimes.  Closed or not,
+    # the tree bound gives the roots (level k_lo) and their integer weight.
+    # Where it closes, the members are the roots and Dinic reaches their
     # weight.  Where it stays open, the optimum is Dinic's, and the members
-    # are the roots when they weigh that much, else Dinic's cut.
+    # are the roots when they weigh that much, else Dinic's cut; the flow
+    # reports the members as the roots exactly when its optimum is their weight.
     closed = {True: 0, False: 0}
     overruled = 0  # tree-open universes where the roots win over a different cut
     for universe, _, weights in seeded_universes(1040):
         trees = []
         for universe in both_regimes(universe):
-            tree = _tree_optimum(universe, scaled_for(universe, weights))
-            trees.append(None if tree is None else as_list(tree[0]))
-            members, optimum_scaled = _flow_optimum(universe, scaled_for(universe, weights))
+            roots, weight, tree_closed = _tree_optimum(universe, scaled_for(universe, weights))
+            members, optimum_scaled, flow_roots, on_roots = _flow_optimum(
+                universe, scaled_for(universe, weights)
+            )
+            roots, flow_roots = as_list(roots), as_list(flow_roots)
             members, scaled = as_list(members), as_list(scaled_for(universe, weights))
+            level = [i for i, om in enumerate(universe.omegas) if om == universe.k_lo]
+            assert roots == flow_roots == level
+            assert weight == sum(scaled[i] for i in roots) and type(weight) is int
+            trees.append((roots, weight, tree_closed))
             cut_members, rest = _residual_optimum(scaled, universe.covering_edges())
             assert sum(scaled) - rest == optimum_scaled
-            roots = [i for i, om in enumerate(universe.omegas) if om == universe.k_lo]
-            if tree is not None or optimum_scaled == sum(scaled[i] for i in roots):
-                assert members == roots
-                overruled += tree is None and cut_members != roots
+            assert on_roots == (optimum_scaled == weight)
+            if tree_closed or optimum_scaled == weight:
+                assert on_roots and members == roots
+                overruled += not tree_closed and cut_members != roots
             else:
                 assert members == cut_members
         assert trees[0] == trees[1]
-        closed[trees[0] is not None] += 1
+        closed[trees[0][2]] += 1
     # both paths ran often enough to mean something, and the roots rule bit
     assert min(closed.values()) >= 50, closed
     assert overruled, overruled
@@ -625,8 +654,8 @@ def test_flow_picks_the_roots_on_a_clamped_tie():
         scaled = scaled_for(universe, weights)
         assert as_list(scaled) == [1, 1]
         assert _residual_optimum(as_list(scaled), np.array([[0, 1]])) == ([1], 1)
-        members, optimum = _flow_optimum(universe, scaled)
-        assert (as_list(members), optimum) == ([0], 1)
+        members, optimum, roots, on_roots = _flow_optimum(universe, scaled)
+        assert (as_list(members), optimum, as_list(roots), on_roots) == ([0], 1, [0], True)
         assert max_weight_antichain_flow(universe, 8.0) == (Antichain((125,)), 125.0**-8)
     report = verify_tbest(PrimeSet([5, 103, 331]), 8.0, 3, 5, 1000)
     assert report.holds() and report.optimum_members.members == (125,)

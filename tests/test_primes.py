@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from primopt.primes import (
     _SEGMENT_N,
     PrimeSet,
+    _simple_sieve,
     is_prime,
     omega,
     sieve_primes,
@@ -53,6 +54,7 @@ def test_wheel_outputs_match_trial_division_at_every_small_limit():
     primes = trial_division_primes(402)
     prime_set = set(primes)
     for limit in range(2, 401):
+        assert sieve_primes(limit).as_array().dtype == np.int64
         assert sieve_primes(limit).as_list() == [p for p in primes if p <= limit], limit
     for limit in range(5, 401):
         lower = [p for p in primes if p <= limit and p + 2 in prime_set]
@@ -73,6 +75,18 @@ def test_wheel_across_its_first_segment_boundary():
     assert lower[lower >= window[0]].tolist() == [
         n for n in window if is_prime(n) and is_prime(n + 2)
     ]
+
+
+def test_wheel_sieve_equals_the_plain_sieve():
+    # the wheel's two-column mask, read in order, against the plain
+    # Eratosthenes over every integer: around the ends of the wheel's first
+    # segment and of the twin scan's, and past 10^7
+    ends = (6 * _SEGMENT_N + 1, 6 * 2 * _SEGMENT_N + 1)
+    assert ends == (3_145_729, 6_291_457)
+    for limit in [*(end + d for end in ends for d in (-600, 0, 600)), 10**7 + 7]:
+        wheel = sieve_primes(limit).as_array()
+        assert wheel.dtype == np.int64
+        assert np.array_equal(wheel, _simple_sieve(limit)), limit
 
 
 def test_twin_kernel_across_its_first_segment_boundary():

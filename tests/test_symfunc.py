@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -171,6 +172,41 @@ def test_quadratic_equivalence_examples():
     h = h_all(xs, 2)
     assert h[1] < h[2] and s1 > 1.0 + math.sqrt(1.0 - s2)
     assert quadratic_equivalence_check(big, 1.02)
+    assert _fraction_equivalence(big, 1.02) == (True, False)
+
+
+def _fraction_equivalence(prime_set, t):
+    """Reference: the equivalence decided on the Fractions of the binary64
+    weights, as (its outcome, whether h_1 >= h_2), or None where S_2 >= 1."""
+    xs = [Fraction(x) for x in power_weights(prime_set, t)]
+    s1 = sum(xs)
+    s2 = sum(x * x for x in xs)
+    if s2 >= 1:
+        return None
+    h = h_all(xs, 2)
+    if not s2 < s1:
+        return False, h[1] >= h[2]
+    return (h[1] >= h[2]) == (s1 <= 1 or (s1 - 1) ** 2 <= 1 - s2), h[1] >= h[2]
+
+
+def test_quadratic_equivalence_matches_its_fraction_form():
+    # the integer sums over one power-of-two scale decide as the Fractions
+    # do: 300 sets at t in [1, 3], and 100 of the first 100 primes at t in
+    # [0.4, 1.2], where h_1 < h_2 and S_2 >= 1 occur too
+    rng = random.Random(1301)
+    pool = sieve_primes(2000).as_list()
+    outcomes = set()
+    for primes, low, high in [(pool, 1.0, 3.0)] * 300 + [(pool[:100], 0.4, 1.2)] * 100:
+        prime_set = PrimeSet(rng.sample(primes, rng.randint(1, 60)))
+        t = rng.uniform(low, high)
+        reference = _fraction_equivalence(prime_set, t)
+        outcomes.add(reference if reference is None else reference[1])
+        if reference is None:
+            with pytest.raises(ValueError, match="squared-weight sum must stay below 1"):
+                quadratic_equivalence_check(prime_set, t)
+        else:
+            assert quadratic_equivalence_check(prime_set, t) == reference[0]
+    assert outcomes == {True, False, None}
 
 
 def _root_gap(prime_set, t):
