@@ -20,8 +20,9 @@ from .errors import SizeLimitError
 
 # Wheel indices n per sieve segment: a two-column bool mask of 2^20 bytes
 # (1 MB, so it fits in a 2 MB L2 cache), covering the 6n +- 1 values from
-# 6 n0 - 1 to 6 (n0 + 2^19) - 5.  The twin scan's one mask spans 2^20 indices in the
-# same 1 MB, so its first segment ends at 6 * 2^20 + 1 = 6,291,457.
+# 6 n0 - 1 to 6 (n0 + 2^19) - 5.  The twin scan's one column spans 2^20
+# indices in the same 1 MB, so its first segment ends at 6 * 2^20 + 1 =
+# 6,291,457.
 _SEGMENT_N = 1 << 19
 
 # Fixed witness set: deterministic Miller-Rabin for all n < 3.3e24,
