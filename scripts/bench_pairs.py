@@ -12,7 +12,10 @@ runs, median and quartiles, how many pairs CHANGE won and tied, the
 change of the median relative to PARENT's, and whether that change stays
 within the metric's bound.  It also records the Python and numpy versions
 and the core count (both sides run under this interpreter), and the commit
-and source digest each side reported.
+and source digest each side reported.  Once FILE is written, stdout gets
+one line per workload and metric:
+
+    threshold wall_s: 0.02515 -> 0.01549 s (-38.4%), change won 10/10, within_bound true
 """
 
 from __future__ import annotations
@@ -90,6 +93,17 @@ def bench_workload(parent: Path, change: Path, workload: str, args, metrics: lis
     }
 
 
+def summary_lines(result: dict) -> list[str]:
+    """One line per workload and metric: medians, relative change, wins, bound."""
+    return [
+        f"{workload} {name}: {m['parent']['median']:.4g} -> {m['change']['median']:.4g} "
+        f"{m['unit']} ({m['relative_change']:+.1%}), change won "
+        f"{m['change_wins']}/{result['pairs']}, within_bound {json.dumps(m['within_bound'])}"
+        for workload, record in result["workloads"].items()
+        for name, m in record["metrics"].items()
+    ]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("parent", type=Path)
@@ -120,6 +134,7 @@ def main(argv=None) -> int:
         "nproc": len(os.sched_getaffinity(0)),
     }
     args.out.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
+    print("\n".join(summary_lines(result)))
     return 0
 
 

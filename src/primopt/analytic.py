@@ -11,7 +11,11 @@ interval arithmetic.
 
 zeta(s) is one fixed-cost Euler-Maclaurin sum, exact to binary64 rounding for
 every real s > 1, so P(t) budgets only its Moebius truncation and the bisection
-for tau evaluates the condition margin once per step.
+for tau evaluates the condition margin once per step.  P(t) carries its
+Moebius terms as bare (value, radius) float pairs under the ErrBoundReal rules:
+``_log_pair`` and ``_mul_pair`` are the one copy of the log and product rules,
+which ``ErrBoundReal.log`` and ``*`` also call, so each term has the bits it
+would have as an ErrBoundReal, and only the sum is made one.
 """
 
 from __future__ import annotations
@@ -35,6 +39,30 @@ _B2K = "1/6 -1/30 1/42 -1/30 5/66 -691/2730 7/6 -3617/510 43867/798 -174611/330 
 _EM_COEFFS = tuple(
     float(Fraction(b) / math.factorial(2 * k)) for k, b in enumerate(_B2K.split(), 1)
 )
+# the float bases 1..N-1 of the direct sum, and (B_2k/(2k)!, 2k) per correction
+_EM_BASES = tuple(float(k) for k in range(1, _EM_CUT))
+_EM_STEPS = tuple((coeff, float(2 * k)) for k, coeff in enumerate(_EM_COEFFS[:-1], 1))
+
+# The most Moebius terms P(t) sums, and mu(m) for m <= that, by a sieve.
+_MOEBIUS_CAP = 512
+
+
+def _moebius_table(n: int) -> tuple[int, ...]:
+    mu = [1] * (n + 1)
+    mu[0] = 0
+    sieved = bytearray(n + 1)
+    for p in range(2, n + 1):
+        if sieved[p]:
+            continue
+        for k in range(p, n + 1, p):
+            sieved[k] = 1
+            mu[k] = -mu[k]
+        for k in range(p * p, n + 1, p * p):
+            mu[k] = 0
+    return tuple(mu)
+
+
+_MOEBIUS = _moebius_table(_MOEBIUS_CAP)
 
 # Bisection bracket for the condition-margin root.  Both endpoints
 # sign-check numerically; the root is unique in between (located, not proved).
@@ -43,6 +71,28 @@ TAU_BRACKET = (1.01, 1.5)
 
 def _pad(value: float) -> float:
     return 4.0 * _EPS * abs(value) + math.ulp(0.0)
+
+
+def _log_pair(value: float, radius: float) -> tuple[float, float]:
+    """(value, radius) of the log of the enclosure (value, radius)."""
+    lo = value - radius
+    if lo <= 0.0:
+        raise PrecisionError(
+            "log argument interval reaches zero "
+            f"({value} +- {radius})"
+        )
+    llo, lhi = math.log(lo), math.log(value + radius)
+    v = 0.5 * (llo + lhi)
+    # pad by the larger end: the midpoint of an image straddling 0 is
+    # far smaller than the rounding of its ends
+    return v, 0.5 * (lhi - llo) + _pad(max(-llo, lhi))
+
+
+def _mul_pair(av: float, ar: float, bv: float, br: float) -> tuple[float, float]:
+    """(value, radius) of the product of the enclosures (av, ar) and (bv, br)."""
+    v = av * bv
+    r = abs(av) * br + abs(bv) * ar + ar * br
+    return v, r + _pad(max(abs(v), r))
 
 
 def _check_radius(target_radius: float) -> None:
@@ -89,13 +139,7 @@ class ErrBoundReal:
 
     def __mul__(self, other) -> "ErrBoundReal":
         other = _coerce(other)
-        v = self.value * other.value
-        r = (
-            abs(self.value) * other.radius
-            + abs(other.value) * self.radius
-            + self.radius * other.radius
-        )
-        return ErrBoundReal(v, r + _pad(max(abs(v), r)))
+        return ErrBoundReal(*_mul_pair(self.value, self.radius, other.value, other.radius))
 
     __rmul__ = __mul__
 
@@ -111,17 +155,7 @@ class ErrBoundReal:
         return ErrBoundReal(v, 0.5 * (shi - slo) + _pad(shi))
 
     def log(self) -> "ErrBoundReal":
-        lo = self.value - self.radius
-        if lo <= 0.0:
-            raise PrecisionError(
-                "log argument interval reaches zero "
-                f"({self.value} +- {self.radius})"
-            )
-        llo, lhi = math.log(lo), math.log(self.value + self.radius)
-        v = 0.5 * (llo + lhi)
-        # pad by the larger end: the midpoint of an image straddling 0 is
-        # far smaller than the rounding of its ends
-        return ErrBoundReal(v, 0.5 * (lhi - llo) + _pad(max(-llo, lhi)))
+        return ErrBoundReal(*_log_pair(self.value, self.radius))
 
     # -- interval queries -------------------------------------------------
 
@@ -225,12 +259,14 @@ def _zeta_sum(s: float) -> tuple[float, float]:
     value, and fsum rounds once, so 4 ulps of the value cover it.
     """
     n = _EM_CUT
-    pieces = [k ** -s for k in range(1, n)]
-    pieces += [n ** (1.0 - s) / (s - 1.0), 0.5 * n ** -s]
-    rising = s * n ** (-s - 1.0)  # (s)_(2k-1) N^(1-s-2k) at k = 1
-    for k, coeff in enumerate(_EM_COEFFS[:-1], start=1):
+    neg_s = -s
+    pieces = [k ** neg_s for k in _EM_BASES]
+    pieces += [n ** (1.0 - s) / (s - 1.0), 0.5 * n ** neg_s]
+    rising = s * n ** (neg_s - 1.0)  # (s)_(2k-1) N^(1-s-2k) at k = 1
+    for coeff, two_k in _EM_STEPS:
         pieces.append(coeff * rising)
-        rising = rising * (s + 2 * k - 1) / n * (s + 2 * k) / n
+        s_2k = s + two_k
+        rising = rising * (s_2k - 1.0) / n * s_2k / n
     value = math.fsum(pieces)
     return value, abs(_EM_COEFFS[-1]) * rising + _pad(value)
 
@@ -253,23 +289,6 @@ def riemann_zeta(s: float, target_radius: float = 1e-10) -> ErrBoundReal:
     return result
 
 
-def _mobius(m: int) -> int:
-    if m == 1:
-        return 1
-    mu = 1
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            m //= d
-            if m % d == 0:
-                return 0
-            mu = -mu
-        d += 1
-    if m > 1:
-        mu = -mu
-    return mu
-
-
 def prime_zeta(t: float, target_radius: float = 1e-10) -> ErrBoundReal:
     """P(t) = sum over primes of p^-t, via sum_m mu(m)/m * log zeta(t*m).
 
@@ -277,6 +296,11 @@ def prime_zeta(t: float, target_radius: float = 1e-10) -> ErrBoundReal:
     2*2^(-tM)/M is below half the target (log zeta(s) <= 2*2^-s once s >= 2).
     Every zeta is exact to binary64 rounding (see ``_zeta_sum``), so the
     other half of the target only has to cover rounding.
+
+    Each term is a bare (value, radius) pair under ErrBoundReal's log and
+    product rules (``_log_pair``, ``_mul_pair``), bit for bit
+    ErrBoundReal(zeta).log() * (mu/m); only the sum becomes an ErrBoundReal,
+    whose check catches a term that was not finite.
     """
     if not (t > 1.0) or not math.isfinite(t):
         raise ValueError("prime zeta evaluated only for finite t > 1")
@@ -285,18 +309,20 @@ def prime_zeta(t: float, target_radius: float = 1e-10) -> ErrBoundReal:
     m_trunc = max(1, math.ceil(2.0 / t))
     while 2.0 * 2.0 ** (-t * m_trunc) / m_trunc >= target_radius / 2.0:
         m_trunc += 1
-        if m_trunc > 512:
+        if m_trunc > _MOEBIUS_CAP:
             raise PrecisionError("prime zeta truncation did not converge")
     tail = 2.0 * 2.0 ** (-t * m_trunc) / m_trunc
 
-    terms = [
-        ErrBoundReal(*_zeta_sum(t * m)).log() * (mu / m)
-        for m in range(1, m_trunc + 1)
-        if (mu := _mobius(m))
-    ]
+    values, radii = [], []
+    for m in range(1, m_trunc + 1):
+        mu = _MOEBIUS[m]
+        if mu:
+            v, r = _mul_pair(*_log_pair(*_zeta_sum(t * m)), mu / m, 0.0)
+            values.append(v)
+            radii.append(r)
     # fsum rounds each sum once, so one pad per sum covers it
-    value = math.fsum(term.value for term in terms)
-    radius = math.fsum(term.radius for term in terms) + tail
+    value = math.fsum(values)
+    radius = math.fsum(radii) + tail
     result = ErrBoundReal(value, radius + _pad(value) + _pad(radius))
     if result.radius > target_radius:
         raise PrecisionError(
@@ -357,7 +383,14 @@ def check_condition_allprimes(t: float, target_radius: float = 1e-8) -> Conditio
     if not (t > 1.0) or not math.isfinite(t):
         raise ValueError("all-primes condition needs a finite t > 1")
     lhs = prime_zeta(t, target_radius)
-    rhs = condition_rhs_from_square_sum(prime_zeta(2.0 * t, target_radius))
+    two_t = 2.0 * t
+    if math.isfinite(two_t):
+        square_sum = prime_zeta(two_t, target_radius)
+    else:
+        # P(s) <= 2 * 2^-s for s >= 2 (the tail bound of prime_zeta), far
+        # below the least subnormal once s overflows
+        square_sum = ErrBoundReal(0.0, math.ulp(0.0))
+    rhs = condition_rhs_from_square_sum(square_sum)
     return ConditionVerdict.compare(lhs, rhs)
 
 

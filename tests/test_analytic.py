@@ -1,4 +1,6 @@
 import math
+import random
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -8,6 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from primopt.analytic import (
+    _MOEBIUS,
+    _MOEBIUS_CAP,
     ConditionVerdict,
     ErrBoundReal,
     check_condition,
@@ -132,6 +136,91 @@ def test_prime_zeta_at_four_against_direct_prime_sum():
 def test_prime_zeta_large_t_dominated_by_first_term():
     p = prime_zeta(40.0, 1e-12)
     assert abs(p.value - 2.0**-40) <= 2.0 * 3.0**-40 + p.radius
+
+
+@pytest.mark.parametrize(
+    "call,value_hex,radius_hex",
+    [
+        (lambda: riemann_zeta(1.5, 1e-12), "0x1.4e6250bfbd89ep+1", "0x1.4e6250c2a2247p-49"),
+        (lambda: prime_zeta(2.0, 1e-8), "0x1.cf19f29587dedp-2", "0x1.3b13d299e53afp-29"),
+        (lambda: prime_zeta(1.14, 1e-10), "0x1.d0d9b37ccf79ap+0", "0x1.61766f9ca7828p-35"),
+        (lambda: tau_root(1e-8), "0x1.23ef0600a3d71p+0", "0x1.f5c28f0000000p-28"),
+        (lambda: condition_margin(1.05, 1e-7), "-0x1.f245bfa27d7f0p-1", "0x1.052abf47c08d8p-24"),
+    ],
+    ids=["zeta-1.5", "prime-zeta-2", "prime-zeta-1.14", "tau", "margin-1.05"],
+)
+def test_analytic_bits_pinned(call, value_hex, radius_hex):
+    # the bits these enclosures had while each Moebius term was an ErrBoundReal
+    x = call()
+    assert (x.value.hex(), x.radius.hex()) == (value_hex, radius_hex)
+
+
+def _trial_division_mobius(m: int) -> int:
+    mu, d = 1, 2
+    while d * d <= m:
+        if m % d == 0:
+            m //= d
+            if m % d == 0:
+                return 0
+            mu = -mu
+        d += 1
+    return -mu if m > 1 else mu
+
+
+def test_moebius_table_matches_trial_division():
+    assert len(_MOEBIUS) == _MOEBIUS_CAP + 1
+    assert [_MOEBIUS[m] for m in range(1, _MOEBIUS_CAP + 1)] == [
+        _trial_division_mobius(m) for m in range(1, _MOEBIUS_CAP + 1)
+    ]
+
+
+def _composed_prime_zeta(t: float, target: float) -> ErrBoundReal:
+    """prime_zeta's series with every term an ErrBoundReal: public zeta, log
+    and product, then the same truncation, fsums and padding."""
+    m_trunc = max(1, math.ceil(2.0 / t))
+    while 2.0 * 2.0 ** (-t * m_trunc) / m_trunc >= target / 2.0:
+        m_trunc += 1
+        if m_trunc > _MOEBIUS_CAP:
+            raise PrecisionError("truncation")
+    tail = 2.0 * 2.0 ** (-t * m_trunc) / m_trunc
+    terms = [
+        riemann_zeta(t * m, 1e300).log() * (mu / m)
+        for m in range(1, m_trunc + 1)
+        if (mu := _trial_division_mobius(m))
+    ]
+    value = math.fsum(term.value for term in terms)
+    radius = math.fsum(term.radius for term in terms) + tail
+
+    def pad(x):
+        return 4.0 * sys.float_info.epsilon * abs(x) + math.ulp(0.0)
+
+    result = ErrBoundReal(value, radius + pad(value) + pad(radius))
+    if result.radius > target:
+        raise PrecisionError("target")
+    return result
+
+
+def _outcome(fn, t, target):
+    try:
+        x = fn(t, target)
+    except PrecisionError:
+        return "PrecisionError"
+    return x.value.hex(), x.radius.hex()
+
+
+def test_prime_zeta_equals_errboundreal_composition_on_seeded_grid():
+    # t in (1.0001, 60] at radii 1e-13..1e-6, and 100 more points at radii
+    # 1e-16..1e-13, where rounding alone can exceed the target
+    rng = random.Random(1301)
+    grid = [
+        (1.0 + 10.0 ** rng.uniform(-4.0, math.log10(59.0)), 10.0 ** rng.uniform(lo, hi))
+        for lo, hi, count in ((-13.0, -6.0, 400), (-16.0, -13.0, 100))
+        for _ in range(count)
+    ]
+    outcomes = [_outcome(prime_zeta, t, r) for t, r in grid]
+    assert outcomes == [_outcome(_composed_prime_zeta, t, r) for t, r in grid]
+    assert "PrecisionError" not in outcomes[:400]
+    assert 0 < outcomes.count("PrecisionError") < 100
 
 
 def test_prime_zeta_domain_errors():

@@ -55,6 +55,13 @@ def test_check_condition_exit_codes(capsys):
     assert code == 1 and report["verdict"] == "fails"
 
 
+def test_all_primes_condition_where_2t_overflows(capsys):
+    # 2t is inf at t = 1e308; P(2t) is then enclosed by [0, ulp(0.0)]
+    code, report = run_json(capsys, "check-condition", "--all-primes", "--t", "1e308")
+    assert code == 0 and report["verdict"] == "holds"
+    assert abs(report["rhs"]["value"] - 2.0) <= 1e-12
+
+
 def test_twin_sources_compose(capsys):
     code, report = run_json(
         capsys, "check-condition", "--twins-below", "1000", "--t", "1"
