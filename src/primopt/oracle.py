@@ -64,8 +64,10 @@ The max-flow is Dinic's algorithm with an iterative blocking-flow search
 tail with one stable argsort.  The flow core sees only element indices and
 integer weights.  Its callers evaluate each element's weight once, aligned
 with ``universe.elements`` and in its form: a list of Python floats, or a
-float64 column of the same Python float arithmetic (``power_weights``,
-``erdos_weights``).  ``_scaled_weights`` is the one step to integers,
+float64 column with the same bits (``power_weights`` by ``np.float_power``,
+which calls libm's pow as Python's float ** does; ``erdos_weights`` by
+``math.log`` and numpy's correctly rounded multiply and divide; np.power
+and np.log stay out, as their SIMD kernels differ in the last bits).  ``_scaled_weights`` is the one step to integers,
 value * 2^50 rounded and at least 1: Python ints for a list, and for a
 column int64 while the float total proves that no sum wraps, Python ints in
 a numpy column past that, so the arithmetic is exact even where the total

@@ -62,13 +62,14 @@ def power_weights(values: Union[PrimeSet, Sequence[int], np.ndarray], t: float):
     """
     if not (t > 0) or not math.isfinite(t):
         raise ValueError("weights need a finite t > 0")
-    # Python's float ** stays, also for columns: numpy 2.4's AVX-512 power
-    # differed from it in 86,010 of 1,623,384 weights, and np.log from
-    # math.log in 81 of 2 * 10^6, on a 2-vCPU Xeon VM; a vectorised weight
-    # would change reported optima in their last bits.
+    # Both forms compute float(n) ** -t by libm's pow.  np.float_power's
+    # float64 loop calls that same pow per element, as Python's float **
+    # does, so the column has the list's bits.  np.power stays out: numpy
+    # 2.4's AVX-512 kernel differed from Python's ** in 86,010 of 1,623,384
+    # weights on a 2-vCPU Xeon VM, and would change reported optima in
+    # their last bits.
     if isinstance(values, np.ndarray):
-        floats = values.astype(np.float64).tolist()
-        weights = np.fromiter(map(pow, floats, itertools.repeat(-t)), np.float64, len(floats))
+        weights = np.float_power(values.astype(np.float64), -t)
     else:
         weights = [float(n) ** (-t) for n in values]
     if 0.0 in weights:

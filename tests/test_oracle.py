@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import sys
 import time
 
 import numpy as np
@@ -721,24 +722,45 @@ def test_regimes_give_identical_reports(call):
     assert_same_in_both_regimes(call)
 
 
+def log_uniform_draws(count, seed):
+    """``count`` seeded int64 values from 2 to ``MAX_ELEMENT``, their bit
+    lengths uniform on 2..63, so every magnitude is drawn about as often."""
+    rng = np.random.default_rng(seed)
+    high = MAX_ELEMENT >> (63 - rng.integers(2, 64, count))
+    return rng.integers((high >> 1) + 1, high, endpoint=True)
+
+
 def test_column_weights_are_python_float_weights_bit_for_bit():
-    universe = built(COLUMNS, *_DEEP)
-    assert universe.columnar
-    column = np.concatenate((universe.elements, [2**53 + 1, 2**62 + 1, 3**39, MAX_ELEMENT]))
+    deep, wide = built(COLUMNS, *_DEEP), built(COLUMNS, sieve_primes(1000), 2, 3, 10**6)
+    assert deep.columnar and wide.columnar and len(wide) == 80_413
+    column = np.concatenate((deep.elements, wide.elements, log_uniform_draws(10**5, 20),
+                             [2**53 + 1, 2**62 + 1, 3**39, MAX_ELEMENT]))
     values = column.tolist()
     # above 2^53 float(n) rounds, and the cast must round the same way
     assert sum(n > 2**53 and float(n) != n for n in values) > 100
-    for t in (0.05, 1.02, 1.5, 8.0):
-        weights = power_weights(column, t)
+    subnormal = 0
+    for t in (0.05, 1.0000001, 1.02, 1.5, 8.0, 40.0):
+        # past the underflow to 0, power_weights raises PrecisionError
+        kept = np.array([float(n) ** -t > 0.0 for n in values])
+        floats = column[kept].astype(np.float64).tolist()
+        powers = [float.__pow__(x, -t) for x in floats]
+        subnormal += sum(w < sys.float_info.min for w in powers)
+        expected = [w.hex() for w in powers]
+        direct = np.float_power(np.array(floats), -t).tolist()
+        assert [w.hex() for w in direct] == expected, (
+            f"np.float_power no longer calls libm pow (numpy {np.__version__})")
+        weights = power_weights(column[kept], t)
         assert isinstance(weights, np.ndarray) and weights.dtype == np.float64
-        assert [w.hex() for w in weights.tolist()] == [(float(n) ** -t).hex() for n in values]
-        listed = power_weights(values, t)
-        assert all(type(w) is float for w in listed) and listed == weights.tolist()
+        assert [w.hex() for w in weights.tolist()] == expected
+        listed = power_weights(column[kept].tolist(), t)
+        assert all(type(w) is float for w in listed) and [w.hex() for w in listed] == expected
+    assert subnormal > 100
+    expected = [(1.0 / (n * math.log(n))).hex() for n in values]
     erdos = erdos_weights(column)
     assert isinstance(erdos, np.ndarray) and erdos.dtype == np.float64
-    assert [w.hex() for w in erdos.tolist()] == [(1.0 / (n * math.log(n))).hex() for n in values]
+    assert [w.hex() for w in erdos.tolist()] == expected
     listed = erdos_weights(values)
-    assert all(type(w) is float for w in listed) and listed == erdos.tolist()
+    assert all(type(w) is float for w in listed) and [w.hex() for w in listed] == expected
 
 
 @pytest.mark.parametrize("args", [
