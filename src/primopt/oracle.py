@@ -67,11 +67,11 @@ with ``universe.elements`` and in its form: a list of Python floats, or a
 float64 column with the same bits (``power_weights`` by ``np.float_power``,
 which calls libm's pow as Python's float ** does; ``erdos_weights`` by
 ``math.log`` and numpy's correctly rounded multiply and divide; np.power
-and np.log stay out, as their SIMD kernels differ in the last bits).  ``_scaled_weights`` is the one step to integers,
-value * 2^50 rounded and at least 1: Python ints for a list, and for a
-column int64 while the float total proves that no sum wraps, Python ints in
-a numpy column past that, so the arithmetic is exact even where the total
-passes 2^63.  ``_gather`` reads either form back as Python numbers, and the
+and np.log stay out, as their SIMD kernels differ in the last bits).
+``_scaled_weights`` is the one step to integers, value * 2^50 rounded and
+at least 1: Python ints for a list, and for a column int64 while the float
+total proves that no sum wraps, Python ints in a numpy column past that,
+so the arithmetic is exact even where the total passes 2^63.  ``_gather`` reads either form back as Python numbers, and the
 float weights of the returned members are re-summed by fsum; verdict
 tolerances absorb the scaling quantum.
 
@@ -106,15 +106,18 @@ _TIE_TOL = 1e-9
 _ONE_IS_NO_ANTICHAIN = ("{1} is not an antichain here: 1 divides every element, "
                         "so k_lo must be >= 1")
 # Bound on the element count (see build_universe) from which the universe
-# is built as numpy columns rather than Python lists.  Per call, on 460
-# universes of 1 to 2,000 elements (2 vCPUs, Python 3.11, numpy 2.4): the
-# list build won below a bound of 300 (161 against 173 us at bounds
-# 200-299), the column build from there (231 against 189 us at 300-499,
-# 1515 against 385 us past 5,000).  Covering edges are always columns; below
-# 50 elements that costs about 8 us per call over a list loop, paid only
-# where the tree bound stays open.  The optimizer follows the build: with
-# every universe on columns, certify-small's flow jobs, all built as lists,
-# took 225 against 143 ms per pass.
+# is built as numpy columns rather than Python lists.  Per call of the build
+# and its n^-t weights, on 460 seeded universes of 1 to 2,000 elements
+# (2 vCPUs, Python 3.11, numpy 2.4): the list build won below a bound of
+# 100 (22 against 80 us below 50), the two tied at 100-199 (104 against
+# 109 us), and the column build won from 200 (151 against 101 us at
+# 200-299, 227 against 118 us at 300-499, 762 against 191 us past 5,000).
+# The cutoff stays at 300: only 11 of the 460 fall at 200-299, too few to
+# move it on.  Covering edges are always columns; below 50 elements that
+# costs about 8 us per call over a list loop, paid only where the tree
+# bound stays open.  The optimizer follows the build: with every universe
+# on columns, certify-small's flow jobs, all built as lists, took 225
+# against 143 ms per pass.
 _COLUMNS_FROM = 300
 
 
