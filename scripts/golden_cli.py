@@ -13,7 +13,7 @@ give identical directories:
     python scripts/golden_cli.py /tmp/golden-b /path/to/checkout-b
     diff -r /tmp/golden-a /tmp/golden-b
 
-The 115 lines cover every argument line of tests/test_cli.py, each of the
+The 111 lines cover every argument line of tests/test_cli.py, each of the
 19 subcommands, the three certify-large ``verify-tbest`` instances of
 perfbench, ``suite`` at seeds 0 and 1 with and without ``--quick``, one
 clamped tie at t = 8 through ``verify-tbest`` and ``oracle``, where the
@@ -77,7 +77,7 @@ LINES = [
     ["corollary", "--brun-bound", "2.347", "--brun-source", "proven", "--limit", "100000"],
     ["corollary", "--brun-bound", "2.347", "--with-three", "--limit", "1000000"],
     ["erdos-sum", "--members", "4,6,9"],
-    ["bridge", "--members", "2,3,5", "--tolerance", "1e-4"],
+    ["bridge", "--members", "2,3,5"],
     ["prime-zeta", "--t", "2", "--out", "missing-dir/report.json"],
     ["check-condition", "--primes", "2", "--t", "1", "--format", "text"],
     ["no-such-command"],
@@ -86,8 +86,6 @@ LINES = [
     ["check-condition", "--t", "1"],
     *([*ORACLE, "--t", t, *brute] for t in ("0", "-1") for brute in ([], ["--brute-force"])),
     ["chain", *PRIMES, "--kmax", "1", "--t", "2"],
-    *(["bridge", "--members", "2,3,5", "--tolerance", tol]
-      for tol in ("0", "-1", "nan", "inf")),
     *(line for limit in ("0", "-1") for line in (
         ["universe", *PRIMES, *CAPS, "--max-elements", limit],
         [*ORACLE, "--t", "1", "--max-elements", limit],

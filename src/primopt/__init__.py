@@ -7,6 +7,8 @@ multiplicative semigroup, and certifies those optimality statements on
 finite truncations with an exact max-weight-antichain oracle.
 """
 
+from types import ModuleType as _ModuleType
+
 from .analytic import (
     ConditionVerdict,
     ErrBoundReal,
@@ -53,50 +55,10 @@ from .twin import (
     twin_square_bound,
 )
 
-__all__ = [
-    "Antichain",
-    "BrunInput",
-    "ConditionVerdict",
-    "ErrBoundReal",
-    "OptimalityReport",
-    "PrecisionError",
-    "PrimeSet",
-    "SizeLimitError",
-    "TruncatedUniverse",
-    "VerificationReport",
-    "brun_partial",
-    "build_universe",
-    "chain_check",
-    "check_condition",
-    "check_condition_allprimes",
-    "condition_margin",
-    "condition_rhs",
-    "corollary_check",
-    "decomposition_partition_check",
-    "erdos_sum",
-    "h_all",
-    "integral_bridge_check",
-    "is_prime",
-    "is_primitive",
-    "max_weight_antichain_bruteforce",
-    "max_weight_antichain_flow",
-    "omega",
-    "prime_zeta",
-    "quadratic_equivalence_check",
-    "riemann_zeta",
-    "schur_check",
-    "sieve_primes",
-    "sigma_nk",
-    "sigma_t",
-    "square_identity_check",
-    "full_twin_check",
-    "full_twin_verdict",
-    "tau_root",
-    "twin_primes",
-    "twin_reciprocal_bound",
-    "twin_square_bound",
-    "verify_erdos_best",
-    "verify_tbest",
-]
+# public: every name imported above, and none of the submodules
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)
 
 __version__ = "0.1.0"

@@ -73,6 +73,12 @@ def _pad(value: float) -> float:
     return 4.0 * _EPS * abs(value) + math.ulp(0.0)
 
 
+def _gamma(n: int) -> float:
+    """n u / (1 - n u), u = 2^-53: a product of n factors 1 + d, |d| <= u,
+    lies within 1 +- gamma(n), and gamma(i) + gamma(j) <= gamma(i + j)."""
+    return n * 0.5 * _EPS / (1.0 - n * 0.5 * _EPS)
+
+
 def _log_pair(value: float, radius: float) -> tuple[float, float]:
     """(value, radius) of the log of the enclosure (value, radius)."""
     lo = value - radius

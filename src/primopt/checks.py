@@ -176,6 +176,8 @@ def _identity_suite(rng, quick):
 
 @_check("integral_bridge", "integral bridge residuals", "within tolerance", 10.0)
 def _integral_bridge(rng, quick):
+    # each enclosure holds the direct sum, with a radius within the bound
     cases = (([2], 1e-6), ([2, 3, 5], 1e-4), ([4, 6, 9], 1e-4))
-    ok = all(erdos.integral_bridge_check(m, tol).verdict == HOLDS for m, tol in cases)
+    bridges = [(erdos.integral_bridge_check(m), bound) for m, bound in cases]
+    ok = all(check.verdict == HOLDS and check.rhs.value <= bound for check, bound in bridges)
     return "within tolerance" if ok else "exceeded", ok

@@ -240,7 +240,7 @@ def _cmd_erdos_sum(args):
 
 def _cmd_bridge(args):
     members = [int(x) for x in args.members.split(",")]
-    bridge = erdos.integral_bridge_check(members, args.tolerance)
+    bridge = erdos.integral_bridge_check(members)
     return _envelope(
         "integral bridge between power and reciprocal-log weights",
         bridge.verdict,
@@ -374,7 +374,6 @@ def _build_parser() -> _Parser:
 
     p = add_parser("bridge", _cmd_bridge)
     p.add_argument("--members", required=True)
-    p.add_argument("--tolerance", type=float, default=1e-4)
 
     p = add_parser("suite", _cmd_suite)
     p.add_argument("--quick", action="store_true")

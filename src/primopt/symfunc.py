@@ -4,8 +4,10 @@ checks tying them to level sets of the restricted semigroup.
 The degree-k sum over weights (x_1..x_m) equals the weighted sum over the
 set of semigroup elements with exactly k prime factors, at x_i = p_i^-t.
 Everything is a finite positive sum, so the rolling-row DP is numerically
-stable; the only cancellations happen inside the explicit residual checks,
-which use relative tolerances sized for binary64.
+stable.  The polynomial identities are decided exactly, on the binary64
+weights as integers over one power-of-two scale; the Schur, chain and
+partition checks compare floats against a slack derived from the roundings
+each performs (the note above ``_level_sums``).
 """
 
 from __future__ import annotations
@@ -19,14 +21,12 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .analytic import (
-    HOLDS, INCONCLUSIVE, FAILS, ConditionVerdict, ErrBoundReal, VerificationReport, sigma_t,
+    HOLDS, INCONCLUSIVE, FAILS, ConditionVerdict, ErrBoundReal, VerificationReport, _gamma,
 )
 from .errors import PrecisionError, SizeLimitError
 from .primes import PrimeSet, omega
 
 Number = Union[float, Fraction]
-
-REL_TOL = 1e-12
 
 # Most elements level_elements enumerates.  On 2 vCPUs a level takes about
 # 0.7 us and 60 bytes per element: 1.35 million (200 primes, k = 3) took
@@ -130,19 +130,44 @@ def sigma_nk(prime_set: PrimeSet, t: float, k: int) -> float:
     return h_all(power_weights(prime_set, t), k)[k]
 
 
+# Slack of the float checks below, counted from the operations each does.  A
+# binary64 add, multiply or cast gives x (1 + d), |d| <= u = 2^-53, or x + e,
+# |e| <= ulp(0) / 2, for a product that underflows.  A weight float(n) ** -t
+# carries w = 2 + ceil(t) factors 1 + d (libm's pow errs by under one ulp, the
+# cast by (1 + d)^-t), and n such factors lie within 1 +- gamma(n).  h_all's
+# update passes each monomial of h_k over m positive weights through m + 2k - 1
+# roundings (by induction), so h_k carries gamma(m + (2 + w) k); underflows add
+# ulp(0) m S, S the row's sum, as one at row[j] reaches h_k times h_{k-j} <= S.
+# A determinant or a step then errs by gamma(2 (m + (2 + w) K) + 4) of its
+# terms, K the row's last k, with the comparison and the slack's own roundings,
+# plus ulp(0) (1 + 4 m S^2).  In ``_partition_sums`` the level's fsum carries
+# w + 1 roundings, the blocks' sum w + m + (2 + w) ell + b (d^-t, h, product,
+# b - 1 adds), the comparison 5 more; a subnormal weight errs by ulp(0), a
+# block's d^-t h by ulp(0) ((m + 1) C(m + ell, ell) + 1) as weights below 1
+# give h_j <= C(m + j - 1, j), and the slack takes twice that.
+
+
+def _level_sums(xs: Sequence[Number], kmax: int, w: int = 0) -> tuple[list, float, float]:
+    """h_0..h_kmax over weights of w roundings, and a determinant's slack."""
+    h = h_all(xs, kmax)
+    s = math.fsum(h)
+    g = _gamma(2 * (len(xs) + (2 + w) * kmax) + 4)
+    return h, g, math.ulp(0.0) * (1.0 + 4.0 * len(xs) * s * s)
+
+
 def schur_check(xs: Sequence[Number], kmax: int) -> tuple[bool, Optional[int]]:
-    """Log-concavity of the h-sequence: h_{k+1}^2 - h_k h_{k+2} >= 0
-    (up to relative rounding slack) for 0 <= k < kmax.
+    """Log-concavity of the h-sequence: h_{k+1}^2 - h_k h_{k+2} >= 0 (up to
+    its derived rounding slack) for 0 <= k < kmax.
 
     Returns (ok, first violating k or None).
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     _check_weights(xs)
-    h = h_all(xs, kmax + 1)
+    h, g, tiny = _level_sums(xs, kmax + 1)
     for k in range(kmax):
-        det = h[k + 1] * h[k + 1] - h[k] * h[k + 2]
-        if det < -REL_TOL * h[k + 1] * h[k + 1]:
+        a, b = h[k + 1] * h[k + 1], h[k] * h[k + 2]
+        if a - b < -(g * (a + b) + tiny):
             return False, k
     return True, None
 
@@ -157,8 +182,8 @@ def chain_check(prime_set: PrimeSet, t: float, kmax: int) -> VerificationReport:
     """
     if kmax < 2:
         raise ValueError("kmax must be >= 2: the hypothesis compares h_1 with h_2")
-    h = h_all(power_weights(prime_set, t), kmax)
-    rise = next((k for k in range(1, kmax) if h[k] < h[k + 1] * (1.0 - REL_TOL)), None)
+    h, g, tiny = _level_sums(power_weights(prime_set, t), kmax, 2 + math.ceil(t))
+    rise = next((k for k in range(1, kmax) if h[k] < h[k + 1] * (1.0 - g) - tiny), None)
     if rise is None:
         verdict, notes = HOLDS, []
     elif rise == 1:
@@ -174,40 +199,38 @@ def chain_check(prime_set: PrimeSet, t: float, kmax: int) -> VerificationReport:
     )
 
 
+def _scaled_sums(xs: Sequence[float]) -> tuple[int, int, int, int]:
+    """(d, d S_1, d^2 S_2, d^2 h_2) over the binary64 weights, d their largest denominator."""
+    ratios = [x.as_integer_ratio() for x in xs]
+    d = max((den for _, den in ratios), default=1)
+    ints = [num * (d // den) for num, den in ratios]
+    return d, sum(ints), sum(x * x for x in ints), h_all(ints, 2)[2]
+
+
 def square_identity_check(prime_set: PrimeSet, t: float) -> ConditionVerdict:
-    """(sum p^-t)^2 = 2 h_2(p^-t) - sum p^-2t: the residual |lhs - rhs|
-    against the tolerance REL_TOL * max(1, s1^2), s1 = ``sigma_t``."""
-    xs = power_weights(prime_set, t)
-    s1 = math.fsum(xs)
-    s2 = math.fsum(x * x for x in xs)
-    h2 = h_all(xs, 2)[2]
-    scale = sigma_t(prime_set, t).value
-    return ConditionVerdict.compare(
-        ErrBoundReal.exact(abs(s1 * s1 - (2.0 * h2 - s2))),
-        ErrBoundReal.exact(REL_TOL * max(1.0, scale * scale)),
-    )
+    """(sum p^-t)^2 = 2 h_2(p^-t) - sum p^-2t on the binary64 weights: it
+    holds iff the integer residual of ``_scaled_sums`` is 0 (lhs, against rhs 0)."""
+    d, s1, s2, h2 = _scaled_sums(power_weights(prime_set, t))
+    residual = abs(s1 * s1 - (2 * h2 - s2))
+    lhs, rhs = ErrBoundReal.exact(residual / (d * d)), ErrBoundReal.exact(0.0)
+    return ConditionVerdict(FAILS if residual else HOLDS, lhs, rhs)
 
 
 def quadratic_equivalence_check(prime_set: PrimeSet, t: float) -> bool:
     """h_1 >= h_2 iff the weight sum S_1 stays below the upper root
     1 + sqrt(1 - S_2), given that it always sits above the lower root.
 
-    Exact on the binary64 weights, each an integer X_i over their largest
-    (power-of-two) denominator d, so that sum X_i, sum X_i^2 and h_2(X) are
-    d S_1, d^2 S_2 and d^2 h_2; the root side is squared: S_1 <= 1 or
-    (S_1 - 1)^2 <= 1 - S_2.  The lower root 1 - sqrt(1 - S_2) is at most
-    S_2 for every S_2 in [0, 1), so the chain below S_1 needs only S_2 < S_1.
+    Exact on the binary64 weights, by the integer sums of ``_scaled_sums``;
+    the root side is squared: S_1 <= 1 or (S_1 - 1)^2 <= 1 - S_2.  The lower
+    root 1 - sqrt(1 - S_2) is at most S_2 for every S_2 in [0, 1), so the
+    chain below S_1 needs only S_2 < S_1.
     """
-    ratios = [x.as_integer_ratio() for x in power_weights(prime_set, t)]
-    d = max((den for _, den in ratios), default=1)
-    xs = [num * (d // den) for num, den in ratios]
-    s1 = sum(xs)
-    s2 = sum(x * x for x in xs)
+    d, s1, s2, h2 = _scaled_sums(power_weights(prime_set, t))
     if s2 >= d * d:
         raise ValueError("squared-weight sum must stay below 1")
     if not s2 < s1 * d:
         return False
-    return (s1 * d >= h_all(xs, 2)[2]) == (s1 <= d or (s1 - d) ** 2 <= d * d - s2)
+    return (s1 * d >= h2) == (s1 <= d or (s1 - d) ** 2 <= d * d - s2)
 
 
 def level_elements(prime_set: PrimeSet, k: int) -> list[int]:
@@ -236,8 +259,8 @@ def decomposition_partition_check(prime_set: PrimeSet, ell: int, s: int) -> bool
     For every divisor d of s, the block {n : gcd(n, s) = d} must equal
     d * (level (ell - Omega(d)) of the primes not dividing s/d), and the
     weighted sums must telescope accordingly.  Exact set equality is
-    required; the weighted identity is checked at two t values to the
-    relative tolerance.
+    required; the weighted identity is checked at two t values, to the
+    derived rounding slack of ``_partition_sums``.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
@@ -264,13 +287,22 @@ def decomposition_partition_check(prime_set: PrimeSet, ell: int, s: int) -> bool
         return False
 
     for t in (1.0, 1.5):
-        lhs = math.fsum(float(n) ** (-t) for n in level)
-        rhs = 0.0
-        for d, q_d, om_d in divisor_blocks:
-            rhs += float(d) ** (-t) * float(sigma_nk(q_d, t, ell - om_d))
-        if abs(lhs - rhs) > REL_TOL * max(1.0, abs(lhs)):
+        lhs, rhs, slack = _partition_sums(prime_set, level, divisor_blocks, ell, t)
+        if abs(lhs - rhs) > slack:
             return False
     return True
+
+
+def _partition_sums(prime_set: PrimeSet, level: list[int], blocks: list, ell: int, t: float):
+    """(sum of n^-t over the level, sum of d^-t h over the gcd blocks, slack)."""
+    w = 2 + math.ceil(t)
+    lhs = math.fsum(float(n) ** (-t) for n in level)
+    rhs = 0.0
+    for d, q_d, om_d in blocks:
+        rhs += float(d) ** (-t) * float(sigma_nk(q_d, t, ell - om_d))
+    m, b = len(prime_set), len(blocks)
+    tiny = 2.0 * math.ulp(0.0) * (len(level) + b * (1 + (m + 1) * math.comb(m + ell, ell)))
+    return lhs, rhs, _gamma(w + m + (2 + w) * ell + b + 4) * (lhs + rhs) + tiny
 
 
 def gcd_blocks(prime_set: PrimeSet, s: int) -> list[tuple[int, PrimeSet, int]]:

@@ -12,7 +12,6 @@ two pairs) and the sum over twins exceeding 3 is B - 1/3 - 1/5.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +26,6 @@ from .analytic import (
     sum_with_rounding,
 )
 from .primes import twin_pair_lower_members, twin_primes
-
-_EPS = sys.float_info.epsilon
 
 # Proven unconditional upper bound on the Brun constant; anything smaller
 # is conditional on unproven estimates.
@@ -97,9 +94,7 @@ def twin_square_bound(limit: int, include_three: bool = False) -> ErrBoundReal:
     twins = twin_primes(limit, include_three=include_three).as_array().astype(np.float64)
     partial = sum_with_rounding(1.0 / (twins * twins))
     tail = six_n_square_tail(limit)
-    return ErrBoundReal(
-        partial.value + 0.5 * tail, partial.radius + 0.5 * tail + _EPS * 8
-    )
+    return partial + ErrBoundReal(0.5 * tail, 0.5 * tail)
 
 
 def corollary_check(brun: BrunInput, limit: int = 10**6) -> VerificationReport:

@@ -1,8 +1,8 @@
 """Acceptance criteria: one test per row of ``primopt.checks``, the single
 source of the paper's certified statements that ``primopt suite`` also runs.
 
-Each row carries its claim, tolerances and pinned runtime budget; the tests
-run every row at full size (not --quick).  Run with
+Each row carries its claim, its expected outcome and its pinned runtime
+budget; the tests run every row at full size (not --quick).  Run with
 `pytest tests/test_acceptance.py -v -s` to see the per-criterion PASS/FAIL
 lines as they complete.
 """

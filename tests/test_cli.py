@@ -169,10 +169,13 @@ def test_erdos_sum_and_bridge_commands(capsys):
     assert code == 0
     assert abs(report["lhs"]["value"] - 0.3239241637933748) < 1e-12
 
-    code, report = run_json(
-        capsys, "bridge", "--members", "2,3,5", "--tolerance", "1e-4"
-    )
+    code, report = run_json(capsys, "bridge", "--members", "2,3,5")
     assert code == 0 and report["verdict"] == "holds"
+    assert report["lhs"]["value"] <= report["rhs"]["value"] <= 1e-6
+    # the enclosure's radius is derived, not given
+    with pytest.raises(SystemExit) as exc:
+        main(["bridge", "--members", "2,3,5", "--tolerance", "1e-4"])
+    assert exc.value.code == 3
 
 
 def test_suite_quick_passes_and_is_deterministic(capsys):
@@ -231,8 +234,6 @@ def test_domain_error_exit_3(capsys):
         assert main([*oracle, "--t", t]) == 3
         assert main([*oracle, "--t", t, "--brute-force"]) == 3
     assert main(["chain", "--primes", "2,3", "--kmax", "1", "--t", "2"]) == 3
-    for tolerance in ("0", "-1", "nan", "inf"):
-        assert main(["bridge", "--members", "2,3,5", "--tolerance", tolerance]) == 3
     for limit in ("0", "-1"):
         assert main(["universe", "--primes", "2,3", "--max-omega", "2", "--max-value",
                      "100", "--max-elements", limit]) == 3

@@ -3,19 +3,20 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primopt import symfunc
-from primopt.analytic import sigma_t
+from primopt.analytic import ErrBoundReal
 from primopt.errors import SizeLimitError
 from primopt.primes import PrimeSet, sieve_primes
 from primopt.symfunc import (
-    REL_TOL,
     chain_check,
     decomposition_partition_check,
     exact_weights_from_primes,
+    gcd_blocks,
     h_all,
     level_elements,
     power_weights,
@@ -110,6 +111,71 @@ def test_schur_never_negative_on_positive_weights(xs, kmax):
     assert ok and witness is None
 
 
+_UNIT = st.floats(min_value=1e-6, max_value=1.0 - 1e-6)
+# products of these reach the subnormals, or underflow to 0
+_TINY = st.one_of(st.floats(1e-300, 1e-298), st.floats(1e-170, 1e-150))
+
+
+@given(
+    st.one_of(
+        st.lists(_UNIT, min_size=1, max_size=10),
+        st.tuples(_UNIT, st.integers(1, 10)).map(lambda pair: [pair[0]] * pair[1]),
+        st.lists(_TINY, min_size=1, max_size=6),
+        st.lists(st.one_of(_TINY, _UNIT), min_size=1, max_size=6),
+    ),
+    st.integers(min_value=1, max_value=8),
+)
+@settings(max_examples=200, deadline=None)
+def test_determinant_slack_bounds_its_rounding(xs, kmax):
+    # each binary64 determinant, formed as schur_check forms it, is within
+    # its slack of the exact determinant of the same binary64 weights
+    h, g, tiny = symfunc._level_sums(xs, kmax + 1)
+    exact = h_all([Fraction(x) for x in xs], kmax + 1)
+    for k in range(kmax):
+        a, b = h[k + 1] * h[k + 1], h[k] * h[k + 2]
+        det = exact[k + 1] * exact[k + 1] - exact[k] * exact[k + 2]
+        assert abs(Fraction(a - b) - det) <= Fraction(g * (a + b) + tiny)
+
+
+@given(
+    st.lists(st.sampled_from(sieve_primes(300).as_list()), min_size=1, max_size=15, unique=True),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=2, max_value=10),
+)
+@settings(max_examples=100, deadline=None)
+def test_chain_slack_bounds_each_level_sum(primes, t, kmax):
+    # at an integer t the true weights p^-t are Fractions: every binary64 h_k
+    # is within half the step slack of the exact level sum, so a step that
+    # chain_check calls a rise is one
+    prime_set = PrimeSet(primes)
+    h, g, tiny = symfunc._level_sums(power_weights(prime_set, t), kmax, 2 + t)
+    exact = h_all([Fraction(1, p**t) for p in primes], kmax)
+    for k in range(kmax + 1):
+        assert abs(Fraction(h[k]) - exact[k]) <= Fraction(g * h[k] + tiny) / 2
+    for k in range(1, kmax):
+        if h[k] < h[k + 1] * (1.0 - g) - tiny:
+            assert exact[k] < exact[k + 1]
+
+
+@given(
+    st.lists(st.sampled_from([2, 3, 5, 7, 11, 13, 97]), min_size=1, max_size=4, unique=True),
+    st.integers(min_value=1, max_value=4),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_partition_slack_bounds_both_sums(primes, ell, data):
+    # the level's sum and the blocks' sum are each off the exact sum of n^-t
+    # (mpmath at 50 digits), together by no more than the slack
+    prime_set = PrimeSet(primes)
+    level = level_elements(prime_set, ell)
+    blocks = gcd_blocks(prime_set, data.draw(st.sampled_from(level)))
+    for t in (1.0, 1.5, 2.0):
+        lhs, rhs, slack = symfunc._partition_sums(prime_set, level, blocks, ell, t)
+        with mpmath.workdps(50):
+            exact = mpmath.fsum(mpmath.mpf(n) ** -t for n in level)
+            assert abs(lhs - exact) + abs(rhs - exact) <= slack
+
+
 def test_chain_check_monotone_case():
     report = chain_check(PrimeSet([2, 3, 5]), 1.5, 10)
     assert report.verdict == "holds"
@@ -149,16 +215,13 @@ def test_square_identity_exact_rational():
 
 
 def test_square_identity_examples():
-    pair = square_identity_check(PrimeSet([2, 3]), 1.0)
-    assert pair.verdict == "holds" and pair.lhs.value <= 1e-12 * 1.0
-    single = square_identity_check(PrimeSet([2]), 2.0)
-    assert single.verdict == "holds" and single.lhs.value == 0.0
+    # exact on the binary64 weights: the residual is 0, against a bound of 0
     first100 = sieve_primes(541)
     assert len(first100) == 100
-    s1 = sigma_t(first100, 1.3).value
-    check = square_identity_check(first100, 1.3)
-    assert check.verdict == "holds" and check.lhs.value <= 1e-12 * max(1.0, s1 * s1)
-    assert check.rhs.value == 1e-12 * max(1.0, s1 * s1)
+    for prime_set, t in ((PrimeSet([2, 3]), 1.0), (PrimeSet([2]), 2.0), (first100, 1.3)):
+        check = square_identity_check(prime_set, t)
+        assert check.verdict == "holds"
+        assert check.lhs == check.rhs == ErrBoundReal.exact(0.0)
 
 
 def test_quadratic_equivalence_examples():
