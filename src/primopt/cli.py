@@ -171,7 +171,7 @@ def _cmd_universe(args):
         "truncated universe enumeration",
         HOLDS,
         size=len(u),
-        elements=[int(n) for n in u.elements[:MEMBERS_SHOWN]],
+        elements=sorted(map(int, u.elements))[:MEMBERS_SHOWN],
     )
 
 

@@ -10,10 +10,12 @@ frontier of values and, per value, the index of its largest prime.  A value
 v whose largest prime has index i extends by the primes from index i up to
 max_value // v, so each multiset of primes appears once and no product
 passes the cap; the value a row extends is its parent in the tree below.
-The edges come the same way: element n at Omega below the cap covers
-n * p for exactly the primes p <= max_value // n, and each n * p is found
-by a search of the sorted elements.  The edges are one (E, 2) index array
-(a ragged repeat, one searchsorted for all of them).  The levels are numpy columns
+The universe keeps that order, level order; values are sorted only where
+they are reported or searched.  The edges come the same way: element n at
+Omega below the cap covers n * p for exactly the primes p <= max_value //
+n, and each n * p is found through one argsort of the elements.  The edges
+are one (E, 2) index array (a ragged repeat, one searchsorted for all of
+them).  The levels are numpy columns
 too (a ragged repeat per level) from ``_COLUMNS_FROM`` elements on, and
 the same loops over Python lists below it, where numpy's per-call overhead
 would cost more than the loops.  No level may pass ``max_elements``: the
@@ -32,7 +34,7 @@ divisibility antichain is an antichain of the forest too, and the heaviest
 forest antichain bounds the optimum from above.  In a forest it is the sum
 over roots r of max(w(r), arriving(r)), where arriving(v) is the sum over
 v's children c of max(w(c), arriving(c)): one pass over the elements in
-descending order (one Omega level at a time on columns), exact in
+descending level order (one Omega level at a time on columns), exact in
 integers on the scaled weights.  When
 arriving(r) <= w(r) at every root, that bound is the weight of level k_lo,
 itself a divisibility antichain, so the roots are optimal and no edge is
@@ -106,18 +108,16 @@ _TIE_TOL = 1e-9
 _ONE_IS_NO_ANTICHAIN = ("{1} is not an antichain here: 1 divides every element, "
                         "so k_lo must be >= 1")
 # Bound on the element count (see build_universe) from which the universe
-# is built as numpy columns rather than Python lists.  Per call of the build
-# and its n^-t weights, on 460 seeded universes of 1 to 2,000 elements
-# (2 vCPUs, Python 3.11, numpy 2.4): the list build won below a bound of
-# 100 (22 against 80 us below 50), the two tied at 100-199 (104 against
-# 109 us), and the column build won from 200 (151 against 101 us at
-# 200-299, 227 against 118 us at 300-499, 762 against 191 us past 5,000).
-# The cutoff stays at 300: only 11 of the 460 fall at 200-299, too few to
-# move it on.  Covering edges are always columns; below 50 elements that
-# costs about 8 us per call over a list loop, paid only where the tree
-# bound stays open.  The optimizer follows the build: with every universe
-# on columns, certify-small's flow jobs, all built as lists, took 225
-# against 143 ms per pass.
+# is built as numpy columns rather than Python lists.  Per call of the
+# level-order build and its n^-t weights, on 460 seeded universes of 1 to
+# 2,000 elements under value caps of 10^4-10^6 (2 vCPUs, Python 3.11, numpy
+# 2.4, medians), lists won below a bound of 300 (10 against 48 us below 50,
+# 52 against 81 us at 200-299) and columns from there (110 against 93 us at
+# 300-499, 157 against 109 us at 1,000-4,999).  Covering edges are always
+# columns; below 50 elements that costs about 8 us per call over a list
+# loop, paid only where the tree bound stays open.  The optimizer follows
+# the build: with every universe on columns, certify-small's flow jobs, all
+# built as lists, took 225 against 143 ms per pass.
 _COLUMNS_FROM = 300
 
 
@@ -133,12 +133,15 @@ class TruncatedUniverse:
     """A finite slice of the semigroup: k_lo <= Omega(n) <= max_omega and
     n <= max_value, ordered by divisibility.
 
-    ``elements`` ascend; ``omegas`` holds each one's Omega, and
-    ``parents[c]`` the index of elements[c] // P(elements[c]), P being the
-    largest prime factor, or -1 on level k_lo.  A parent is always smaller,
-    so its index is too.  The three columns are tuples of Python ints when
-    the universe was built by lists, and int64 arrays when it was built by
-    columns (``columnar``); the optimizer keeps to that choice throughout.
+    ``elements`` are in level order, as both builders generate them: Omega
+    ascends from k_lo, and each level lists the children of the level below
+    parent by parent, each parent's by ascending prime.  ``omegas`` holds
+    each one's Omega, and ``parents[c]`` the index of elements[c] //
+    P(elements[c]), P being the largest prime factor, or -1 on level k_lo;
+    a parent lies on the level below, so parents[c] < c.  The three columns
+    are tuples of Python ints when the universe was built by lists, and
+    int64 arrays when it was built by columns (``columnar``); the optimizer
+    keeps to that choice throughout.
     The prime set and the caps determine the columns, so universes compare
     and hash by those alone.
     """
@@ -168,15 +171,17 @@ class TruncatedUniverse:
         Every n * p <= max_value of an element below the Omega cap is itself
         a member, so each element pairs with exactly the primes up to
         max_value // n, and elements at the cap have no covers.  The pairs
-        are one ragged repeat of the element indices and one searchsorted of
-        the products.
+        are one ragged repeat of the element indices, and each product's
+        index is found by one searchsorted through one argsort of the
+        values, which level order leaves unsorted.
         """
         primes = self.prime_set.as_array()
         values = np.asarray(self.elements, dtype=np.int64)
         counts = np.searchsorted(primes, self.max_value // values, "right")
         counts[np.asarray(self.omegas) == self.max_omega] = 0
         lower, position = _ragged(counts, 0)
-        higher = np.searchsorted(values, values[lower] * primes[position])
+        order = np.argsort(values)
+        higher = order[np.searchsorted(values, values[lower] * primes[position], sorter=order)]
         return np.column_stack((lower, higher))
 
 
@@ -191,49 +196,46 @@ def _check_level_size(size: int, max_elements: int) -> None:
 
 def _list_levels(
     primes: list[int], k_lo: int, max_omega: int, max_value: int, max_elements: int
-) -> tuple[list[int], list[int], list[int]]:
-    """The Omega levels k_lo..max_omega as value, Omega and parent lists, by
-    Python loops over a frontier of (value, index of its largest prime,
-    Omega, value of its parent or 0 on level k_lo).  A level is checked once built; by the
-    path's bound it has fewer than ``_COLUMNS_FROM`` rows."""
-    frontier = [(1, 0, 0, 0)]
+) -> list[tuple[int, ...]]:
+    """The Omega levels k_lo..max_omega as value, Omega and parent tuples,
+    in level order, by Python loops over a frontier of (value, Omega,
+    position of its parent among the kept rows or -1 on level k_lo, index of
+    its largest prime).  A level is checked once built; by the path's bound
+    it has fewer than ``_COLUMNS_FROM`` rows."""
+    frontier = [(1, 0, -1, 0)]
     found = frontier[:] if k_lo == 0 else []
     for om in range(1, max_omega + 1):
         level = []
-        for value, last, _, _ in frontier:
+        first = len(found) - len(frontier)  # the level below is the last one kept
+        for row, (value, _, _, last) in enumerate(frontier):
             cap = max_value // value
-            parent = value if om > k_lo else 0
+            parent = first + row if om > k_lo else -1
             for i in range(last, len(primes)):
                 if primes[i] > cap:
                     break
-                level.append((value * primes[i], i, om, parent))
+                level.append((value * primes[i], om, parent, i))
         if om >= k_lo:
             found += level
         _check_level_size(len(found) if om >= k_lo else len(level), max_elements)
         if not level:
             break
         frontier = level
-    found.sort()
-    index = {value: i for i, (value, _, _, _) in enumerate(found)}
-    return (
-        [value for value, _, _, _ in found],
-        [om for _, _, om, _ in found],
-        [index[parent] if parent else -1 for _, _, _, parent in found],
-    )
+    return list(zip(*found))[:3] or [()] * 3
 
 
 def _column_levels(
     primes: np.ndarray, k_lo: int, max_omega: int, max_value: int, max_elements: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The Omega levels k_lo..max_omega as value, Omega and parent columns,
-    by numpy.  A parent is first kept as its position among the kept rows
-    and mapped through the inverse of the final sort."""
+    by numpy, in level order.  Each level is a ragged repeat of the rows of
+    the level below, so a parent is its row's position among the kept rows,
+    and the kept levels are concatenated as they are."""
     values = np.ones(1, dtype=np.int64)
     last = np.zeros(1, dtype=np.int64)
-    kept_values = [values] if k_lo == 0 else []
-    kept_omegas = [np.zeros(1, dtype=np.int64)] if k_lo == 0 else []
-    kept_parents = [np.full(1, -1, dtype=np.int64)] if k_lo == 0 else []
-    kept = len(kept_values)
+    kept = int(k_lo == 0)
+    kept_values = [values[:kept]]
+    kept_omegas = [np.zeros(kept, dtype=np.int64)]
+    kept_parents = [np.full(kept, -1, dtype=np.int64)]
     for om in range(1, max_omega + 1):
         counts = np.searchsorted(primes, max_value // values, "right") - last
         np.maximum(counts, 0, out=counts)
@@ -251,17 +253,7 @@ def _column_levels(
             kept_values.append(values)
             kept_omegas.append(np.full(count, om, dtype=np.int64))
             kept += count
-    if not kept:
-        return (np.zeros(0, dtype=np.int64),) * 3
-    values = np.concatenate(kept_values)
-    order = np.argsort(values)
-    rank = np.full(kept + 1, -1, dtype=np.int64)  # rank[-1] keeps a root's -1
-    rank[order] = np.arange(kept)
-    return (
-        values[order],
-        np.concatenate(kept_omegas)[order],
-        rank[np.concatenate(kept_parents)[order]],
-    )
+    return np.concatenate(kept_values), np.concatenate(kept_omegas), np.concatenate(kept_parents)
 
 
 def build_universe(
@@ -271,7 +263,8 @@ def build_universe(
     max_value: int,
     max_elements: int = DEFAULT_MAX_ELEMENTS,
 ) -> TruncatedUniverse:
-    """Exhaustive enumeration of the truncation, sorted ascending.
+    """Exhaustive enumeration of the truncation, in level order (see
+    ``TruncatedUniverse``).
 
     Built level by level from the frontier of the level below; a level
     (in the band or below it) that would pass ``max_elements`` raises
@@ -297,9 +290,7 @@ def build_universe(
     if bound >= _COLUMNS_FROM:
         columns = _column_levels(prime_set.as_array(), k_lo, max_omega, max_value, max_elements)
     else:
-        columns = map(tuple, _list_levels(
-            prime_set.as_list(), k_lo, max_omega, max_value, max_elements
-        ))
+        columns = _list_levels(prime_set.as_list(), k_lo, max_omega, max_value, max_elements)
     return TruncatedUniverse(prime_set, k_lo, max_omega, max_value, *columns)
 
 
@@ -485,27 +476,30 @@ def _gather(column, indices: Indices) -> list:
 
 
 def _tree_optimum(universe: TruncatedUniverse, scaled) -> tuple[Indices, int, bool]:
-    """The indices of the roots (no parent: level k_lo), ascending, their
-    integer weight, and whether the largest-prime-factor forest proves them
-    a maximum-weight antichain.
+    """The indices of the roots (no parent: level k_lo, the first rows in
+    level order), ascending, their integer weight, and whether the
+    largest-prime-factor forest proves them a maximum-weight antichain.
 
     Children come after their parents, so one pass in descending order
     gives each node the weight ``arriving`` of the heaviest antichains of
     its children's subtrees; the roots' sums land in the extra last slot,
     which parents[r] = -1 indexes.  A columnar universe takes the pass one
     Omega level at a time, top down, since a node's children all lie on the
-    level above it: one maximum and one scatter-add per level.
+    level above it: each level is a contiguous slice, bounded by one
+    searchsorted of the non-decreasing Omegas, with one maximum and one
+    scatter-add per level.
     """
     parents = universe.parents
     if universe.columnar:
         omegas = universe.omegas
-        roots = np.flatnonzero(parents < 0)
+        # ends[j]: one past the last row of level k_lo + j
+        ends = np.searchsorted(omegas, np.arange(universe.k_lo, omegas[-1] + 1), "right").tolist()
         arriving = np.zeros_like(scaled)
-        for om in range(int(omegas.max()), universe.k_lo, -1):
-            level = np.flatnonzero(omegas == om)
-            np.add.at(arriving, parents[level], np.maximum(scaled[level], arriving[level]))
-        own = scaled[roots]
-        return roots, int(own.sum()), bool((arriving[roots] <= own).all())
+        for lo, hi in zip(ends[-2::-1], ends[:0:-1]):
+            np.add.at(arriving, parents[lo:hi], np.maximum(scaled[lo:hi], arriving[lo:hi]))
+        roots = np.arange(ends[0])
+        own = scaled[: ends[0]]
+        return roots, int(own.sum()), bool((arriving[: ends[0]] <= own).all())
     roots = [c for c, parent in enumerate(parents) if parent < 0]
     arriving = [0] * (len(scaled) + 1)
     for c in range(len(scaled) - 1, -1, -1):
@@ -581,7 +575,12 @@ def max_weight_antichain_flow(universe: TruncatedUniverse, t: float) -> tuple[An
 
 
 def _antichain_at(universe: TruncatedUniverse, members: Indices) -> Antichain:
-    """The antichain of the elements at the indices ``members``."""
+    """The antichain of the elements at the indices ``members``, ordered by
+    value."""
+    if universe.columnar:
+        members = np.asarray(members)[np.argsort(universe.elements[members])]
+    else:
+        members = sorted(members, key=universe.elements.__getitem__)
     return Antichain(
         tuple(_gather(universe.elements, members)),
         _omegas=tuple(_gather(universe.omegas, members)),
@@ -643,7 +642,7 @@ def max_weight_antichain_bruteforce(
         rest = free & (free - 1)
         stack.append((rest, chosen, acc))
         stack.append((rest & ~incompatible[i], chosen | (1 << i), acc + weights[i]))
-    members = sorted(order[i] for i in range(count) if (best_set >> i) & 1)
+    members = [order[i] for i in range(count) if (best_set >> i) & 1]
     return _antichain_at(universe, members), best_weight
 
 

@@ -72,8 +72,8 @@ def power_weights(values: Union[PrimeSet, Sequence[int], np.ndarray], t: float):
         weights = np.float_power(values.astype(np.float64), -t)
     else:
         weights = [float(n) ** (-t) for n in values]
-    if 0.0 in weights:
-        n = next(n for n, w in zip(values, weights) if w == 0.0)
+    if 0.0 in weights:  # the least such n, whatever the order of the values
+        n = min(n for n, w in zip(values, weights) if w == 0.0)
         raise PrecisionError(f"weight {n}^-{t} underflows to 0 in binary64")
     return weights
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from primopt import oracle
 from primopt.analytic import jsonable
+from primopt.cli import main
 from primopt.erdos import erdos_sum, erdos_weights
 from primopt.errors import SizeLimitError
 from primopt.oracle import (
@@ -64,6 +65,21 @@ def antichains(universe):
 
 def exhaustive_optimum(universe, weights):
     return max(math.fsum(weights[i] for i in combo) for combo in antichains(universe))
+
+
+def level_order(values, primes):
+    """``values`` in the universe's level order, found independently: by
+    Omega, then by the list of their prime factors, ascending with
+    multiplicity, compared lexicographically."""
+    def key(n):
+        factors = []
+        for p in primes:
+            while n % p == 0:
+                n //= p
+                factors.append(p)
+        return len(factors), factors
+
+    return sorted(values, key=key)
 
 
 def level_members(universe, k):
@@ -122,9 +138,36 @@ def test_build_universe_matches_integer_scan(primes, k_lo, max_omega, max_value)
     expected = semigroup_filter(primes, k_lo, max_omega, max_value)
     if k_lo == 0:
         expected = [1] + expected
-    assert list(u.elements) == expected
+    assert list(u.elements) == level_order(expected, primes)
     for n, om in zip(u.elements, u.omegas):
         assert omega(n, u.prime_set) == om
+
+
+@given(
+    st.lists(st.sampled_from((2, 3, 5, 7, 11, 13)), min_size=1, max_size=4, unique=True),
+    st.integers(0, 2), st.integers(0, 4), st.integers(2, 3000),
+)
+@settings(max_examples=100, deadline=None)
+@example([2, 3, 5], 2, 0, 1000)  # level 2 is 4, 6, 10, 9, 15, 25
+def test_both_forms_keep_level_order(primes, k_lo, above, max_value):
+    primes = sorted(primes)
+    args = (PrimeSet(primes), k_lo, max(k_lo, 1) + above, max_value)
+    lists, columns = built(LISTS, *args), built(COLUMNS, *args)
+    assert not lists.columnar and columns.columnar
+    elements, omegas, parents = (lists.elements, lists.omegas, lists.parents)
+    assert (elements, omegas, parents) == tuple(
+        tuple(column.tolist()) for column in (columns.elements, columns.omegas, columns.parents)
+    )
+    assert list(omegas) == sorted(omegas)
+    for c, (n, om, parent) in enumerate(zip(elements, omegas, parents)):
+        if om == k_lo:
+            assert parent == -1
+        else:
+            assert 0 <= parent < c
+            assert elements[parent] * max(p for p in primes if n % p == 0) == n
+    expected = ([1] if k_lo == 0 else []) + semigroup_filter(primes, *args[1:])
+    assert sorted(elements) == expected
+    assert list(elements) == level_order(expected, primes)
 
 
 def test_universes_compare_by_their_truncation():
@@ -441,7 +484,7 @@ def test_flow_small_example():
 
 def test_bruteforce_level_slice_example():
     u = build_universe(PrimeSet([2, 3]), 2, 3, 1000)
-    assert u.elements == (4, 6, 8, 9, 12, 18, 27)
+    assert u.elements == (4, 6, 9, 8, 12, 18, 27)
     antichain, weight = max_weight_antichain_bruteforce(u, 1.0)
     assert antichain.members == (4, 6, 9)
     assert abs(weight - 19.0 / 36.0) < 1e-15
@@ -660,6 +703,35 @@ def test_flow_picks_the_roots_on_a_clamped_tie():
         assert max_weight_antichain_flow(universe, 8.0) == (Antichain((125,)), 125.0**-8)
     report = verify_tbest(PrimeSet([5, 103, 331]), 8.0, 3, 5, 1000)
     assert report.holds() and report.optimum_members.members == (125,)
+
+
+def test_members_ascend_on_every_path(monkeypatch, capsys):
+    # level order lists {2, 3, 5}'s level 2 as 4, 6, 10, 9, 15, 25, and every
+    # path reports it ascending
+    level_two = (4, 6, 9, 10, 15, 25)
+    primes = PrimeSet([2, 3, 5])
+    for columns_from in (LISTS, COLUMNS):
+        monkeypatch.setattr(oracle, "_COLUMNS_FROM", columns_from)
+        # t = 1.5 on Omega 2..3: the tree bound closes on the roots, level 2
+        closed = build_universe(primes, 2, 3, 1000)
+        # t = 0.5 on Omega 1..2: 4, 6 and 10 outweigh 2, the tree bound stays
+        # open, and Dinic's cut is level 2
+        opened = build_universe(primes, 1, 2, 1000)
+        assert closed.columnar == opened.columnar == (columns_from == COLUMNS)
+        assert as_list(closed.elements)[:6] == as_list(opened.elements)[3:] == [4, 6, 10, 9, 15, 25]
+        assert not _tree_optimum(opened, _scaled_weights(power_weights(opened.elements, 0.5)))[2]
+        for universe, t in ((closed, 1.5), (opened, 0.5)):
+            assert max_weight_antichain_flow(universe, t)[0].members == level_two
+            assert max_weight_antichain_bruteforce(universe, t)[0].members == level_two
+        for report in (verify_tbest(primes, 1.5, 2, 3, 1000), verify_erdos_best(primes, 2, 3, 1000)):
+            assert report.optimum_members.members == level_two
+        # Dinic's cut: the 1,953 level-2 members of 2,015 elements
+        cut = verify_tbest(sieve_primes(300), 1.02, 1, 2, 90000).optimum_members.members
+        assert len(cut) > 1000 and list(cut) == sorted(set(cut))
+        assert main(["universe", "--primes", "2,3,5", "--k-lo", "2", "--max-omega", "3",
+                     "--max-value", "1000"]) == 0
+        listed = json.loads(capsys.readouterr().out)["detail"]["elements"]
+        assert listed == [4, 6, 8, 9, 10, 12, 15, 18, 20, 25, 27, 30, 45, 50, 75, 125]
 
 
 def test_scaled_weights_are_int64_only_while_every_sum_fits():
