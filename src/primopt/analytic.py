@@ -350,8 +350,13 @@ def sum_with_rounding(terms: np.ndarray) -> ErrBoundReal:
 
 
 def sigma_t(prime_set: PrimeSet, t: float) -> ErrBoundReal:
-    """Exact finite sum of p^-t over the set, with a rounding-only radius."""
-    return sum_with_rounding(prime_set.as_array().astype(np.float64) ** (-t))
+    """Exact finite sum of p^-t over the set, with a rounding-only radius.
+
+    Each p^-t is float(p) ** -t by libm's pow (np.float_power, as
+    ``symfunc.power_weights``), not np.power, whose SIMD kernel can differ
+    from it in the last bit.  A term that underflows is 0.
+    """
+    return sum_with_rounding(np.float_power(prime_set.as_array().astype(np.float64), -t))
 
 
 # ---------------------------------------------------------------------------

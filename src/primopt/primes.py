@@ -221,9 +221,11 @@ def _check_sieve_budget(limit: int) -> None:
         )
 
 
-def _twin_lower_members(limit: int) -> np.ndarray:
+def twin_pair_lower_members(limit: int) -> np.ndarray:
     """Lower members p <= limit of twin pairs (p, p+2), ascending.
 
+    The upper member p+2 may exceed limit; that matches the pair-by-pair
+    truncation used for partial sums of the twin-pair reciprocal series.
     Past (3, 5) every pair is (6n - 1, 6n + 1), so the pairs are the n where
     the one twin mask of a wheel sieve to limit + 2 reads True.
     """
@@ -237,22 +239,13 @@ def _twin_lower_members(limit: int) -> np.ndarray:
     return np.concatenate(chunks)
 
 
-def twin_pair_lower_members(limit: int) -> np.ndarray:
-    """Lower members p of twin pairs (p, p+2), for all pairs with p <= limit.
-
-    The upper member p+2 may exceed limit; that matches the pair-by-pair
-    truncation used for partial sums of the twin-pair reciprocal series.
-    """
-    return _twin_lower_members(limit)
-
-
 def twin_primes(limit: int, include_three: bool = False) -> PrimeSet:
     """Primes p <= limit with p-2 or p+2 prime; p=3 included iff include_three."""
     if limit < 5:
         raise ValueError("twin-prime limit must be >= 5")
     # the pairs are (3, 5), (5, 7), (11, 13), ...: 5 is the only prime in
     # two of them, so the pairs from (5, 7) on hold every twin but 3
-    lower = _twin_lower_members(limit)[1:]
+    lower = twin_pair_lower_members(limit)[1:]
     twins = np.column_stack((lower, lower + 2)).ravel()
     if include_three:
         twins = np.concatenate(([3], twins))

@@ -5,9 +5,10 @@ The degree-k sum over weights (x_1..x_m) equals the weighted sum over the
 set of semigroup elements with exactly k prime factors, at x_i = p_i^-t.
 Everything is a finite positive sum, so the rolling-row DP is numerically
 stable.  The polynomial identities are decided exactly, on the binary64
-weights as integers over one power-of-two scale; the Schur, chain and
-partition checks compare floats against a slack derived from the roundings
-each performs (the note above ``_level_sums``).
+weights as integers over one power-of-two scale, and the gcd-block
+partition by exact set equality; the Schur and chain checks compare floats
+against a slack derived from the roundings each performs (the note above
+``_level_sums``).
 """
 
 from __future__ import annotations
@@ -140,11 +141,7 @@ def sigma_nk(prime_set: PrimeSet, t: float, k: int) -> float:
 # ulp(0) m S, S the row's sum, as one at row[j] reaches h_k times h_{k-j} <= S.
 # A determinant or a step then errs by gamma(2 (m + (2 + w) K) + 4) of its
 # terms, K the row's last k, with the comparison and the slack's own roundings,
-# plus ulp(0) (1 + 4 m S^2).  In ``_partition_sums`` the level's fsum carries
-# w + 1 roundings, the blocks' sum w + m + (2 + w) ell + b (d^-t, h, product,
-# b - 1 adds), the comparison 5 more; a subnormal weight errs by ulp(0), a
-# block's d^-t h by ulp(0) ((m + 1) C(m + ell, ell) + 1) as weights below 1
-# give h_j <= C(m + j - 1, j), and the slack takes twice that.
+# plus ulp(0) (1 + 4 m S^2).
 
 
 def _level_sums(xs: Sequence[Number], kmax: int, w: int = 0) -> tuple[list, float, float]:
@@ -257,10 +254,9 @@ def decomposition_partition_check(prime_set: PrimeSet, ell: int, s: int) -> bool
     """Partition of the level-ell slice by gcd with a fixed member s.
 
     For every divisor d of s, the block {n : gcd(n, s) = d} must equal
-    d * (level (ell - Omega(d)) of the primes not dividing s/d), and the
-    weighted sums must telescope accordingly.  Exact set equality is
-    required; the weighted identity is checked at two t values, to the
-    derived rounding slack of ``_partition_sums``.
+    d * (level (ell - Omega(d)) of the primes not dividing s/d), as sets of
+    integers.  Each n = d m then has n^-t = d^-t m^-t, so the weighted sums
+    telescope, sum n^-t = sum_d d^-t h_(ell - Omega(d)), at every t.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
@@ -270,39 +266,15 @@ def decomposition_partition_check(prime_set: PrimeSet, ell: int, s: int) -> bool
     if om != ell:
         raise ValueError(f"Omega({s}) = {om} != ell = {ell}")
 
-    level = level_elements(prime_set, ell)
     divisor_blocks = gcd_blocks(prime_set, s)
-
     blocks: dict[int, list[int]] = {d: [] for d, _, _ in divisor_blocks}
-    for n in level:
+    for n in level_elements(prime_set, ell):
         blocks[gcd(n, s)].append(n)
-
-    covered = 0
-    for d, q_d, om_d in divisor_blocks:
-        predicted = sorted(d * m for m in level_elements(q_d, ell - om_d))
-        if blocks[d] != predicted:
-            return False
-        covered += len(predicted)
-    if covered != len(level):
-        return False
-
-    for t in (1.0, 1.5):
-        lhs, rhs, slack = _partition_sums(prime_set, level, divisor_blocks, ell, t)
-        if abs(lhs - rhs) > slack:
-            return False
-    return True
-
-
-def _partition_sums(prime_set: PrimeSet, level: list[int], blocks: list, ell: int, t: float):
-    """(sum of n^-t over the level, sum of d^-t h over the gcd blocks, slack)."""
-    w = 2 + math.ceil(t)
-    lhs = math.fsum(float(n) ** (-t) for n in level)
-    rhs = 0.0
-    for d, q_d, om_d in blocks:
-        rhs += float(d) ** (-t) * float(sigma_nk(q_d, t, ell - om_d))
-    m, b = len(prime_set), len(blocks)
-    tiny = 2.0 * math.ulp(0.0) * (len(level) + b * (1 + (m + 1) * math.comb(m + ell, ell)))
-    return lhs, rhs, _gamma(w + m + (2 + w) * ell + b + 4) * (lhs + rhs) + tiny
+    # every level is sorted, so each block and each d * level is too
+    return all(
+        blocks[d] == [d * m for m in level_elements(q_d, ell - om_d)]
+        for d, q_d, om_d in divisor_blocks
+    )
 
 
 def gcd_blocks(prime_set: PrimeSet, s: int) -> list[tuple[int, PrimeSet, int]]:

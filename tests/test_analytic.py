@@ -263,6 +263,18 @@ def test_sigma_t_examples():
     assert sigma_t(PrimeSet([]), 1.0).value == 0.0
 
 
+def test_sigma_t_weighs_by_libm_pow():
+    # each term is Python's float ** (libm's pow), whatever SIMD kernel
+    # numpy's own power would dispatch to on this CPU
+    rng = random.Random(23)
+    primes = sieve_primes(10**5).as_list()
+    for _ in range(300):
+        chosen = sorted(rng.sample(primes, rng.randint(1, 2000)))
+        t = rng.uniform(1.0, 3.0)
+        terms = np.array([float(p) ** -t for p in chosen])
+        assert sigma_t(PrimeSet(chosen, validate=False), t).value == float(np.sum(terms))
+
+
 def test_condition_rhs_examples():
     single = condition_rhs(PrimeSet([2]), 1.0)
     assert abs(single.value - (1.0 + math.sqrt(0.75))) < 1e-12

@@ -9,7 +9,7 @@ import pytest
 
 import primopt
 
-from primopt import cli
+from primopt import cli, symfunc
 from primopt.cli import main
 
 ENVELOPE_KEYS = {"claim", "verdict", "lhs", "rhs", "runtime_ms", "detail"}
@@ -104,6 +104,19 @@ def test_decompose_command(capsys):
         capsys, "decompose", "--primes-below", "10000", "--ell", "1", "--s", "2"
     )
     assert code == 0 and report["verdict"] == "holds"
+
+
+def test_decompose_fails_on_a_wrong_block(capsys, monkeypatch):
+    # level 2 of {2, 3} by s = 6: the block gcd(n, 6) = 2 is {4}, but over
+    # the primes {2, 3} it would be predicted as 2 * {2, 3} = {4, 6}
+    real = symfunc.gcd_blocks
+    monkeypatch.setattr(
+        symfunc, "gcd_blocks",
+        lambda P, s: [(d, P if d == 2 else q, o) for d, q, o in real(P, s)],
+    )
+    assert not symfunc.decomposition_partition_check(primopt.PrimeSet([2, 3]), 2, 6)
+    code, report = run_json(capsys, "decompose", "--primes", "2,3", "--ell", "2", "--s", "6")
+    assert code == 1 and report["verdict"] == "fails"
 
 
 def test_universe_and_oracle_commands(capsys):

@@ -3,7 +3,6 @@ import math
 import random
 from fractions import Fraction
 
-import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +15,6 @@ from primopt.symfunc import (
     chain_check,
     decomposition_partition_check,
     exact_weights_from_primes,
-    gcd_blocks,
     h_all,
     level_elements,
     power_weights,
@@ -155,25 +153,6 @@ def test_chain_slack_bounds_each_level_sum(primes, t, kmax):
     for k in range(1, kmax):
         if h[k] < h[k + 1] * (1.0 - g) - tiny:
             assert exact[k] < exact[k + 1]
-
-
-@given(
-    st.lists(st.sampled_from([2, 3, 5, 7, 11, 13, 97]), min_size=1, max_size=4, unique=True),
-    st.integers(min_value=1, max_value=4),
-    st.data(),
-)
-@settings(max_examples=60, deadline=None)
-def test_partition_slack_bounds_both_sums(primes, ell, data):
-    # the level's sum and the blocks' sum are each off the exact sum of n^-t
-    # (mpmath at 50 digits), together by no more than the slack
-    prime_set = PrimeSet(primes)
-    level = level_elements(prime_set, ell)
-    blocks = gcd_blocks(prime_set, data.draw(st.sampled_from(level)))
-    for t in (1.0, 1.5, 2.0):
-        lhs, rhs, slack = symfunc._partition_sums(prime_set, level, blocks, ell, t)
-        with mpmath.workdps(50):
-            exact = mpmath.fsum(mpmath.mpf(n) ** -t for n in level)
-            assert abs(lhs - exact) + abs(rhs - exact) <= slack
 
 
 def test_chain_check_monotone_case():
