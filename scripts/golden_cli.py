@@ -13,6 +13,12 @@ give identical directories:
     python scripts/golden_cli.py /tmp/golden-b /path/to/checkout-b
     diff -r /tmp/golden-a /tmp/golden-b
 
+The snapshot of this checkout's outputs is committed under tests/golden; a
+change that alters an output rewrites it in the same commit.  To check a
+checkout against it:
+
+    python scripts/golden_cli.py /tmp/golden && diff -r tests/golden /tmp/golden
+
 The 111 lines cover every argument line of tests/test_cli.py, each of the
 19 subcommands, the three certify-large ``verify-tbest`` instances of
 perfbench, ``suite`` at seeds 0 and 1 with and without ``--quick``, one

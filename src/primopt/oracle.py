@@ -10,15 +10,16 @@ frontier of values and, per value, the index of its largest prime.  A value
 v whose largest prime has index i extends by the primes from index i up to
 max_value // v, so each multiset of primes appears once and no product
 passes the cap; the value a row extends is its parent in the tree below.
-The universe keeps that order, level order; values are sorted only where
-they are reported or searched.  The edges come the same way: element n at
-Omega below the cap covers n * p for exactly the primes p <= max_value //
-n, and each n * p is found through one argsort of the elements.  The edges
-are one (E, 2) index array (a ragged repeat, one searchsorted for all of
-them).  The levels are numpy columns
-too (a ragged repeat per level) from ``_COLUMNS_FROM`` elements on, and
-the same loops over Python lists below it, where numpy's per-call overhead
-would cost more than the loops.  No level may pass ``max_elements``: the
+The universe keeps that order, level order, so each level is a run of
+rows, and ``levels`` (one tuple of Python ints in either form) holds the
+row each run starts at.  Values are sorted only where they are reported or
+searched.  The edges come the same way: element n at Omega below the cap
+covers n * p for exactly the primes p <= max_value // n, and each n * p is
+found through one argsort of the elements.  The edges are one (E, 2)
+index array (a ragged repeat, one searchsorted for all of them).  The
+levels are numpy columns too (a ragged repeat per level) from
+``_COLUMNS_FROM`` elements on, and the same loops over Python lists below
+it, where numpy's per-call overhead would cost more than the loops.  No level may pass ``max_elements``: the
 column path sizes each level before it allocates it, and the list path's
 levels, which hold fewer than ``_COLUMNS_FROM`` rows, are checked once
 built.  A universe keeps the form it was built in, int64 arrays or tuples,
@@ -80,13 +81,15 @@ tolerances absorb the scaling quantum.
 An optimum is checked to be an antichain before it is returned.  When its
 members share one Omega the check is free: if a | b with a != b in the
 semigroup, b / a is a product of at least one prime, so Omega(b) >
-Omega(a), and no two members of one level divide each other.  The roots
-are one level; other members go through ``is_primitive``.
+Omega(a), and no two members of one level divide each other.  One bisect
+of ``levels`` tells whether the members' rows lie in one run; other
+members go through ``is_primitive``.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -135,13 +138,15 @@ class TruncatedUniverse:
 
     ``elements`` are in level order, as both builders generate them: Omega
     ascends from k_lo, and each level lists the children of the level below
-    parent by parent, each parent's by ascending prime.  ``omegas`` holds
-    each one's Omega, and ``parents[c]`` the index of elements[c] //
-    P(elements[c]), P being the largest prime factor, or -1 on level k_lo;
-    a parent lies on the level below, so parents[c] < c.  The three columns
-    are tuples of Python ints when the universe was built by lists, and
-    int64 arrays when it was built by columns (``columnar``); the optimizer
-    keeps to that choice throughout.
+    parent by parent, each parent's by ascending prime.  ``parents[c]`` is
+    the index of elements[c] // P(elements[c]), P being the largest prime
+    factor, or -1 on level k_lo; a parent lies on the level below, so
+    parents[c] < c.  The two columns are tuples of Python ints when the
+    universe was built by lists, and int64 arrays when it was built by
+    columns (``columnar``); the optimizer keeps to that choice throughout.
+    ``levels``, a tuple of Python ints in both forms, has levels[j] the
+    first row of level k_lo + j and levels[-1] == len(elements); no level
+    up to the top one, Omega k_lo + len(levels) - 2, is empty.
     The prime set and the caps determine the columns, so universes compare
     and hash by those alone.
     """
@@ -151,8 +156,8 @@ class TruncatedUniverse:
     max_omega: int
     max_value: int
     elements: Union[tuple[int, ...], np.ndarray] = field(compare=False)
-    omegas: Union[tuple[int, ...], np.ndarray] = field(compare=False)
     parents: Union[tuple[int, ...], np.ndarray] = field(compare=False)
+    levels: tuple[int, ...] = field(compare=False)
     columnar: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -170,15 +175,16 @@ class TruncatedUniverse:
 
         Every n * p <= max_value of an element below the Omega cap is itself
         a member, so each element pairs with exactly the primes up to
-        max_value // n, and elements at the cap have no covers.  The pairs
-        are one ragged repeat of the element indices, and each product's
-        index is found by one searchsorted through one argsort of the
-        values, which level order leaves unsorted.
+        max_value // n, and elements at the cap (the top run of ``levels``)
+        have no covers.  The pairs are one ragged repeat of the element
+        indices, and each product's index is found by one searchsorted
+        through one argsort of the values, which level order leaves unsorted.
         """
         primes = self.prime_set.as_array()
         values = np.asarray(self.elements, dtype=np.int64)
         counts = np.searchsorted(primes, self.max_value // values, "right")
-        counts[np.asarray(self.omegas) == self.max_omega] = 0
+        if self.k_lo + len(self.levels) - 2 == self.max_omega:
+            counts[self.levels[-2] :] = 0
         lower, position = _ragged(counts, 0)
         order = np.argsort(values)
         higher = order[np.searchsorted(values, values[lower] * primes[position], sorter=order)]
@@ -196,64 +202,65 @@ def _check_level_size(size: int, max_elements: int) -> None:
 
 def _list_levels(
     primes: list[int], k_lo: int, max_omega: int, max_value: int, max_elements: int
-) -> list[tuple[int, ...]]:
-    """The Omega levels k_lo..max_omega as value, Omega and parent tuples,
-    in level order, by Python loops over a frontier of (value, Omega,
-    position of its parent among the kept rows or -1 on level k_lo, index of
-    its largest prime).  A level is checked once built; by the path's bound
-    it has fewer than ``_COLUMNS_FROM`` rows."""
-    frontier = [(1, 0, -1, 0)]
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The Omega levels k_lo..max_omega as value and parent tuples, in level
+    order, and their ``levels`` offsets, by Python loops over a frontier of
+    (value, position of its parent among the kept rows or -1 on level k_lo,
+    index of its largest prime).  A level is checked once built; by the
+    path's bound it has fewer than ``_COLUMNS_FROM`` rows."""
+    frontier = [(1, -1, 0)]
     found = frontier[:] if k_lo == 0 else []
+    levels = [0, 1] if k_lo == 0 else [0]
     for om in range(1, max_omega + 1):
         level = []
         first = len(found) - len(frontier)  # the level below is the last one kept
-        for row, (value, _, _, last) in enumerate(frontier):
+        for row, (value, _, last) in enumerate(frontier):
             cap = max_value // value
             parent = first + row if om > k_lo else -1
             for i in range(last, len(primes)):
                 if primes[i] > cap:
                     break
-                level.append((value * primes[i], om, parent, i))
-        if om >= k_lo:
-            found += level
-        _check_level_size(len(found) if om >= k_lo else len(level), max_elements)
+                level.append((value * primes[i], parent, i))
         if not level:
             break
+        if om >= k_lo:
+            found += level
+            levels.append(len(found))
+        _check_level_size(len(found) if om >= k_lo else len(level), max_elements)
         frontier = level
-    return list(zip(*found))[:3] or [()] * 3
+    values, parents = list(zip(*found))[:2] or [(), ()]
+    return values, parents, tuple(levels)
 
 
 def _column_levels(
     primes: np.ndarray, k_lo: int, max_omega: int, max_value: int, max_elements: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The Omega levels k_lo..max_omega as value, Omega and parent columns,
-    by numpy, in level order.  Each level is a ragged repeat of the rows of
-    the level below, so a parent is its row's position among the kept rows,
-    and the kept levels are concatenated as they are."""
+) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """The Omega levels k_lo..max_omega as value and parent columns, by
+    numpy, in level order, and their ``levels``.  Each level is a ragged
+    repeat of the rows of the level below, so a parent is its row's position
+    among the kept rows, and the kept levels are concatenated as they are."""
     values = np.ones(1, dtype=np.int64)
     last = np.zeros(1, dtype=np.int64)
-    kept = int(k_lo == 0)
-    kept_values = [values[:kept]]
-    kept_omegas = [np.zeros(kept, dtype=np.int64)]
-    kept_parents = [np.full(kept, -1, dtype=np.int64)]
+    levels = [0, 1] if k_lo == 0 else [0]
+    kept_values = [values[: levels[-1]]]
+    kept_parents = [np.full(levels[-1], -1, dtype=np.int64)]
     for om in range(1, max_omega + 1):
         counts = np.searchsorted(primes, max_value // values, "right") - last
         np.maximum(counts, 0, out=counts)
         count = int(counts.sum())
-        _check_level_size(count + (kept if om >= k_lo else 0), max_elements)
+        _check_level_size(count + (levels[-1] if om >= k_lo else 0), max_elements)
         if not count:
             break
         rows, last = _ragged(counts, last)
         if om > k_lo:  # the level below is the last one kept
-            kept_parents.append(rows + (kept - len(values)))
+            kept_parents.append(rows + (levels[-1] - len(values)))
         elif om == k_lo:
             kept_parents.append(np.full(count, -1, dtype=np.int64))
         values = values[rows] * primes[last]
         if om >= k_lo:
             kept_values.append(values)
-            kept_omegas.append(np.full(count, om, dtype=np.int64))
-            kept += count
-    return np.concatenate(kept_values), np.concatenate(kept_omegas), np.concatenate(kept_parents)
+            levels.append(levels[-1] + count)
+    return np.concatenate(kept_values), np.concatenate(kept_parents), tuple(levels)
 
 
 def build_universe(
@@ -324,19 +331,17 @@ def is_primitive(members) -> bool:
 class Antichain:
     """A pairwise non-divisible subset of a truncated universe.
 
-    ``_omegas``, when given, holds each member's Omega; members that share
-    one Omega are an antichain by counting and skip the divisibility scan.
+    ``_one_level`` says that the members share one Omega; they are then an
+    antichain by counting and skip the divisibility scan.
     """
 
     members: tuple[int, ...]
-    _omegas: tuple[int, ...] = field(default=(), repr=False, compare=False)
+    _one_level: bool = field(default=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.members == (1,):
             raise ValueError(_ONE_IS_NO_ANTICHAIN)
-        if len(self._omegas) == len(self.members) and len(set(self._omegas)) == 1:
-            return
-        if not is_primitive(self.members):
+        if not self._one_level and not is_primitive(self.members):
             raise ValueError("members are not pairwise non-divisible")
 
     def to_json(self) -> list[int]:
@@ -476,36 +481,31 @@ def _gather(column, indices: Indices) -> list:
 
 
 def _tree_optimum(universe: TruncatedUniverse, scaled) -> tuple[Indices, int, bool]:
-    """The indices of the roots (no parent: level k_lo, the first rows in
-    level order), ascending, their integer weight, and whether the
+    """The indices of the roots (no parent: level k_lo, the first
+    levels[1] rows), ascending, their integer weight, and whether the
     largest-prime-factor forest proves them a maximum-weight antichain.
 
-    Children come after their parents, so one pass in descending order
-    gives each node the weight ``arriving`` of the heaviest antichains of
-    its children's subtrees; the roots' sums land in the extra last slot,
-    which parents[r] = -1 indexes.  A columnar universe takes the pass one
-    Omega level at a time, top down, since a node's children all lie on the
-    level above it: each level is a contiguous slice, bounded by one
-    searchsorted of the non-decreasing Omegas, with one maximum and one
-    scatter-add per level.
+    Children come after their parents, so one pass in descending order,
+    down to the rows above the roots, gives each node the weight
+    ``arriving`` of the heaviest antichains of its children's subtrees.  A
+    columnar universe takes the pass one Omega level at a time, top down,
+    since a node's children all lie on the level above it: each level is
+    one run of ``levels``, with one maximum and one scatter-add per level.
     """
-    parents = universe.parents
+    parents, levels = universe.parents, universe.levels
+    top = levels[1]  # one past the last root
     if universe.columnar:
-        omegas = universe.omegas
-        # ends[j]: one past the last row of level k_lo + j
-        ends = np.searchsorted(omegas, np.arange(universe.k_lo, omegas[-1] + 1), "right").tolist()
         arriving = np.zeros_like(scaled)
-        for lo, hi in zip(ends[-2::-1], ends[:0:-1]):
+        for lo, hi in zip(levels[-2:0:-1], levels[:1:-1]):
             np.add.at(arriving, parents[lo:hi], np.maximum(scaled[lo:hi], arriving[lo:hi]))
-        roots = np.arange(ends[0])
-        own = scaled[: ends[0]]
-        return roots, int(own.sum()), bool((arriving[: ends[0]] <= own).all())
-    roots = [c for c, parent in enumerate(parents) if parent < 0]
-    arriving = [0] * (len(scaled) + 1)
-    for c in range(len(scaled) - 1, -1, -1):
+        own = scaled[:top]
+        return np.arange(top), int(own.sum()), bool((arriving[:top] <= own).all())
+    arriving = [0] * len(scaled)
+    for c in range(len(scaled) - 1, top - 1, -1):
         below, own = arriving[c], scaled[c]
         arriving[parents[c]] += own if own > below else below
-    return roots, sum(scaled[r] for r in roots), all(arriving[r] <= scaled[r] for r in roots)
+    own = scaled[:top]
+    return list(range(top)), sum(own), all(a <= w for a, w in zip(arriving, own))
 
 
 def _flow_optimum(universe: TruncatedUniverse, scaled) -> tuple[Indices, int, Indices, bool]:
@@ -575,16 +575,16 @@ def max_weight_antichain_flow(universe: TruncatedUniverse, t: float) -> tuple[An
 
 
 def _antichain_at(universe: TruncatedUniverse, members: Indices) -> Antichain:
-    """The antichain of the elements at the indices ``members``, ordered by
-    value."""
+    """The antichain of the elements at the ascending indices ``members``,
+    ordered by value.  They are one level when the last lies below the
+    start of the level after the first's."""
+    levels = universe.levels
+    one_level = int(members[-1]) < levels[bisect_right(levels, int(members[0]))]
     if universe.columnar:
         members = np.asarray(members)[np.argsort(universe.elements[members])]
     else:
         members = sorted(members, key=universe.elements.__getitem__)
-    return Antichain(
-        tuple(_gather(universe.elements, members)),
-        _omegas=tuple(_gather(universe.omegas, members)),
-    )
+    return Antichain(tuple(_gather(universe.elements, members)), _one_level=one_level)
 
 
 def max_weight_antichain_bruteforce(
@@ -642,7 +642,7 @@ def max_weight_antichain_bruteforce(
         rest = free & (free - 1)
         stack.append((rest, chosen, acc))
         stack.append((rest & ~incompatible[i], chosen | (1 << i), acc + weights[i]))
-    members = [order[i] for i in range(count) if (best_set >> i) & 1]
+    members = sorted(order[i] for i in range(count) if (best_set >> i) & 1)
     return _antichain_at(universe, members), best_weight
 
 

@@ -83,7 +83,23 @@ def level_order(values, primes):
 
 
 def level_members(universe, k):
-    return [n for n, om in zip(universe.elements, universe.omegas) if om == k]
+    """The elements of Omega k, found independently of ``universe.levels``."""
+    return [n for n in as_list(universe.elements) if omega(n, universe.prime_set) == k]
+
+
+def checked_levels(universe):
+    """``universe.levels``, checked against an independent Omega of every
+    element: a tuple of Python ints rising strictly from 0 to len(universe),
+    where row c lies in levels[j] <= c < levels[j + 1] exactly when
+    omega(elements[c]) == k_lo + j."""
+    levels = universe.levels
+    assert type(levels) is tuple and all(type(row) is int for row in levels)
+    assert levels[0] == 0 and levels[-1] == len(universe)
+    runs = list(itertools.pairwise(levels))
+    assert all(lo < hi for lo, hi in runs)
+    by_levels = [universe.k_lo + j for j, (lo, hi) in enumerate(runs) for _ in range(lo, hi)]
+    assert by_levels == [omega(n, universe.prime_set) for n in as_list(universe.elements)]
+    return levels
 
 
 # _COLUMNS_FROM at these values builds every universe of these tests as
@@ -131,7 +147,9 @@ def test_build_universe_examples():
     "primes,k_lo,max_omega,max_value",
     [((2, 3), 1, 3, 200), ((2, 3, 5), 2, 4, 500), ((5, 7), 1, 5, 9999), ((2,), 0, 10, 1024),
      # bound min(comb(28, 3), 10^5) = 3276: built as numpy columns
-     (tuple(sieve_primes(100)), 2, 3, 10**5)],
+     (tuple(sieve_primes(100)), 2, 3, 10**5),
+     # the value cap leaves the top level at Omega 4 < 6; 13^2 > 100 leaves none
+     ((2, 3), 1, 6, 20), ((13,), 2, 3, 100)],
 )
 def test_build_universe_matches_integer_scan(primes, k_lo, max_omega, max_value):
     u = build_universe(PrimeSet(primes), k_lo, max_omega, max_value)
@@ -139,8 +157,7 @@ def test_build_universe_matches_integer_scan(primes, k_lo, max_omega, max_value)
     if k_lo == 0:
         expected = [1] + expected
     assert list(u.elements) == level_order(expected, primes)
-    for n, om in zip(u.elements, u.omegas):
-        assert omega(n, u.prime_set) == om
+    checked_levels(u)
 
 
 @given(
@@ -149,18 +166,19 @@ def test_build_universe_matches_integer_scan(primes, k_lo, max_omega, max_value)
 )
 @settings(max_examples=100, deadline=None)
 @example([2, 3, 5], 2, 0, 1000)  # level 2 is 4, 6, 10, 9, 15, 25
+@example([2, 3], 0, 2, 100)  # level 0 is 1
+@example([13], 2, 1, 100)  # 13^2 > 100: empty, with level 1 below it
+@example([2, 3], 1, 5, 20)  # the value cap leaves the top level at Omega 4 < 6
 def test_both_forms_keep_level_order(primes, k_lo, above, max_value):
     primes = sorted(primes)
     args = (PrimeSet(primes), k_lo, max(k_lo, 1) + above, max_value)
     lists, columns = built(LISTS, *args), built(COLUMNS, *args)
     assert not lists.columnar and columns.columnar
-    elements, omegas, parents = (lists.elements, lists.omegas, lists.parents)
-    assert (elements, omegas, parents) == tuple(
-        tuple(column.tolist()) for column in (columns.elements, columns.omegas, columns.parents)
-    )
-    assert list(omegas) == sorted(omegas)
-    for c, (n, om, parent) in enumerate(zip(elements, omegas, parents)):
-        if om == k_lo:
+    elements, parents, levels = lists.elements, lists.parents, checked_levels(lists)
+    assert (elements, parents) == (tuple(columns.elements.tolist()), tuple(columns.parents.tolist()))
+    assert checked_levels(columns) == levels
+    for c, (n, parent) in enumerate(zip(elements, parents)):
+        if c < levels[1]:
             assert parent == -1
         else:
             assert 0 <= parent < c
@@ -218,32 +236,33 @@ def truncations(draw):
 
 
 def _on_path(columns_from, prime_set, k_lo, max_omega, max_value, max_elements):
-    """The universe's elements, Omegas and parents as tuples of Python ints,
-    and the optimizer's outcome under n^-t weights at t = 0.5 and 1.5, built
-    with the column cutoff at ``columns_from``, or the SizeLimitError
-    message.  The columns are int64 arrays on the column path and tuples of
-    Python ints on the list path.  Each parent is checked against the
-    largest prime factor on the way, and the optimizer's roots and their
-    weight against level k_lo."""
+    """The universe's elements and parents as tuples of Python ints, its
+    checked ``levels``, and the optimizer's outcome under n^-t weights at
+    t = 0.5 and 1.5, built with the column cutoff at ``columns_from``, or
+    the SizeLimitError message.  The columns are int64 arrays on the column
+    path and tuples of Python ints on the list path.  Each parent is checked
+    against the largest prime factor on the way, and the optimizer's roots
+    and their weight against level k_lo."""
     try:
         u = built(columns_from, prime_set, k_lo, max_omega, max_value, max_elements)
     except SizeLimitError as exc:
         return str(exc)
-    columns = (u.elements, u.omegas, u.parents)
+    columns = (u.elements, u.parents)
     assert u.columnar == (columns_from == COLUMNS)
     if u.columnar:
         assert all(column.dtype == np.int64 and column.shape == (len(u),) for column in columns)
         columns = tuple(tuple(column.tolist()) for column in columns)
     assert all(type(column) is tuple for column in columns)
     assert all(type(n) is int for column in columns for n in column)
-    elements, omegas, parents = columns
-    for n, om, parent in zip(elements, omegas, parents):
-        if om == k_lo:
+    elements, parents = columns
+    levels = checked_levels(u)
+    for c, (n, parent) in enumerate(zip(elements, parents)):
+        if c < levels[1]:
             assert parent == -1
         else:
             largest = max(p for p in prime_set if n % p == 0)
             assert elements[parent] * largest == n
-    return columns + tuple(_optimum_on(u, t) for t in (0.5, 1.5) if len(u))
+    return columns + (levels,) + tuple(_optimum_on(u, t) for t in (0.5, 1.5) if len(u))
 
 
 def _optimum_on(universe, t):
@@ -255,7 +274,7 @@ def _optimum_on(universe, t):
     roots, weight, closed = _tree_optimum(universe, scaled)
     members, optimum, flow_roots, on_roots = _flow_optimum(universe, scaled)
     roots, flow_roots, scaled = as_list(roots), as_list(flow_roots), as_list(scaled)
-    assert roots == flow_roots == [c for c, om in enumerate(universe.omegas) if om == universe.k_lo]
+    assert roots == flow_roots == list(range(checked_levels(universe)[1]))
     assert weight == sum(scaled[c] for c in roots) and type(weight) is int
     assert on_roots == (optimum == weight) and (on_roots or not closed)
     assert on_roots == (as_list(members) == roots)
@@ -299,6 +318,7 @@ def test_bruteforce_leaves_no_cyclic_garbage():
 @given(truncations())
 @settings(max_examples=100, deadline=None)
 @example(((2, 3), 1, 4, 200))
+@example(((2, 3), 1, 6, 20))  # the value cap leaves the top level at Omega 4 < 6
 @example(((2,), 0, 63, MAX_ELEMENT))  # 2^62 is covered by nothing below the cap
 @example(((3037000493,), 1, 2, 3037000493**2))  # cap is exactly n * p
 @example(((3037000493,), 1, 2, 3037000493**2 - 1))  # one below it
@@ -438,9 +458,9 @@ def test_one_level_optimum_skips_the_divisibility_scan(monkeypatch):
     monkeypatch.setattr(oracle, "is_primitive", scan)
     u = build_universe(PrimeSet([2, 3]), 2, 3, 1000)
     antichain, _ = max_weight_antichain_flow(u, 1.0)
-    assert antichain == Antichain((4, 6, 9), _omegas=(2, 2, 2))
+    assert antichain == Antichain((4, 6, 9), _one_level=True) and antichain._one_level
     antichain, _ = max_weight_antichain_bruteforce(u, 1.0)
-    assert antichain.members == (4, 6, 9) and antichain._omegas == (2, 2, 2)
+    assert antichain.members == (4, 6, 9) and antichain._one_level
     assert verify_tbest(PrimeSet([2, 3, 5]), 1.5, 1, 6, 10**6).optimum_members.members == (2, 3, 5)
 
 
@@ -449,11 +469,13 @@ def test_mixed_omega_members_are_still_scanned():
     assert u.elements == (2, 3, 4, 6, 9)
     with pytest.raises(ValueError, match="not pairwise non-divisible"):
         _antichain_at(u, [0, 3])  # 2 divides 6
-    assert _antichain_at(u, [1, 2]).members == (3, 4)  # mixed, but an antichain
+    mixed = _antichain_at(u, [1, 2])  # 3 and 4: mixed, but an antichain
+    assert mixed.members == (3, 4) and not mixed._one_level
+    assert _antichain_at(u, [0, 1])._one_level and _antichain_at(u, [2, 4])._one_level
     with pytest.raises(ValueError, match="not pairwise non-divisible"):
-        Antichain((2, 6), _omegas=(1, 2))
+        Antichain((2, 6), _one_level=False)
     with pytest.raises(ValueError, match="k_lo must be >= 1"):
-        Antichain((1,), _omegas=(0,))
+        Antichain((1,), _one_level=True)
 
 
 @given(st.lists(st.floats(0.0, 1.0, exclude_min=True), max_size=50))
@@ -595,7 +617,7 @@ def test_tree_bound_closes_only_on_an_optimum(case):
         roots, weight, tree_closed = _tree_optimum(universe, scaled)
         closed.append(tree_closed)
         roots, scaled = as_list(roots), as_list(scaled)
-        assert roots == [i for i, om in enumerate(universe.omegas) if om == universe.k_lo]
+        assert roots == list(range(checked_levels(universe)[1]))
         assert sum(scaled[r] for r in roots) == weight and type(weight) is int
         if tree_closed:
             best = max(sum(scaled[i] for i in combo) for combo in antichains(universe))
@@ -669,7 +691,7 @@ def test_tree_bound_matches_dinic_on_seeded_universes():
             )
             roots, flow_roots = as_list(roots), as_list(flow_roots)
             members, scaled = as_list(members), as_list(scaled_for(universe, weights))
-            level = [i for i, om in enumerate(universe.omegas) if om == universe.k_lo]
+            level = list(range(checked_levels(universe)[1]))
             assert roots == flow_roots == level
             assert weight == sum(scaled[i] for i in roots) and type(weight) is int
             trees.append((roots, weight, tree_closed))
