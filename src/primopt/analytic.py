@@ -10,12 +10,15 @@ first-order propagation with a x4 safety factor; it is not directed-rounding
 interval arithmetic.
 
 zeta(s) is one fixed-cost Euler-Maclaurin sum, exact to binary64 rounding for
-every real s > 1, so P(t) budgets only its Moebius truncation and the bisection
-for tau evaluates the condition margin once per step.  P(t) carries its
-Moebius terms as bare (value, radius) float pairs under the ErrBoundReal rules:
-``_log_pair`` and ``_mul_pair`` are the one copy of the log and product rules,
-which ``ErrBoundReal.log`` and ``*`` also call, so each term has the bits it
-would have as an ErrBoundReal, and only the sum is made one.
+every real s > 1, so P(t) budgets only its Moebius truncation, and the
+bisection for tau evaluates the condition margin once per step at the
+coarsest radius that can settle its sign, once more at 1e-12 only when that
+leaves it open.  P(t) carries its Moebius terms as bare (value, radius) float
+pairs under the ErrBoundReal rules: ``_log_pair`` and ``_mul_pair`` are the
+one copy of the log and product rules, which ``ErrBoundReal.log`` and ``*``
+also call, so each term has the bits it would have as an ErrBoundReal, and
+only the sum is made one.  The all-primes condition sums P(t) and P(2t) from
+one table of log zeta pairs, since 2t * m is t * 2m in floats.
 """
 
 from __future__ import annotations
@@ -311,7 +314,15 @@ def prime_zeta(t: float, target_radius: float = 1e-10) -> ErrBoundReal:
     if not (t > 1.0) or not math.isfinite(t):
         raise ValueError("prime zeta evaluated only for finite t > 1")
     _check_radius(target_radius)
+    return _prime_zeta_sum(t, target_radius, {})
 
+
+def _prime_zeta_sum(
+    t: float, target_radius: float, log_zetas: dict[float, tuple[float, float]]
+) -> ErrBoundReal:
+    """``prime_zeta``'s series for checked arguments.  log_zetas maps s to
+    the pair ``_log_pair(*_zeta_sum(s))``; the sum reads the pairs it holds
+    and adds those it computes, so sums that share it share their terms."""
     m_trunc = max(1, math.ceil(2.0 / t))
     while 2.0 * 2.0 ** (-t * m_trunc) / m_trunc >= target_radius / 2.0:
         m_trunc += 1
@@ -323,7 +334,11 @@ def prime_zeta(t: float, target_radius: float = 1e-10) -> ErrBoundReal:
     for m in range(1, m_trunc + 1):
         mu = _MOEBIUS[m]
         if mu:
-            v, r = _mul_pair(*_log_pair(*_zeta_sum(t * m)), mu / m, 0.0)
+            s = t * m
+            log_zeta = log_zetas.get(s)
+            if log_zeta is None:
+                log_zeta = log_zetas[s] = _log_pair(*_zeta_sum(s))
+            v, r = _mul_pair(*log_zeta, mu / m, 0.0)
             values.append(v)
             radii.append(r)
     # fsum rounds each sum once, so one pad per sum covers it
@@ -390,13 +405,21 @@ def check_condition(prime_set: PrimeSet, t: float = 1.0) -> ConditionVerdict:
 
 
 def check_condition_allprimes(t: float, target_radius: float = 1e-8) -> ConditionVerdict:
-    """The condition for the full set of primes: P(t) vs 1 + sqrt(1 - P(2t))."""
+    """The condition for the full set of primes: P(t) vs 1 + sqrt(1 - P(2t)).
+
+    Both sides are ``prime_zeta``'s enclosures, bit for bit, summed from one
+    table of log zeta pairs: doubling is exact, so P(2t)'s term at m needs
+    zeta at the same float s = (2t) * m = t * (2m) as P(t)'s term at 2m,
+    and that zeta is summed once.
+    """
     if not (t > 1.0) or not math.isfinite(t):
         raise ValueError("all-primes condition needs a finite t > 1")
-    lhs = prime_zeta(t, target_radius)
+    _check_radius(target_radius)
+    log_zetas: dict[float, tuple[float, float]] = {}
+    lhs = _prime_zeta_sum(t, target_radius, log_zetas)
     two_t = 2.0 * t
     if math.isfinite(two_t):
-        square_sum = prime_zeta(two_t, target_radius)
+        square_sum = _prime_zeta_sum(two_t, target_radius, log_zetas)
     else:
         # P(s) <= 2 * 2^-s for s >= 2 (the tail bound of prime_zeta), far
         # below the least subnormal once s overflows
@@ -416,23 +439,36 @@ def condition_margin(t: float, target_radius: float = 1e-8) -> ErrBoundReal:
 def tau_root(target_radius: float = 1e-6) -> ErrBoundReal:
     """Threshold tau: the zero of the condition margin, by bisection.
 
-    Each bracket end and midpoint gets one margin evaluation at radius 1e-12.
-    The ends must sign-certify (margin < 0 at the left end, > 0 at the right
-    end) and a point whose sign that radius leaves open raises
+    Each bracket end and midpoint gets its margin at radius r = 1/16 of the
+    current bracket width, clipped to [1e-12, 1e-3], which settles the sign
+    of all but points very near tau, and once more at 1e-12 if r leaves the
+    sign open.  The ends must sign-certify (margin < 0 at the left end, > 0
+    at the right end) and a point whose sign 1e-12 leaves open raises
     PrecisionError, so the returned bracket is a true enclosure and the
-    radius is its half-width.  The margin rises with slope about 6.5 through
-    tau, so only targets near or below 1e-12 can meet an open sign.
+    radius is its half-width.  A certified sign is the true sign, so the
+    radius of a step changes neither the path nor the bracket.  The margin
+    rises with slope about 6.5 through tau, so only targets near or below
+    1e-12 can meet an open sign.
     """
     _check_radius(target_radius)
     a, b = TAU_BRACKET
 
-    def signed(t: float) -> int:
-        g = condition_margin(t, 1e-12)
+    def sign_at(t: float, radius: float) -> int:
+        g = condition_margin(t, radius)
         if g.upper() < 0.0:
             return -1
         if g.lower() > 0.0:
             return 1
-        raise PrecisionError(f"condition margin sign at t={t} undetermined")
+        return 0
+
+    def signed(t: float) -> int:
+        radius = min(max((b - a) / 16.0, 1e-12), 1e-3)
+        sign = sign_at(t, radius)
+        if not sign and radius > 1e-12:
+            sign = sign_at(t, 1e-12)
+        if not sign:
+            raise PrecisionError(f"condition margin sign at t={t} undetermined")
+        return sign
 
     if signed(a) >= 0 or signed(b) <= 0:
         raise PrecisionError("bisection bracket endpoints do not sign-check")

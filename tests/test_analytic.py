@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from primopt import analytic
 from primopt.analytic import (
     _MOEBIUS,
     _MOEBIUS_CAP,
@@ -146,13 +147,46 @@ def test_prime_zeta_large_t_dominated_by_first_term():
         (lambda: prime_zeta(1.14, 1e-10), "0x1.d0d9b37ccf79ap+0", "0x1.61766f9ca7828p-35"),
         (lambda: tau_root(1e-8), "0x1.23ef0600a3d71p+0", "0x1.f5c28f0000000p-28"),
         (lambda: condition_margin(1.05, 1e-7), "-0x1.f245bfa27d7f0p-1", "0x1.052abf47c08d8p-24"),
+        (lambda: tau_root(1e-6), "0x1.23ef0fae147aep+0", "0x1.f5c28f5c00000p-21"),
+        (lambda: tau_root(1e-10), "0x1.23ef060450a3dp+0", "0x1.f5c2800000000p-35"),
+        (lambda: tau_root(1e-12), "0x1.23ef06042875cp+0", "0x1.f5c0000000000p-41"),
     ],
-    ids=["zeta-1.5", "prime-zeta-2", "prime-zeta-1.14", "tau", "margin-1.05"],
+    ids=[
+        "zeta-1.5", "prime-zeta-2", "prime-zeta-1.14", "tau", "margin-1.05",
+        "tau-1e-6", "tau-1e-10", "tau-1e-12",
+    ],
 )
 def test_analytic_bits_pinned(call, value_hex, radius_hex):
     # the bits these enclosures had while each Moebius term was an ErrBoundReal
+    # and every tau step evaluated its margin at radius 1e-12
     x = call()
     assert (x.value.hex(), x.radius.hex()) == (value_hex, radius_hex)
+
+
+def test_tau_root_falls_back_to_the_finest_radius(monkeypatch):
+    # a margin that settles no sign above radius 1e-12 sends every step to
+    # the fallback, which must still bisect to the pinned bracket
+    margin = analytic.condition_margin
+    radii = []
+
+    def open_above_finest(t, radius):
+        radii.append(radius)
+        g = margin(t, radius)
+        return g if radius <= 1e-12 else ErrBoundReal(g.value, abs(g.value) + 1.0)
+
+    monkeypatch.setattr(analytic, "condition_margin", open_above_finest)
+    x = tau_root(1e-8)
+    assert (x.value.hex(), x.radius.hex()) == ("0x1.23ef0600a3d71p+0", "0x1.f5c28f0000000p-28")
+    # 2 ends and 25 midpoints, each coarse and then at 1e-12
+    coarse, fine = radii[0::2], radii[1::2]
+    assert len(coarse) == len(fine) == 27
+    assert min(coarse) > 1e-12 and set(fine) == {1e-12}
+
+
+def test_tau_root_raises_where_the_finest_radius_leaves_a_sign_open():
+    with pytest.raises(PrecisionError) as info:
+        tau_root(1e-13)
+    assert str(info.value) == "condition margin sign at t=1.1403659591823725 undetermined"
 
 
 def _trial_division_mobius(m: int) -> int:
@@ -221,6 +255,68 @@ def test_prime_zeta_equals_errboundreal_composition_on_seeded_grid():
     assert outcomes == [_outcome(_composed_prime_zeta, t, r) for t, r in grid]
     assert "PrecisionError" not in outcomes[:400]
     assert 0 < outcomes.count("PrecisionError") < 100
+
+
+def _hexes(x: ErrBoundReal) -> tuple[str, str]:
+    return x.value.hex(), x.radius.hex()
+
+
+def _condition_sides(t, target):
+    try:
+        sides = check_condition_allprimes(t, target)
+    except PrecisionError as exc:
+        return str(exc)
+    return _hexes(sides.lhs), _hexes(sides.rhs)
+
+
+def _separate_sides(t, target):
+    try:
+        lhs = prime_zeta(t, target)
+        rhs = condition_rhs_from_square_sum(prime_zeta(2.0 * t, target))
+    except PrecisionError as exc:
+        return str(exc)
+    return _hexes(lhs), _hexes(rhs)
+
+
+def test_condition_sides_equal_separate_prime_zetas_on_seeded_grid():
+    # P(t) and P(2t) share their log zeta pairs inside the condition; each
+    # side must keep the bits of its own prime_zeta.  t near 1, in (1, 60]
+    # and up to 1e3; 1e-14 adds points where rounding exceeds the target.
+    rng = random.Random(25)
+    draws = (
+        lambda: 1.0 + 10.0 ** rng.uniform(-6.0, 2.5),
+        lambda: rng.uniform(1.0, 60.0),
+        lambda: rng.uniform(1.0, 1e3),
+    )
+    radii = (1e-3, 1e-7, 1e-8, 1e-10, 1e-12, 1e-14)
+    grid = [(draw(), r) for draw in draws for _ in range(70) for r in radii]
+    outcomes = [_condition_sides(t, r) for t, r in grid]
+    assert outcomes == [_separate_sides(t, r) for t, r in grid]
+    errors = [r for (t, r), got in zip(grid, outcomes) if isinstance(got, str)]
+    assert errors and set(errors) == {1e-14}
+
+
+def test_tau_root_and_condition_zeta_work_is_bounded(monkeypatch):
+    # counted, not timed: 881 zeta sums when every step summed P(t) and
+    # P(2t) apart at radius 1e-12, 326 with coarse radii and shared terms
+    count = [0]
+    zeta_sum = analytic._zeta_sum
+
+    def counted(s):
+        count[0] += 1
+        return zeta_sum(s)
+
+    monkeypatch.setattr(analytic, "_zeta_sum", counted)
+    tau_root(1e-8)
+    assert count[0] <= 400
+
+    count[0] = 0
+    check_condition_allprimes(1.14, 1e-12)
+    shared = count[0]
+    count[0] = 0
+    prime_zeta(1.14, 1e-12)
+    prime_zeta(2.28, 1e-12)
+    assert shared < count[0]
 
 
 def test_prime_zeta_domain_errors():

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -402,3 +403,33 @@ def test_python_m_primopt_runs_the_cli():
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["verdict"] == "holds"
+
+
+
+def test_analytic_golden_lines_replay_byte_for_byte(tmp_path, monkeypatch, capsys):
+    # the committed records of every tau, zeta, prime-zeta and all-primes
+    # condition line, run in-process as scripts/golden_cli.py runs them
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("golden_cli", root / "scripts" / "golden_cli.py")
+    golden_cli = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(golden_cli)
+    lines = [
+        (number, line)
+        for number, line in enumerate(golden_cli.LINES, 1)
+        if line[0] in ("tau", "zeta", "prime-zeta")
+        or line[:2] == ["check-condition", "--all-primes"]
+    ]
+    assert len(lines) == 23
+    monkeypatch.chdir(tmp_path)
+    # argparse wraps usage lines at the terminal width; a pipe gives 80
+    monkeypatch.setenv("COLUMNS", "80")
+    for number, line in lines:
+        try:
+            code = main(list(line))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        record = f"argv: {' '.join(line)}\nexit: {code}\n--- stdout\n{out}--- stderr\n{err}"
+        record = golden_cli._RUNTIME.sub(r"\1<masked>", record)
+        golden = root / "tests" / "golden" / f"{number:03d}-{line[0]}.txt"
+        assert record == golden.read_text(), line
