@@ -13,30 +13,14 @@ give identical directories:
     python scripts/golden_cli.py /tmp/golden-b /path/to/checkout-b
     diff -r /tmp/golden-a /tmp/golden-b
 
-The snapshot of this checkout's outputs is committed under tests/golden; a
-change that alters an output rewrites it in the same commit.  To check a
-checkout against it:
+The snapshot of this checkout's outputs is committed under tests/golden, one
+file per entry of LINES and no other.  Tier-1's
+``tests/test_cli.py::test_golden_lines_replay_byte_for_byte`` replays every
+line in-process through ``cli.main`` and compares it with that snapshot, by
+the same ``record``; a change that alters an output rewrites tests/golden in
+the same commit:
 
-    python scripts/golden_cli.py /tmp/golden && diff -r tests/golden /tmp/golden
-
-The 111 lines cover every argument line of tests/test_cli.py, each of the
-19 subcommands, the three certify-large ``verify-tbest`` instances of
-perfbench, ``suite`` at seeds 0 and 1 with and without ``--quick``, one
-clamped tie at t = 8 through ``verify-tbest`` and ``oracle``, where the
-optimum has more than one member set, t whose n^-t weights underflow to 0
-in every command that weighs by n^-t, an infinite Brun bound, the
-three twin-scan commands at a limit past the sieve's first wheel segment
-(whose last value is 6 * 2^19 + 1 = 3,145,729) and again past the twin
-kernel's first one-mask segment (6 * 2^20 + 1 = 6,291,457), two sieves past
-the sieve budget, one level past the level budget, three kmax lines past
-the h_all budget and two exact ``hk`` lines past the digit budget, refused
-with exit 4, three certifications on which the tree bound stays open,
-so that Dinic runs: one where the roots are still optimal, and one through
-both ``verify-tbest`` and ``oracle`` where they are not, and four commands
-on universes built as int64 columns: a ``universe`` listing, a
-``verify-erdos`` run over the twin primes in (3, 1000], the brute force on
-28 elements, and an ``oracle`` run at t = 0.05 whose scaled weights total
-66 bits, past int64.
+    python scripts/golden_cli.py tests/golden
 """
 
 from __future__ import annotations
@@ -176,9 +160,29 @@ LINES = [
     # the scaled weights total 66 bits: sums run on Python ints
     ["oracle", "--primes-below", "1000", "--k-lo", "1", "--max-omega", "3",
      "--max-value", "1000000", "--t", "0.05"],
+    # a flag that would be ignored is refused
+    ["check-condition", "--primes", "2", "--include-three", "--t", "1"],
+    ["schur", "--weights", "0.5,0.25", "--primes", "2,3", "--kmax", "2"],
+    ["schur", "--weights", "", "--kmax", "2"],
+    # every n past the Omega cap is past the value cap: the value tail alone
+    # bounds what the truncation leaves out
+    ["verify-tbest", "--primes", "2", "--t", "1.5", "--k", "1", "--max-omega", "1000000000",
+     "--max-value", "100"],
 ]
 
 _RUNTIME = re.compile(r'("runtime_ms": |runtime: )\d+')
+
+
+def file_name(number: int, line: list[str]) -> str:
+    """The snapshot file of the ``number``-th entry of LINES, from 1."""
+    return f"{number:03d}-{line[0]}.txt"
+
+
+def record(line: list[str], code: int, out: str, err: str) -> str:
+    """What ``line`` printed, laid out as its snapshot file holds it, with
+    the run time masked."""
+    text = f"argv: {' '.join(line)}\nexit: {code}\n--- stdout\n{out}--- stderr\n{err}"
+    return _RUNTIME.sub(r"\1<masked>", text)
 
 
 def main(argv: list[str]) -> int:
@@ -196,12 +200,8 @@ def main(argv: list[str]) -> int:
                 [sys.executable, "-m", "primopt", *line],
                 capture_output=True, text=True, env=env, cwd=cwd, timeout=600,
             )
-        record = (
-            f"argv: {' '.join(line)}\nexit: {done.returncode}\n"
-            f"--- stdout\n{done.stdout}--- stderr\n{done.stderr}"
-        )
-        record = _RUNTIME.sub(r"\1<masked>", record).replace(str(checkout), "<checkout>")
-        (out_dir / f"{number:03d}-{line[0]}.txt").write_text(record)
+        text = record(line, done.returncode, done.stdout, done.stderr)
+        (out_dir / file_name(number, line)).write_text(text.replace(str(checkout), "<checkout>"))
         print(f"{number:03d} exit {done.returncode}: {' '.join(line)}", flush=True)
     return 0
 

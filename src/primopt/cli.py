@@ -33,16 +33,20 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(3)
 
 
+def _prime_set_sources(args) -> list[str]:
+    """The prime-set source flags given, in the order of the parser."""
+    given = {"--primes": args.primes, "--primes-below": args.primes_below,
+             "--twins-below": args.twins_below}
+    return [flag for flag, value in given.items() if value is not None]
+
+
 def _prime_set(args) -> PrimeSet:
-    given = [
-        args.primes is not None,
-        args.primes_below is not None,
-        args.twins_below is not None,
-    ]
-    if sum(given) != 1:
+    if len(_prime_set_sources(args)) != 1:
         raise ValueError(
             "exactly one of --primes / --primes-below / --twins-below is required"
         )
+    if args.include_three and args.twins_below is None:
+        raise ValueError("--include-three applies only to --twins-below")
     if args.primes is not None:
         return PrimeSet(int(x) for x in args.primes.split(","))
     if args.primes_below is not None:
@@ -122,10 +126,15 @@ def _cmd_hk(args):
 
 
 def _cmd_schur(args):
-    if args.weights:
-        xs = [float(x) for x in args.weights.split(",")]
-    else:
+    if args.weights is None:
         xs = symfunc.power_weights(_prime_set(args), args.t)
+    else:
+        beside = _prime_set_sources(args) + ["--include-three"] * args.include_three
+        if beside:
+            raise ValueError(f"--weights and {beside[0]} are exclusive")
+        if not args.weights:
+            raise ValueError("--weights needs at least one weight")
+        xs = [float(x) for x in args.weights.split(",")]
     ok, witness = symfunc.schur_check(xs, args.kmax)
     return _envelope(
         f"log-concavity determinants up to k={args.kmax}",

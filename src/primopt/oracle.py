@@ -698,6 +698,7 @@ def _certify(
     weights,
     reference_full: Optional[float],
     tail_bound: Optional[float],
+    no_tail_reason: str,
     condition: ConditionVerdict,
     claim: str,
 ) -> OptimalityReport:
@@ -720,10 +721,7 @@ def _certify(
             "not theorem instance (empirical evidence only)"
         )
     if tail_bound is None:
-        notes.append(
-            "weight sum of the alphabet is >= 1: no tail bound; the claim "
-            "is restricted to the truncation"
-        )
+        notes.append(f"{no_tail_reason}; the claim is restricted to the truncation")
     if len(roots) != math.comb(universe.k_lo + m - 1, m - 1):
         notes.append("level set is truncated by the value cap")
 
@@ -756,15 +754,18 @@ def verify_tbest(
         raise ValueError("t-best certification needs a finite t > 1")
     universe = build_universe(prime_set, k, max_omega, max_value, max_elements)
     condition = check_condition(prime_set, t)
-    omega_tail = _omega_tail_bound(prime_set, t, max_omega)
-    tail = None
-    if omega_tail is not None:
-        tail = omega_tail + _value_tail_bound(prime_set, t, max_value)
+    tail = _value_tail_bound(prime_set, t, max_value)
+    # n with Omega(n) > max_omega is at least 2^(max_omega + 1); when that
+    # passes max_value, the value tail already counts n
+    if max_omega + 1 < max_value.bit_length():
+        omega_tail = _omega_tail_bound(prime_set, t, max_omega)
+        tail = None if omega_tail is None else omega_tail + tail
     return _certify(
         universe,
         power_weights(universe.elements, t),
         reference_full=float(sigma_nk(prime_set, t, k)),
         tail_bound=tail,
+        no_tail_reason="weight sum of the alphabet is >= 1: no tail bound",
         condition=condition,
         claim=f"level {k} is t-best (t={t}) over the truncation",
     )
@@ -777,23 +778,21 @@ def verify_erdos_best(
     max_value: int,
     max_elements: int = DEFAULT_MAX_ELEMENTS,
 ) -> OptimalityReport:
-    """Same certification under the 1/(n log n) weight."""
+    """Same certification under the 1/(n log n) weight, over the truncation
+    only: no tail bound is reported."""
     if k < 1:
         raise ValueError("k must be >= 1")
     universe = build_universe(prime_set, k, max_omega, max_value, max_elements)
     condition = check_condition(prime_set, 1.0)
-
-    # 1/(n log n) <= (1/(j log 2)) * n^-1 on the level-j slice, so the
-    # geometric h_j bound at t=1 dominates the Omega tail when sum 1/p < 1.
-    tail = _omega_tail_bound(prime_set, 1.0, max_omega)
-    if tail is not None:
-        tail = tail / ((max_omega + 1) * math.log(2.0))
-
     return _certify(
         universe,
         erdos_weights(universe.elements),
         reference_full=None,
-        tail_bound=tail,
+        tail_bound=None,
+        no_tail_reason=(
+            "1/(n log n) is at most a multiple of n^-t only for t <= 1, and the "
+            "value-cap tail bound needs t > 1"
+        ),
         condition=condition,
         claim=f"level {k} is reciprocal-log-best over the truncation",
     )

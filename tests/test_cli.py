@@ -305,6 +305,16 @@ def test_domain_error_exit_3(capsys):
     for argv in (low_t, [*low_t, "--brute-force"]):
         assert main(argv) == 3, argv
         assert "k_lo must be >= 1" in capsys.readouterr().err, argv
+    # a flag that would be ignored is refused, by name
+    for argv, flag in (
+        (["check-condition", "--primes", "2", "--include-three", "--t", "1"], "--include-three"),
+        (["schur", "--weights", "0.5,0.25", "--primes", "2,3", "--kmax", "2"], "--primes"),
+        (["schur", "--weights", "0.5", "--include-three", "--kmax", "2"], "--include-three"),
+        (["schur", "--weights", "", "--kmax", "2"], "--weights"),
+    ):
+        assert main(argv) == 3, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and flag in err, (argv, err)
 
 
 def test_precision_error_exit_2(capsys):
@@ -406,30 +416,23 @@ def test_python_m_primopt_runs_the_cli():
 
 
 
-def test_analytic_golden_lines_replay_byte_for_byte(tmp_path, monkeypatch, capsys):
-    # the committed records of every tau, zeta, prime-zeta and all-primes
-    # condition line, run in-process as scripts/golden_cli.py runs them
+def test_golden_lines_replay_byte_for_byte(tmp_path, monkeypatch, capsys):
+    # every line of scripts/golden_cli.py, run in-process and laid out by its
+    # own record, against the committed snapshot, which holds no other file
     root = Path(__file__).resolve().parents[1]
     spec = importlib.util.spec_from_file_location("golden_cli", root / "scripts" / "golden_cli.py")
     golden_cli = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(golden_cli)
-    lines = [
-        (number, line)
-        for number, line in enumerate(golden_cli.LINES, 1)
-        if line[0] in ("tau", "zeta", "prime-zeta")
-        or line[:2] == ["check-condition", "--all-primes"]
-    ]
-    assert len(lines) == 23
+    golden = root / "tests" / "golden"
+    names = [golden_cli.file_name(number, line) for number, line in enumerate(golden_cli.LINES, 1)]
+    assert sorted(path.name for path in golden.iterdir()) == sorted(names)
     monkeypatch.chdir(tmp_path)
     # argparse wraps usage lines at the terminal width; a pipe gives 80
     monkeypatch.setenv("COLUMNS", "80")
-    for number, line in lines:
+    for name, line in zip(names, golden_cli.LINES):
         try:
             code = main(list(line))
         except SystemExit as exc:
             code = exc.code
         out, err = capsys.readouterr()
-        record = f"argv: {' '.join(line)}\nexit: {code}\n--- stdout\n{out}--- stderr\n{err}"
-        record = golden_cli._RUNTIME.sub(r"\1<masked>", record)
-        golden = root / "tests" / "golden" / f"{number:03d}-{line[0]}.txt"
-        assert record == golden.read_text(), line
+        assert golden_cli.record(line, code, out, err) == (golden / name).read_text(), name

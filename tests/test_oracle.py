@@ -33,7 +33,7 @@ from primopt.oracle import (
     verify_tbest,
 )
 from primopt.primes import MAX_ELEMENT, PrimeSet, omega, sieve_primes
-from primopt.symfunc import power_weights, sigma_nk
+from primopt.symfunc import h_all, power_weights, sigma_nk
 
 
 def semigroup_filter(primes, k_lo, max_omega, max_value):
@@ -710,6 +710,80 @@ def test_tree_bound_matches_dinic_on_seeded_universes():
     assert overruled, overruled
 
 
+def _t_with_prime_sum(primes, target):
+    """The t in [1e-3, 60] where sum p^-t falls through ``target``, by
+    bisection, or 1e-3 when the sum is below it there already."""
+    lo, hi = 1e-3, 60.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if math.fsum(float(p) ** -mid for p in primes) > target:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def test_flow_optimum_of_an_omega_band_is_its_heaviest_level():
+    # N(P) under a multiplicative weight is a product of chains whose rank
+    # sums h_j are log-concave, so it has the LYM property (K. Engel, Sperner
+    # Theory, ch. 4): an antichain of the levels k..top weighs at most the
+    # largest h_j there, and each level is an antichain.  So the optimum of
+    # a band the value cap leaves whole (V >= max(P)^top) is that largest
+    # h_j, and a value-cut universe, whose elements all lie on levels
+    # k..top, stays at or below it.  Element weights are the exact products
+    # of the binary64 prime weights p^-t = a_p / 2^d, over the one
+    # denominator 2^(top d): n = prod p^e on level j weighs
+    # prod a_p^e * 2^((top - j) d), and h_all over the same a_p gives
+    # h_j * 2^(j d).
+    rng = random.Random(15)
+    small = sieve_primes(200).as_list()
+    open_trees = above_k = 0
+    for draw in range(60):
+        while True:
+            primes = sorted(rng.sample(small, rng.randint(2, 12)))
+            k = rng.randint(1, 3)
+            top = k + rng.randint(0, 3)
+            if sum(math.comb(j + len(primes) - 1, j) for j in range(k, top + 1)) <= 5000:
+                break
+        # sum p^-t >= 1 on most draws, so the tree bound often stays open
+        t = _t_with_prime_sum(primes, rng.uniform(0.8, 3.0))
+        whole = primes[-1] ** top
+        cut = draw % 3 == 2
+        max_value = whole
+        if cut:
+            max_value = int(math.exp(rng.uniform(math.log(primes[0] ** top), math.log(whole))))
+        universe = build_universe(PrimeSet(primes), k, top, max_value)
+
+        ratios = [(float(p) ** -t).as_integer_ratio() for p in primes]
+        d = max(den.bit_length() - 1 for _, den in ratios)
+        a = [num << (d - den.bit_length() + 1) for num, den in ratios]
+        scaled = []
+        for n in map(int, universe.elements):
+            weight, level = 1, 0
+            for p, a_p in zip(primes, a):
+                while n % p == 0:
+                    n //= p
+                    weight *= a_p
+                    level += 1
+            scaled.append(weight << ((top - level) * d))
+        h = h_all(a, top)
+        band = [h[j] << ((top - j) * d) for j in range(k, top + 1)]
+
+        weights = np.array(scaled, dtype=object) if universe.columnar else scaled
+        members, optimum, _, _ = _flow_optimum(universe, weights)
+        members = as_list(members)
+        assert sum(scaled[i] for i in members) == optimum
+        assert is_primitive([universe.elements[i] for i in members])
+        if cut:
+            assert optimum <= max(band), (primes, k, top, max_value, t)
+        else:
+            assert optimum == max(band), (primes, k, top, t)
+            above_k += band.index(max(band)) > 0
+        open_trees += not _tree_optimum(universe, weights)[2]
+    # Dinic decided many draws, and on some the heaviest level is not level k
+    assert open_trees >= 20 and above_k >= 5, (open_trees, above_k)
+
+
 def test_flow_picks_the_roots_on_a_clamped_tie():
     # 125^-8 = 1.7e-17 and 625^-8 = 4.3e-23 both clamp to one 2^-50 quantum,
     # so {125} and {625} tie in the flow; Dinic's minimal cut names 625, and
@@ -1013,6 +1087,12 @@ def test_verify_erdos_best_examples():
     assert both.condition_verdict.verdict == "holds"
     assert both.holds()
     assert both.optimum_members.members == (2, 3)
+    # sum 1/p < 1 on both, but an Omega-only tail ignores the value cap and
+    # so bounds nothing that the truncation leaves out
+    for light in (report, both):
+        assert light.tail_bound is None
+        assert any("only for t <= 1" in note and "restricted to the truncation" in note
+                   for note in light.notes)
 
 
 def test_verify_erdos_tail_unavailable_for_heavy_alphabet():
@@ -1020,6 +1100,19 @@ def test_verify_erdos_tail_unavailable_for_heavy_alphabet():
     report = verify_erdos_best(primes, 1, 3, 3000)
     assert report.tail_bound is None
     assert any("restricted to the truncation" in note for note in report.notes)
+
+
+def test_verify_tbest_value_tail_alone_past_the_omega_cap():
+    # 2^(max_omega + 1) > max_value: every n above the Omega cap is above the
+    # value cap as well, so the value tail alone bounds what is left out, and
+    # no h_j up to max_omega is summed
+    P = PrimeSet([2])
+    report = verify_tbest(P, 1.5, 1, 10**9, 100)
+    assert report.holds() and report.universe_size == 6
+    assert report.tail_bound == verify_tbest(P, 1.5, 1, 6, 100).tail_bound
+    assert report.tail_bound < verify_tbest(P, 1.5, 1, 5, 100).tail_bound < math.inf
+    # what the truncation leaves out: 2^a for a >= 7
+    assert 2.0 ** -10.5 / (1.0 - 2.0 ** -1.5) <= report.tail_bound
 
 
 def test_sigma_nk_matches_oracle_level_enumeration():
