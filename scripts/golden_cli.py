@@ -5,9 +5,8 @@
 Each line runs as ``python -m primopt ...`` against ``CHECKOUT/src``
 (default: the checkout holding this script), in an empty scratch working
 directory.  OUT_DIR gets one file per line with the argument line, the exit
-code, stdout and stderr.  Run times (``runtime_ms`` in JSON, ``runtime:`` in
-text) and the checkout path are masked, so two checkouts that behave alike
-give identical directories:
+code, stdout and stderr.  Run times (``runtime_ms``) and the checkout path
+are masked, so two checkouts that behave alike give identical directories:
 
     python scripts/golden_cli.py /tmp/golden-a /path/to/checkout-a
     python scripts/golden_cli.py /tmp/golden-b /path/to/checkout-b
@@ -69,6 +68,7 @@ LINES = [
     ["erdos-sum", "--members", "4,6,9"],
     ["bridge", "--members", "2,3,5"],
     ["prime-zeta", "--t", "2", "--out", "missing-dir/report.json"],
+    # no command takes --format: a usage error
     ["check-condition", "--primes", "2", "--t", "1", "--format", "text"],
     ["no-such-command"],
     ["prime-zeta", "--bogus"],
@@ -107,6 +107,7 @@ LINES = [
      "--max-omega", "3", "--max-value", "1000000"],
     ["verify-tbest", *DEEP, "--t", "1.5"],
     ["verify-tbest", *DEEP, "--t", "8"],
+    # the suite has no --quick: the last two are usage errors
     *(["suite", *quick, "--seed", seed] for quick in ([], ["--quick"]) for seed in ("0", "1")),
     # both weights clamp to one 2^-50 quantum, so 125 and 625 tie in the flow
     ["verify-tbest", *TIE, "--k", "3", "--t", "8"],
@@ -168,9 +169,16 @@ LINES = [
     # bounds what the truncation leaves out
     ["verify-tbest", "--primes", "2", "--t", "1.5", "--k", "1", "--max-omega", "1000000000",
      "--max-value", "100"],
+    # flags a command would ignore are refused, by name
+    ["schur", "--weights", "0.5,0.25", "--t", "3", "--kmax", "2"],
+    ["check-condition", "--all-primes", "--primes", "2", "--t", "1.5"],
+    ["check-condition", "--primes", "2", "--t", "1.5", "--radius", "1e-3"],
+    # a malformed comma-list entry is refused, by the flag's name
+    ["schur", "--weights", "0.5,", "--kmax", "2"],
+    ["erdos-sum", "--members", "4,x"],
 ]
 
-_RUNTIME = re.compile(r'("runtime_ms": |runtime: )\d+')
+_RUNTIME = re.compile(r'("runtime_ms": )\d+')
 
 
 def file_name(number: int, line: list[str]) -> str:

@@ -1,7 +1,7 @@
 """The paper's certified statements as one table of checks.
 
 Each row holds a claim, the expected outcome as text, the runtime budget the
-acceptance tests pin, and ``run(rng, quick) -> (computed, ok)``.  This table
+acceptance tests pin, and ``run(rng) -> (computed, ok)``.  This table
 is the single source for both ``primopt suite`` and
 ``tests/test_acceptance.py``; a row asserts every condition either of them
 ever checked for its claim.
@@ -19,21 +19,12 @@ from .errors import SizeLimitError
 from .primes import PrimeSet, sieve_primes
 
 
-def _twin_limit(quick: bool) -> int:
-    """Sieve limit of the twin-with-3 row: 1e7 under --quick, else 1e8."""
-    return 10**7 if quick else 10**8
-
-
 class Check(NamedTuple):
     name: str
     claim: str
     expected: str
     budget_s: float
-    run: Callable[[random.Random, bool], tuple[object, bool]]
-
-    def title(self, quick: bool) -> str:
-        """The claim as reported; a ``{limit}`` field names the twin limit."""
-        return self.claim.format(limit=_twin_limit(quick))
+    run: Callable[[random.Random], tuple[object, bool]]
 
 
 CHECKS: list[Check] = []
@@ -48,21 +39,21 @@ def _check(name: str, claim: str, expected: str, budget_s: float):
 
 
 @_check("prime_zeta_at_two", "prime zeta at 2", "0.45224742 +- 1e-7", 1.0)
-def _prime_zeta_at_two(rng, quick):
+def _prime_zeta_at_two(rng):
     p2 = analytic.prime_zeta(2.0, 1e-8)
     return p2.value, abs(p2.value - 0.45224742) <= 1e-7
 
 
 @_check("condition_right_side", "all-primes condition right side at t=1",
         "1.74010308 +- 1e-7", 1.0)
-def _condition_right_side(rng, quick):
+def _condition_right_side(rng):
     rhs = analytic.condition_rhs_from_square_sum(analytic.prime_zeta(2.0, 1e-8))
     return rhs.value, abs(rhs.value - 1.74010308) <= 1e-7
 
 
 @_check("threshold_root_and_margin_signs", "threshold root and margin signs",
         "1.1403659 +- 1e-6, margin(1.05)<0<margin(1.5)", 30.0)
-def _threshold_root_and_margin_signs(rng, quick):
+def _threshold_root_and_margin_signs(rng):
     tau = analytic.tau_root(1e-6)
     low = analytic.condition_margin(1.05, 1e-7)
     high = analytic.condition_margin(1.5, 1e-7)
@@ -75,7 +66,7 @@ def _threshold_root_and_margin_signs(rng, quick):
 
 
 @_check("twin_chain_with_proven_bound", "twin chain with proven Brun bound", HOLDS, 30.0)
-def _twin_chain_with_proven_bound(rng, quick):
+def _twin_chain_with_proven_bound(rng):
     # B - 1/3 - 1/5 < 1.814 < 1.9428 < 1 + sqrt(8/9), and square sum < 1/9
     report = twin.corollary_check(twin.BrunInput(2.347, "proven bound"), 10**6)
     ok = (
@@ -86,11 +77,11 @@ def _twin_chain_with_proven_bound(rng, quick):
     return report.verdict, ok
 
 
-@_check("twin_with_three_conditional", "twin-with-3 condition at limit {limit}",
+@_check("twin_with_three_conditional", "twin-with-3 condition at limit 100000000",
         "holds/fails", 60.0)
-def _twin_with_three_conditional(rng, quick):
+def _twin_with_three_conditional(rng):
     # one square-sum enclosure, judged against both Brun bounds
-    limit = _twin_limit(quick)
+    limit = 10**8
     square = twin.twin_square_bound(limit, include_three=True)
     hold_report = twin.full_twin_verdict(twin.BrunInput(2.0959621, "required bound"), limit, square)
     fail_report = twin.full_twin_verdict(twin.BrunInput(2.347, "proven bound"), limit, square)
@@ -100,7 +91,7 @@ def _twin_with_three_conditional(rng, quick):
 
 @_check("flow_equals_bruteforce", "flow vs brute-force agreement",
         ">=100 agree to 1e-9", 60.0)
-def _flow_equals_bruteforce(rng, quick):
+def _flow_equals_bruteforce(rng):
     instances = 0
     agree = True
     for _ in range(10**6):
@@ -128,7 +119,7 @@ def _flow_equals_bruteforce(rng, quick):
 
 
 @_check("theorem_instances", "theorem-instance certifications", HOLDS, 60.0)
-def _theorem_instances(rng, quick):
+def _theorem_instances(rng):
     # the optimum must be attained by the level set itself
     ok = True
     for k in (1, 2, 3):
@@ -142,7 +133,7 @@ def _theorem_instances(rng, quick):
 
 @_check("level_two_overtakes_near_one", "level-2 sum beats the prime sum at t=1.02",
         "level 2 heavier", 30.0)
-def _level_two_overtakes_near_one(rng, quick):
+def _level_two_overtakes_near_one(rng):
     primes_1e5 = sieve_primes(10**5)
     s1 = analytic.sigma_t(primes_1e5, 1.02)
     h2 = float(symfunc.sigma_nk(primes_1e5, 1.02, 2))
@@ -150,7 +141,7 @@ def _level_two_overtakes_near_one(rng, quick):
 
 
 @_check("identity_suite", "identity suite (random and exhaustive)", "all pass", 60.0)
-def _identity_suite(rng, quick):
+def _identity_suite(rng):
     # square identity (100 random), log-concavity (1000 random), gcd-block
     # partitions (exhaustive over subsets of {2,3,5,7}), exact h values
     ok = True
@@ -175,7 +166,7 @@ def _identity_suite(rng, quick):
 
 
 @_check("integral_bridge", "integral bridge residuals", "within tolerance", 10.0)
-def _integral_bridge(rng, quick):
+def _integral_bridge(rng):
     # each enclosure holds the direct sum, with a radius within the bound
     cases = (([2], 1e-6), ([2, 3, 5], 1e-4), ([4, 6, 9], 1e-4))
     bridges = [(erdos.integral_bridge_check(m), bound) for m, bound in cases]

@@ -1,9 +1,9 @@
 """Command-line front end: one subcommand per operation plus a one-shot suite.
 
-Every invocation writes a single JSON document to stdout (or aligned text
-with --format text) wrapped in a stable envelope: claim, verdict, lhs, rhs,
-runtime_ms, detail.  Exit codes: 0 holds, 1 fails, 2 inconclusive
-or precision-limited, 3 usage/domain error, 4 resource limit.
+Every invocation writes a single JSON document to stdout, wrapped in a
+stable envelope: claim, verdict, lhs, rhs, runtime_ms, detail.  Exit codes:
+0 holds, 1 fails, 2 inconclusive or precision-limited, 3 usage/domain
+error, 4 resource limit.
 
 The suite's checks are not defined here: ``primopt suite`` runs the table in
 :mod:`primopt.checks`, the single source it shares with the acceptance tests.
@@ -40,6 +40,26 @@ def _prime_set_sources(args) -> list[str]:
     return [flag for flag, value in given.items() if value is not None]
 
 
+def _refuse_beside(flag: str, args, *also: str) -> None:
+    """Refuse a prime-set flag, or any of the flags ``also``, given beside ``flag``."""
+    beside = [*_prime_set_sources(args), *["--include-three"] * args.include_three, *also]
+    if beside:
+        raise ValueError(f"{flag} and {beside[0]} are exclusive")
+
+
+def _comma_list(flag: str, text: str, kind: type, noun: str) -> list:
+    """The entries of ``flag``'s comma-separated value, each read by ``kind``."""
+    if not text:
+        raise ValueError(f"{flag} needs at least one {noun}")
+    entries = []
+    for entry in text.split(","):
+        try:
+            entries.append(kind(entry))
+        except ValueError:
+            raise ValueError(f"{flag} has a malformed entry {entry!r}") from None
+    return entries
+
+
 def _prime_set(args) -> PrimeSet:
     if len(_prime_set_sources(args)) != 1:
         raise ValueError(
@@ -48,7 +68,7 @@ def _prime_set(args) -> PrimeSet:
     if args.include_three and args.twins_below is None:
         raise ValueError("--include-three applies only to --twins-below")
     if args.primes is not None:
-        return PrimeSet(int(x) for x in args.primes.split(","))
+        return PrimeSet(_comma_list("--primes", args.primes, int, "prime"))
     if args.primes_below is not None:
         return sieve_primes(args.primes_below)
     return twin_primes(args.twins_below, include_three=args.include_three)
@@ -101,9 +121,13 @@ def _cmd_tau(args):
 
 def _cmd_check_condition(args):
     if args.all_primes:
-        verdict = analytic.check_condition_allprimes(args.t, args.radius)
+        _refuse_beside("--all-primes", args)
+        radius = 1e-8 if args.radius is None else args.radius
+        verdict = analytic.check_condition_allprimes(args.t, radius)
         claim = f"all-primes condition at t={args.t}"
     else:
+        if args.radius is not None:
+            raise ValueError("--radius applies only to --all-primes")
         prime_set = _prime_set(args)
         verdict = analytic.check_condition(prime_set, args.t)
         claim = f"condition at t={args.t} for {len(prime_set)} primes"
@@ -127,14 +151,10 @@ def _cmd_hk(args):
 
 def _cmd_schur(args):
     if args.weights is None:
-        xs = symfunc.power_weights(_prime_set(args), args.t)
+        xs = symfunc.power_weights(_prime_set(args), 1.0 if args.t is None else args.t)
     else:
-        beside = _prime_set_sources(args) + ["--include-three"] * args.include_three
-        if beside:
-            raise ValueError(f"--weights and {beside[0]} are exclusive")
-        if not args.weights:
-            raise ValueError("--weights needs at least one weight")
-        xs = [float(x) for x in args.weights.split(",")]
+        _refuse_beside("--weights", args, *["--t"] * (args.t is not None))
+        xs = _comma_list("--weights", args.weights, float, "weight")
     ok, witness = symfunc.schur_check(xs, args.kmax)
     return _envelope(
         f"log-concavity determinants up to k={args.kmax}",
@@ -238,7 +258,7 @@ def _cmd_corollary(args):
 
 
 def _cmd_erdos_sum(args):
-    members = [int(x) for x in args.members.split(",")]
+    members = _comma_list("--members", args.members, int, "member")
     return _envelope(
         "reciprocal-log weight sum",
         HOLDS,
@@ -248,7 +268,7 @@ def _cmd_erdos_sum(args):
 
 
 def _cmd_bridge(args):
-    members = [int(x) for x in args.members.split(",")]
+    members = _comma_list("--members", args.members, int, "member")
     bridge = erdos.integral_bridge_check(members)
     return _envelope(
         "integral bridge between power and reciprocal-log weights",
@@ -269,11 +289,11 @@ def _cmd_suite(args):
     rows = []
     for check in CHECKS:
         started = time.monotonic()
-        computed, ok = check.run(rng, args.quick)
+        computed, ok = check.run(rng)
         elapsed_ms = int((time.monotonic() - started) * 1000)
         rows.append(
             {
-                "claim": check.title(args.quick),
+                "claim": check.claim,
                 "computed": computed,
                 "expected": check.expected,
                 "verdict": HOLDS if ok else FAILS,
@@ -291,7 +311,6 @@ def _cmd_suite(args):
 
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "text"), default="json")
     common.add_argument("--out", help="also write the JSON document to this path")
 
     prime_set_args = argparse.ArgumentParser(add_help=False)
@@ -302,7 +321,8 @@ def _build_parser() -> _Parser:
         "--include-three", action="store_true", help="include 3 with --twins-below"
     )
 
-    parser = _Parser(prog="primopt", parents=[common])
+    # --out only after the command: a subcommand's default would overwrite it
+    parser = _Parser(prog="primopt")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_parser(name, handler, *parents):
@@ -324,7 +344,7 @@ def _build_parser() -> _Parser:
     p = add_parser("check-condition", _cmd_check_condition, prime_set_args)
     p.add_argument("--all-primes", action="store_true")
     p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--radius", type=float, default=1e-8)
+    p.add_argument("--radius", type=float, help="all-primes only; default 1e-8")
 
     p = add_parser("hk", _cmd_hk, prime_set_args)
     p.add_argument("--t", type=float, default=1.0)
@@ -333,7 +353,7 @@ def _build_parser() -> _Parser:
 
     p = add_parser("schur", _cmd_schur, prime_set_args)
     p.add_argument("--weights", help="comma-separated weights in (0,1)")
-    p.add_argument("--t", type=float, default=1.0)
+    p.add_argument("--t", type=float, help="prime weights only; default 1")
     p.add_argument("--kmax", type=int, required=True)
 
     p = add_parser("chain", _cmd_chain, prime_set_args)
@@ -385,31 +405,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--members", required=True)
 
     p = add_parser("suite", _cmd_suite)
-    p.add_argument("--quick", action="store_true")
     p.add_argument("--seed", type=int, default=None)
 
     return parser
-
-
-def _render_text(report: dict) -> str:
-    lines = [f"claim:   {report['claim']}", f"verdict: {report['verdict']}"]
-    for side in ("lhs", "rhs"):
-        if report[side] is not None:
-            lines.append(f"{side}:     {report[side]}")
-    lines.append(f"runtime: {report['runtime_ms']} ms")
-    detail = report.get("detail") or {}
-    checks = detail.get("checks")
-    if checks:
-        width = max(len(row["claim"]) for row in checks)
-        for row in checks:
-            lines.append(
-                f"  {row['claim']:<{width}}  computed={row['computed']}"
-                f"  expected={row['expected']}  -> {row['verdict']}"
-            )
-    else:
-        for key, value in detail.items():
-            lines.append(f"{key}: {value}")
-    return "\n".join(lines) + "\n"
 
 
 def main(argv=None) -> int:
@@ -448,7 +446,7 @@ def _write(report: dict, args) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(document)
-    sys.stdout.write(document if args.format == "json" else _render_text(report))
+    sys.stdout.write(document)
 
 
 if __name__ == "__main__":

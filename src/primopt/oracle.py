@@ -683,10 +683,8 @@ def _omega_tail_bound(prime_set: PrimeSet, t: float, max_omega: int) -> Optional
 def _value_tail_bound(prime_set: PrimeSet, t: float, max_value: int) -> float:
     """Upper bound for the t-weight of semigroup members above the value cap:
     sum over n > V of n^-t <= V^-theta * prod (1 - p^-(t-theta))^-1 with
-    theta = (t-1)/2."""
+    theta = (t-1)/2, positive since the caller refuses t <= 1."""
     theta = 0.5 * (t - 1.0)
-    if theta <= 0.0:
-        return math.inf
     prod = 1.0
     for p in prime_set:
         prod /= 1.0 - float(p) ** (-(t - theta))

@@ -192,9 +192,9 @@ def test_erdos_sum_and_bridge_commands(capsys):
     assert exc.value.code == 3
 
 
-def test_suite_quick_passes_and_is_deterministic(capsys):
-    code1, out1 = run_cli(capsys, "suite", "--quick", "--seed", "1")
-    code2, out2 = run_cli(capsys, "suite", "--quick", "--seed", "1")
+def test_suite_passes_and_is_deterministic(capsys):
+    code1, out1 = run_cli(capsys, "suite", "--seed", "1")
+    code2, out2 = run_cli(capsys, "suite", "--seed", "1")
     assert code1 == code2 == 0
     assert out1 == out2  # byte-identical under a fixed seed
     report = json.loads(out1)
@@ -223,21 +223,18 @@ def test_out_file_matches_stdout(tmp_path, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
-def test_text_format(capsys):
-    code, out = run_cli(capsys, "check-condition", "--primes", "2", "--t", "1",
-                        "--format", "text")
-    assert code == 0
-    assert out.startswith("claim:")
-    assert "verdict: holds" in out
-
-
-def test_usage_errors_exit_3(capsys):
+def test_usage_errors_exit_3(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 3
     with pytest.raises(SystemExit) as exc:
         main(["prime-zeta", "--bogus"])
     assert exc.value.code == 3
+    # before the command, --out would be ignored, so it is refused
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(tmp_path / "report.json"), "prime-zeta", "--t", "2"])
+    assert exc.value.code == 3
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_domain_error_exit_3(capsys):
@@ -311,6 +308,14 @@ def test_domain_error_exit_3(capsys):
         (["schur", "--weights", "0.5,0.25", "--primes", "2,3", "--kmax", "2"], "--primes"),
         (["schur", "--weights", "0.5", "--include-three", "--kmax", "2"], "--include-three"),
         (["schur", "--weights", "", "--kmax", "2"], "--weights"),
+        (["schur", "--weights", "0.5,0.25", "--t", "3", "--kmax", "2"], "--t"),
+        (["check-condition", "--all-primes", "--primes", "2", "--t", "1.5"], "--primes"),
+        (["check-condition", "--primes", "2", "--t", "1.5", "--radius", "1e-3"], "--radius"),
+        # a malformed comma-list entry is refused by its flag's name
+        (["schur", "--weights", "0.5,", "--kmax", "2"], "--weights"),
+        (["erdos-sum", "--members", "4,x"], "--members"),
+        (["hk", "--primes", "2,", "--kmax", "2"], "--primes"),
+        (["bridge", "--members", ""], "--members"),
     ):
         assert main(argv) == 3, argv
         err = capsys.readouterr().err

@@ -160,8 +160,8 @@ def test_twin_with_three_row_sieves_once(monkeypatch):
     wheel = primes._wheel_segments
     monkeypatch.setattr(primes, "_wheel_segments", counting_wheel)
     row = next(c for c in checks.CHECKS if c.name == "twin_with_three_conditional")
-    assert row.run(random.Random(0), True) == ("holds/fails", True)
-    assert scans == [10**7 + 2]
+    assert row.run(random.Random(0)) == ("holds/fails", True)
+    assert scans == [10**8 + 2]
 
 
 def test_full_twin_check_report_at_ten_million():
