@@ -109,7 +109,7 @@ LINES = [
     ["verify-tbest", *DEEP, "--t", "8"],
     # the suite has no --quick: the last two are usage errors
     *(["suite", *quick, "--seed", seed] for quick in ([], ["--quick"]) for seed in ("0", "1")),
-    # both weights clamp to one 2^-50 quantum, so 125 and 625 tie in the flow
+    # on one grid 625^-8 weighs 5^-8 of 125^-8, and the tree bound closes on 125
     ["verify-tbest", *TIE, "--k", "3", "--t", "8"],
     ["oracle", *TIE, "--k-lo", "3", "--t", "8"],
     # n^-t underflows to 0.0 for a valid t
@@ -158,7 +158,7 @@ LINES = [
      "--max-value", "1000000"],
     ["oracle", "--primes", "7,11,13,17,19,23,29,31,37,41,43", "--k-lo", "2",
      "--max-omega", "3", "--max-value", "400", "--t", "1", "--brute-force"],
-    # the scaled weights total 66 bits: sums run on Python ints
+    # 80,581 weights near 1: the grid keeps their scaled total below 2^61
     ["oracle", "--primes-below", "1000", "--k-lo", "1", "--max-omega", "3",
      "--max-value", "1000000", "--t", "0.05"],
     # a flag that would be ignored is refused
@@ -176,6 +176,17 @@ LINES = [
     # a malformed comma-list entry is refused, by the flag's name
     ["schur", "--weights", "0.5,", "--kmax", "2"],
     ["erdos-sum", "--members", "4,x"],
+    # at t = 30, 25^-30 is below half a quantum of the grid that 5^-30 sets
+    ["oracle", "--primes", "5,7", "--k-lo", "1", "--max-omega", "2", "--max-value", "100",
+     "--t", "30"],
+    ["verify-tbest", "--primes", "5,11,13", "--t", "16", "--k", "1", "--max-omega", "4",
+     "--max-value", "2000"],
+    # 2^-1000 sets a grid of 2^-1060: 2.0**shift would overflow
+    ["oracle", "--primes", "2", "--k-lo", "1", "--max-omega", "1", "--max-value", "10",
+     "--t", "1000"],
+    # the members weighed are a set: echoed distinct and ascending
+    ["erdos-sum", "--members", "9,4,4,6"],
+    ["bridge", "--members", "3,2,3"],
 ]
 
 _RUNTIME = re.compile(r'("runtime_ms": )\d+')

@@ -257,8 +257,13 @@ def _cmd_corollary(args):
     return _report_envelope(report)
 
 
+def _members(args) -> list[int]:
+    """The distinct entries of ``--members``, ascending: the set weighed."""
+    return sorted(set(_comma_list("--members", args.members, int, "member")))
+
+
 def _cmd_erdos_sum(args):
-    members = _comma_list("--members", args.members, int, "member")
+    members = _members(args)
     return _envelope(
         "reciprocal-log weight sum",
         HOLDS,
@@ -268,7 +273,7 @@ def _cmd_erdos_sum(args):
 
 
 def _cmd_bridge(args):
-    members = _comma_list("--members", args.members, int, "member")
+    members = _members(args)
     bridge = erdos.integral_bridge_check(members)
     return _envelope(
         "integral bridge between power and reciprocal-log weights",

@@ -71,12 +71,12 @@ float64 column with the same bits (``power_weights`` by ``np.float_power``,
 which calls libm's pow as Python's float ** does; ``erdos_weights`` by
 ``math.log`` and numpy's correctly rounded multiply and divide; np.power
 and np.log stay out, as their SIMD kernels differ in the last bits).
-``_scaled_weights`` is the one step to integers, value * 2^50 rounded and
-at least 1: Python ints for a list, and for a column int64 while the float
-total proves that no sum wraps, Python ints in a numpy column past that,
-so the arithmetic is exact even where the total passes 2^63.  ``_gather`` reads either form back as Python numbers, and the
-float weights of the returned members are re-summed by fsum; verdict
-tolerances absorb the scaling quantum.
+``_scaled_weights`` is the one step to integers: each value rounded to a
+grid sized by the weights, whose quantum 2^-shift puts n times the largest
+weight just below 2^61, so every sum fits int64 (Python ints for a list,
+an int64 column for a column).  ``_gather`` reads either form back as
+Python numbers, and the float weights of the returned members are
+re-summed by fsum; the verdict's tolerance is n quanta of that grid.
 
 An optimum is checked to be an antichain before it is returned.  When its
 members share one Omega the check is free: if a | b with a != b in the
@@ -106,8 +106,6 @@ Indices = Union[list[int], np.ndarray]
 
 DEFAULT_MAX_ELEMENTS = 200_000
 _BRUTE_FORCE_CAP = 40
-_WEIGHT_SCALE = 1 << 50
-_TIE_TOL = 1e-9
 _ONE_IS_NO_ANTICHAIN = ("{1} is not an antichain here: 1 divides every element, "
                         "so k_lo must be >= 1")
 # Bound on the element count (see build_universe) from which the universe
@@ -454,22 +452,24 @@ class _Dinic:
 
 
 def _scaled_weights(weights):
-    """Float weights in whole 2^-50 quanta, at least one each: Python ints
-    for a list (a list-built universe: fewer than ``_COLUMNS_FROM`` weights
-    of at most 1).  A float64 column gives int64 while the float total is
-    below 2^62, which proves that no sum wraps (it errs by a relative
-    n * 2^-53 at most), else Python ints (dtype object) made from the
-    floats, on which the same numpy code is exact.  w * 2^50 is exact, and
-    np.rint rounds it half to even as ``round`` does.
+    """Float weights in whole quanta of 2^-shift, and that quantum: an int64
+    column for a float64 column, Python ints for a list.
+
+    shift is the largest integer with n * max(weights) * 2^shift < 2^61, n
+    the weight count, found exactly from the maximum's mantissa, so every
+    sum of rounded weights stays below 2^61 + n / 2 and fits int64, and a
+    list and a column of the same weights land on the same grid.  np.ldexp
+    scales exactly for any shift (2.0**shift overflows past 1023), and
+    np.rint rounds half to even as ``round`` does; a weight below half a
+    quantum rounds to 0.
     """
-    scaled = np.multiply(weights, float(_WEIGHT_SCALE))
-    np.rint(scaled, out=scaled)
-    np.maximum(scaled, 1.0, out=scaled)
-    if not isinstance(weights, np.ndarray):
-        return scaled.astype(np.int64).tolist()
-    if scaled.sum() < 2.0**62:
-        return scaled.astype(np.int64)
-    return np.frompyfunc(int, 1, 1)(scaled)
+    column = isinstance(weights, np.ndarray)
+    top = float(weights.max(initial=0.0)) if column else max(weights, default=0.0)
+    mantissa, exponent = math.frexp(top)  # top = mantissa * 2^exponent, 0.5 <= mantissa < 1
+    digits = len(weights) * int(math.ldexp(mantissa, 53))
+    shift = 114 - exponent - digits.bit_length()
+    scaled = np.rint(np.ldexp(weights, shift)).astype(np.int64)
+    return (scaled if column else scaled.tolist()), math.ldexp(1.0, -shift)
 
 
 def _gather(column, indices: Indices) -> list:
@@ -558,19 +558,22 @@ def _residual_optimum(scaled: list[int], edges: np.ndarray) -> tuple[list[int], 
     return members, rest
 
 
-def _optimum(universe: TruncatedUniverse, weights) -> tuple[Indices, float, Indices, bool]:
+def _optimum(
+    universe: TruncatedUniverse, weights
+) -> tuple[Indices, float, Indices, bool, float]:
     """The member indices of a maximum-weight antichain under ``weights``,
     aligned with ``universe.elements``, the fsum of their weights, the
-    roots, and whether the members are the roots."""
-    members, _, roots, on_roots = _flow_optimum(universe, _scaled_weights(weights))
-    return members, math.fsum(_gather(weights, members)), roots, on_roots
+    roots, whether the members are the roots, and the scaling quantum."""
+    scaled, quantum = _scaled_weights(weights)
+    members, _, roots, on_roots = _flow_optimum(universe, scaled)
+    return members, math.fsum(_gather(weights, members)), roots, on_roots, quantum
 
 
 def max_weight_antichain_flow(universe: TruncatedUniverse, t: float) -> tuple[Antichain, float]:
     """Exact maximum of sum n^-t over antichains of the universe (k_lo >= 1)."""
     if universe.k_lo < 1:
         raise ValueError(_ONE_IS_NO_ANTICHAIN)
-    members, weight, _, _ = _optimum(universe, power_weights(universe.elements, t))
+    members, weight, _, _, _ = _optimum(universe, power_weights(universe.elements, t))
     return _antichain_at(universe, members), weight
 
 
@@ -700,12 +703,15 @@ def _certify(
     condition: ConditionVerdict,
     claim: str,
 ) -> OptimalityReport:
-    members, optimum, roots, on_roots = _optimum(universe, weights)
+    members, optimum, roots, on_roots, quantum = _optimum(universe, weights)
     # fsum rounds the exact sum once, so the same members weigh the same
     level_weight = optimum if on_roots else math.fsum(_gather(weights, roots))
     m = len(universe.prime_set)
 
-    tol = _TIE_TOL + 2.0 * len(universe) / _WEIGHT_SCALE
+    # Each weight rounds to its quantum by half a quantum at most, so an
+    # antichain's integer weight is within n / 2 quanta of its float weight,
+    # and the members are within n quanta of the heaviest antichain.
+    tol = len(universe) * quantum
     notes = []
     if abs(optimum - level_weight) <= tol and not on_roots:
         notes.append("optimum ties the level set within scaling tolerance")

@@ -183,9 +183,16 @@ def test_erdos_sum_and_bridge_commands(capsys):
     assert code == 0
     assert abs(report["lhs"]["value"] - 0.3239241637933748) < 1e-12
 
+    # the set weighed is echoed: distinct members, ascending
+    code, repeated = run_json(capsys, "erdos-sum", "--members", "9,4,4,6")
+    assert code == 0 and repeated["detail"]["members"] == [4, 6, 9]
+    assert repeated["lhs"] == report["lhs"]
+
     code, report = run_json(capsys, "bridge", "--members", "2,3,5")
     assert code == 0 and report["verdict"] == "holds"
     assert report["lhs"]["value"] <= report["rhs"]["value"] <= 1e-6
+    code, report = run_json(capsys, "bridge", "--members", "3,2,3")
+    assert code == 0 and report["detail"]["members"] == [2, 3]
     # the enclosure's radius is derived, not given
     with pytest.raises(SystemExit) as exc:
         main(["bridge", "--members", "2,3,5", "--tolerance", "1e-4"])
