@@ -2,11 +2,18 @@
 
     python scripts/golden_cli.py OUT_DIR [CHECKOUT]
 
-Each line runs as ``python -m primopt ...`` against ``CHECKOUT/src``
-(default: the checkout holding this script), in an empty scratch working
-directory.  OUT_DIR gets one file per line with the argument line, the exit
-code, stdout and stderr.  Run times (``runtime_ms``) and the checkout path
-are masked, so two checkouts that behave alike give identical directories:
+``run`` runs one line in-process through ``primopt.cli.main``, in a fresh
+empty working directory, with ``COLUMNS=80`` (argparse wraps usage lines at
+the terminal width) and warnings raised as errors, as pytest raises them.  It
+returns the line's record: the argument line, the exit code, stdout and
+stderr, with run times (``runtime_ms``) masked.  An exception that escapes
+``main`` escapes ``run`` too, so a crash fails the run instead of being
+recorded.
+
+``main`` imports primopt from ``CHECKOUT/src`` (default: the checkout holding
+this script), refuses a primopt imported from anywhere else, and writes one
+file per line to OUT_DIR.  Two checkouts that behave alike give identical
+directories:
 
     python scripts/golden_cli.py /tmp/golden-a /path/to/checkout-a
     python scripts/golden_cli.py /tmp/golden-b /path/to/checkout-b
@@ -14,22 +21,24 @@ are masked, so two checkouts that behave alike give identical directories:
 
 The snapshot of this checkout's outputs is committed under tests/golden, one
 file per entry of LINES and no other.  Tier-1's
-``tests/test_cli.py::test_golden_lines_replay_byte_for_byte`` replays every
-line in-process through ``cli.main`` and compares it with that snapshot, by
-the same ``record``; a change that alters an output rewrites tests/golden in
-the same commit:
+``tests/test_cli.py::test_golden_lines_replay_byte_for_byte`` compares
+``run`` of every line with that snapshot and checks that every line exits
+0-4; a change that alters an output rewrites tests/golden in the same commit:
 
     python scripts/golden_cli.py tests/golden
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import os
 import re
-import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
+from unittest import mock
 
 PRIMES = ["--primes", "2,3"]
 CAPS = ["--max-omega", "2", "--max-value", "100"]
@@ -204,24 +213,48 @@ def record(line: list[str], code: int, out: str, err: str) -> str:
     return _RUNTIME.sub(r"\1<masked>", text)
 
 
+def run(line: list[str]) -> str:
+    """Run ``primopt`` on ``line`` in-process and return its record."""
+    from primopt import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    here = os.getcwd()
+    with (
+        tempfile.TemporaryDirectory() as cwd,
+        mock.patch.dict(os.environ, COLUMNS="80"),
+        warnings.catch_warnings(),
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+    ):
+        warnings.simplefilter("error")
+        os.chdir(cwd)
+        try:
+            code = cli.main(line)
+        except SystemExit as exc:
+            code = exc.code
+        finally:
+            os.chdir(here)
+    return record(line, code, out.getvalue(), err.getvalue())
+
+
 def main(argv: list[str]) -> int:
     if len(argv) not in (1, 2):
         print(__doc__, file=sys.stderr)
         return 2
     out_dir = Path(argv[0])
-    here = Path(__file__).resolve().parents[1]
-    checkout = Path(argv[1]).resolve() if len(argv) > 1 else here
+    checkout = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parents[1]
+    src = (checkout / "src").resolve()
+    sys.path.insert(0, str(src))
+    import primopt
+
+    if Path(primopt.__file__).resolve().parent != src / "primopt":
+        print(f"golden_cli: primopt imported from {primopt.__file__}, not {src}", file=sys.stderr)
+        return 2
     out_dir.mkdir(parents=True, exist_ok=True)
-    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
     for number, line in enumerate(LINES, 1):
-        with tempfile.TemporaryDirectory() as cwd:
-            done = subprocess.run(
-                [sys.executable, "-m", "primopt", *line],
-                capture_output=True, text=True, env=env, cwd=cwd, timeout=600,
-            )
-        text = record(line, done.returncode, done.stdout, done.stderr)
-        (out_dir / file_name(number, line)).write_text(text.replace(str(checkout), "<checkout>"))
-        print(f"{number:03d} exit {done.returncode}: {' '.join(line)}", flush=True)
+        name, text = file_name(number, line), run(line)
+        (out_dir / name).write_text(text)
+        print(name, text.splitlines()[1], flush=True)
     return 0
 
 

@@ -72,7 +72,7 @@ class PrimeSet:
     element must be a prime >= 2.
     """
 
-    __slots__ = ("_values", "_member_set")
+    __slots__ = ("_values",)
 
     def __init__(self, values: Iterable[int], *, validate: bool = True):
         ints = sorted({int(v) for v in values})
@@ -85,14 +85,12 @@ class PrimeSet:
                 if not is_prime(v):
                     raise ValueError(f"{v} is not prime")
         self._values = np.asarray(ints, dtype=np.int64)
-        self._member_set: Optional[frozenset] = None
 
     @classmethod
     def _trusted(cls, sorted_array: np.ndarray) -> "PrimeSet":
         # Internal: elements already sorted, distinct and prime by construction.
         obj = cls.__new__(cls)
         obj._values = np.asarray(sorted_array, dtype=np.int64)
-        obj._member_set = None
         return obj
 
     def as_array(self) -> np.ndarray:
@@ -108,9 +106,7 @@ class PrimeSet:
         return iter(self._values.tolist())
 
     def __contains__(self, n: int) -> bool:
-        if self._member_set is None:
-            self._member_set = frozenset(self.as_list())
-        return n in self._member_set
+        return n in self.as_list()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PrimeSet):

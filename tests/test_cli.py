@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -13,6 +14,7 @@ import primopt
 from primopt import cli, symfunc
 from primopt.cli import main
 
+ROOT = Path(__file__).resolve().parents[1]
 ENVELOPE_KEYS = {"claim", "verdict", "lhs", "rhs", "runtime_ms", "detail"}
 
 
@@ -88,6 +90,17 @@ def test_chain_command(capsys):
         capsys, "chain", "--primes", "2,3,5", "--t", "1.5", "--kmax", "8"
     )
     assert code == 0 and report["verdict"] == "holds"
+
+
+def test_schur_and_chain_exit_1_on_a_violation(capsys, monkeypatch):
+    # a sequence no positive weights give: h_2^2 < h_1 h_3, and h_2 < h_3
+    monkeypatch.setattr(symfunc, "h_all", lambda xs, kmax: [1.0, 0.5, 0.25, 0.5][: kmax + 1])
+    code, report = run_json(capsys, "schur", "--weights", "0.5,0.3,0.2", "--kmax", "2")
+    assert code == 1 and report["verdict"] == "fails"
+    assert report["detail"]["first_violation"] == 1
+    code, report = run_json(capsys, "chain", "--primes", "2,3,5", "--t", "1.5", "--kmax", "3")
+    assert code == 1 and report["verdict"] == "fails"
+    assert report["detail"]["notes"] == ["chain breaks at k=2: h_2=0.25 < h_3=0.5"]
 
 
 def test_identity_command(capsys):
@@ -427,24 +440,29 @@ def test_python_m_primopt_runs_the_cli():
     assert json.loads(done.stdout)["verdict"] == "holds"
 
 
-
-def test_golden_lines_replay_byte_for_byte(tmp_path, monkeypatch, capsys):
-    # every line of scripts/golden_cli.py, run in-process and laid out by its
-    # own record, against the committed snapshot, which holds no other file
-    root = Path(__file__).resolve().parents[1]
-    spec = importlib.util.spec_from_file_location("golden_cli", root / "scripts" / "golden_cli.py")
+def load_golden_cli():
+    spec = importlib.util.spec_from_file_location("golden_cli", ROOT / "scripts" / "golden_cli.py")
     golden_cli = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(golden_cli)
-    golden = root / "tests" / "golden"
+    return golden_cli
+
+
+def test_golden_lines_replay_byte_for_byte():
+    # every line of scripts/golden_cli.py, run by the script's own runner,
+    # against the committed snapshot, which holds no other file; a line that
+    # raises fails here, and every line exits 0-4
+    golden_cli = load_golden_cli()
     names = [golden_cli.file_name(number, line) for number, line in enumerate(golden_cli.LINES, 1)]
-    assert sorted(path.name for path in golden.iterdir()) == sorted(names)
-    monkeypatch.chdir(tmp_path)
-    # argparse wraps usage lines at the terminal width; a pipe gives 80
-    monkeypatch.setenv("COLUMNS", "80")
-    for name, line in zip(names, golden_cli.LINES):
-        try:
-            code = main(list(line))
-        except SystemExit as exc:
-            code = exc.code
-        out, err = capsys.readouterr()
-        assert golden_cli.record(line, code, out, err) == (golden / name).read_text(), name
+    replayed = dict(zip(names, map(golden_cli.run, golden_cli.LINES)))
+    exits = re.findall(r"^exit: (.*)$", "".join(replayed.values()), re.MULTILINE)
+    assert len(exits) == len(names) and set(exits) <= set("01234")
+    golden = {path.name: path.read_text() for path in (ROOT / "tests" / "golden").iterdir()}
+    assert replayed == golden
+
+
+def test_golden_cli_refuses_a_primopt_from_another_checkout(tmp_path, monkeypatch, capsys):
+    # primopt is already imported from this checkout, not from tmp_path/src
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    assert load_golden_cli().main([str(tmp_path / "out"), str(tmp_path)]) == 2
+    assert f"not {tmp_path.resolve() / 'src'}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

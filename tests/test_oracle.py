@@ -829,6 +829,23 @@ def test_flow_picks_the_roots_on_an_exact_tie():
         assert exhaustive_optimum(universe, weights) == 1.5
 
 
+def test_certify_notes_a_tie_within_the_grid():
+    # three weights at most 1.0 set a grid of 2^-59: 2 rounds to 0 quanta and
+    # 4 to 1, so Dinic's {3, 4} outweighs the roots {2, 3} by one quantum,
+    # while both fsum to 1.0
+    prime_set = PrimeSet([2, 3])
+    universe = build_universe(prime_set, 1, 2, 4)
+    assert universe.elements == (2, 3, 4)
+    report = oracle._certify(
+        universe, [0.49 * 2**-59, 1.0, 0.51 * 2**-59], None, None, "no tail",
+        oracle.check_condition(prime_set, 2.0), "claim",
+    )
+    assert report.verdict == "holds"
+    assert report.optimum_members.members == (3, 4)
+    assert report.optimum_weight == report.reference_weight == 1.0
+    assert "optimum ties the level set within scaling tolerance" in report.notes
+
+
 def test_members_ascend_on_every_path(monkeypatch, capsys):
     # level order lists {2, 3, 5}'s level 2 as 4, 6, 10, 9, 15, 25, and every
     # path reports it ascending

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from primopt import checks, primes
-from primopt.analytic import jsonable
+from primopt.analytic import ErrBoundReal, jsonable
 from primopt.twin import (
     BrunInput,
     PROVEN_BRUN_BOUND,
@@ -181,6 +181,14 @@ def test_full_twin_check_report_at_ten_million():
         assert threshold == pytest.approx(2.095962159356279, **close)
         assert report.quantities["comparison"].rhs.value == pytest.approx(1.8959621686572696, **close)
         assert jsonable(report) == jsonable(full_twin_verdict(brun, 10**7, square))
+
+
+def test_full_twin_verdict_notes_an_enclosure_outside_the_published_bracket():
+    report = full_twin_verdict(BrunInput(2.0, "x"), 10**4, ErrBoundReal(0.1, 1e-9))
+    assert report.notes[-1] == (
+        "computed square-sum enclosure is inconsistent with the published "
+        f"bracket {FULL_TWIN_SQUARE_BRACKET}"
+    )
 
 
 def _sieve_flags(n):
