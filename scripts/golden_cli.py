@@ -76,6 +76,7 @@ LINES = [
     ["corollary", "--brun-bound", "2.347", "--with-three", "--limit", "1000000"],
     ["erdos-sum", "--members", "4,6,9"],
     ["bridge", "--members", "2,3,5"],
+    # the report goes to stdout only: --out is no option
     ["prime-zeta", "--t", "2", "--out", "missing-dir/report.json"],
     # no command takes --format: a usage error
     ["check-condition", "--primes", "2", "--t", "1", "--format", "text"],
@@ -196,6 +197,11 @@ LINES = [
     # the members weighed are a set: echoed distinct and ascending
     ["erdos-sum", "--members", "9,4,4,6"],
     ["bridge", "--members", "3,2,3"],
+    # h_1 < h_2, with the level sums past 1.3e154: the hypothesis still fails
+    ["chain", "--primes-below", "1000", "--t", "0.0001", "--kmax", "431"],
+    # h_4381 overflows binary64
+    *([argv, "--primes-below", "1000", "--t", "0.0001", "--kmax", "4381"]
+      for argv in ("hk", "chain")),
 ]
 
 _RUNTIME = re.compile(r'("runtime_ms": )\d+')

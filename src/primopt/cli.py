@@ -302,7 +302,7 @@ def _cmd_suite(args):
                 "computed": computed,
                 "expected": check.expected,
                 "verdict": HOLDS if ok else FAILS,
-                "runtime_ms": 0 if args.seed is not None else elapsed_ms,
+                "runtime_ms": elapsed_ms,
             }
         )
     all_hold = all(row["verdict"] == HOLDS for row in rows)
@@ -315,9 +315,6 @@ def _cmd_suite(args):
 
 
 def _build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", help="also write the JSON document to this path")
-
     prime_set_args = argparse.ArgumentParser(add_help=False)
     prime_set_args.add_argument("--primes", help="comma-separated primes, e.g. 2,3,5")
     prime_set_args.add_argument("--primes-below", type=int, help="all primes <= N")
@@ -326,12 +323,11 @@ def _build_parser() -> _Parser:
         "--include-three", action="store_true", help="include 3 with --twins-below"
     )
 
-    # --out only after the command: a subcommand's default would overwrite it
     parser = _Parser(prog="primopt")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_parser(name, handler, *parents):
-        p = sub.add_parser(name, parents=[common, *parents])
+        p = sub.add_parser(name, parents=parents)
         p.set_defaults(handler=handler)
         return p
 
@@ -433,25 +429,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 
-    runtime = int((time.monotonic() - started) * 1000)
-    if getattr(args, "seed", None) is not None:
-        runtime = 0
-    report["runtime_ms"] = runtime
-    try:
-        _write(report, args)
-    except OSError as exc:
-        print(f"error: cannot write --out: {exc}", file=sys.stderr)
-        return 3
+    report["runtime_ms"] = int((time.monotonic() - started) * 1000)
+    sys.stdout.write(json.dumps(report, indent=2) + "\n")
     return _EXIT_BY_VERDICT.get(report["verdict"], 0)
-
-
-def _write(report: dict, args) -> None:
-    """Write ``--out`` first, so a failed write prints no report to stdout."""
-    document = json.dumps(report, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(document)
-    sys.stdout.write(document)
 
 
 if __name__ == "__main__":

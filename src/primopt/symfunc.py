@@ -107,7 +107,8 @@ def h_all(xs: Sequence[Number], kmax: int) -> list[Number]:
     Rolling-row DP over variables: after processing i variables the row
     holds the sums restricted to those variables.  O(m * kmax) time,
     O(kmax) memory.  Works on floats and Fractions alike.  Past
-    ``_H_ALL_BUDGET`` steps the sums are refused before the row exists.
+    ``_H_ALL_BUDGET`` steps the sums are refused before the row exists; a
+    float sum past binary64 is refused once the row is done.
     """
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
@@ -121,6 +122,8 @@ def h_all(xs: Sequence[Number], kmax: int) -> list[Number]:
     for x in xs:
         for k in range(1, kmax + 1):
             row[k] = row[k] + x * row[k - 1]
+    if math.inf in row:
+        raise PrecisionError(f"level sum h_{row.index(math.inf)} overflows binary64")
     return row
 
 
@@ -133,23 +136,42 @@ def sigma_nk(prime_set: PrimeSet, t: float, k: int) -> float:
 
 # Slack of the float checks below, counted from the operations each does.  A
 # binary64 add, multiply or cast gives x (1 + d), |d| <= u = 2^-53, or x + e,
-# |e| <= ulp(0) / 2, for a product that underflows.  A weight float(n) ** -t
-# carries w = 2 + ceil(t) factors 1 + d (libm's pow errs by under one ulp, the
-# cast by (1 + d)^-t), and n such factors lie within 1 +- gamma(n).  h_all's
-# update passes each monomial of h_k over m positive weights through m + 2k - 1
-# roundings (by induction), so h_k carries gamma(m + (2 + w) k); underflows add
-# ulp(0) m S, S the row's sum, as one at row[j] reaches h_k times h_{k-j} <= S.
-# A determinant or a step then errs by gamma(2 (m + (2 + w) K) + 4) of its
-# terms, K the row's last k, with the comparison and the slack's own roundings,
-# plus ulp(0) (1 + 4 m S^2).
+# |e| <= ulp(0) / 2, for a product that underflows (a sum that underflows is
+# exact).  A weight float(n) ** -t carries w = 2 + ceil(t) factors 1 + d
+# (libm's pow errs by under one ulp, the cast by (1 + d)^-t), and n such
+# factors lie within 1 +- gamma(n).  h_all's update passes each monomial of
+# h_k over m positive weights through m + 2k - 1 roundings (by induction), so
+# h_k carries gamma(m + (2 + w) k).
+#
+# Underflows add to that.  The product that weight i adds at row[j] may
+# underflow, once per (i, j); its e reaches h_k times at most h_{k-j} <= S,
+# S the row's sum.  So h_k is off by at most ulp(0) / 2 m S, which the
+# per-level bound E = ulp(0) (1 + m S) holds twice over, the factor 2 taking
+# the roundings of S, E and the carried e.  E is finite where S is: ulp(0) m
+# is exact, and times S it stays below 1.
+#
+# A chain step h_k against h_{k+1} then errs by g = gamma(2 (m + (2 + w) K) +
+# 4) of its terms, K the row's last k, with the comparison and the slack's own
+# roundings, plus E on each side: its slack is g h_{k+1} + 2E.  A determinant
+# h_{k+1}^2 - h_k h_{k+2} errs by g of a + b, its two products, plus what the
+# levels' E carry through them, at most E (2 h_{k+1} + h_k + h_{k+2} + 2E)
+# before two roundings, plus ulp(0) <= E where a or b underflows itself: all
+# within 2E (1 + 2 h_{k+1} + h_k + h_{k+2}).  Each slack scales with the
+# levels it compares, so a large h_K cannot hide the rise from h_1 to h_2
+# that the chain's hypothesis reads.  A level sum, S, a or b that is not
+# finite would make a slack that passes every comparison, so each is refused
+# with a PrecisionError: by h_all, here, or at the determinant.
 
 
 def _level_sums(xs: Sequence[Number], kmax: int, w: int = 0) -> tuple[list, float, float]:
-    """h_0..h_kmax over weights of w roundings, and a determinant's slack."""
+    """h_0..h_kmax over weights of w roundings, their relative slack g, and
+    2E, a chain step's absolute slack (the note above)."""
     h = h_all(xs, kmax)
-    s = math.fsum(h)
     g = _gamma(2 * (len(xs) + (2 + w) * kmax) + 4)
-    return h, g, math.ulp(0.0) * (1.0 + 4.0 * len(xs) * s * s)
+    s = sum(h)  # inf past binary64, where math.fsum raises
+    if s == math.inf:
+        raise PrecisionError(f"the sum of h_0..h_{kmax} overflows binary64")
+    return h, g, 2.0 * (math.ulp(0.0) + math.ulp(0.0) * len(xs) * s)
 
 
 def schur_check(xs: Sequence[Number], kmax: int) -> tuple[bool, Optional[int]]:
@@ -164,7 +186,10 @@ def schur_check(xs: Sequence[Number], kmax: int) -> tuple[bool, Optional[int]]:
     h, g, tiny = _level_sums(xs, kmax + 1)
     for k in range(kmax):
         a, b = h[k + 1] * h[k + 1], h[k] * h[k + 2]
-        if a - b < -(g * (a + b) + tiny):
+        slack = g * (a + b) + tiny * (1.0 + 2.0 * h[k + 1] + h[k] + h[k + 2])
+        if not math.isfinite(slack):
+            raise PrecisionError(f"determinant at k={k} overflows binary64")
+        if a - b < -slack:
             return False, k
     return True, None
 
