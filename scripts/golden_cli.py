@@ -122,7 +122,8 @@ LINES = [
     # on one grid 625^-8 weighs 5^-8 of 125^-8, and the tree bound closes on 125
     ["verify-tbest", *TIE, "--k", "3", "--t", "8"],
     ["oracle", *TIE, "--k-lo", "3", "--t", "8"],
-    # n^-t underflows to 0.0 for a valid t
+    # 123451776^-40 underflows to 0.0, but the level-sum test decides from
+    # the prime weights, and only level 1's are formed
     ["verify-tbest", *DEEP, "--t", "40"],
     ["oracle", *PRIMES, "--k-lo", "1", "--max-omega", "3", "--max-value", "100", "--t", "1e308"],
     ["corollary", "--brun-bound", "inf", "--limit", "1000"],
@@ -155,7 +156,8 @@ LINES = [
     # before the DP and before the weights
     ["hk", *PRIMES, "--t", "1", "--kmax", "6000", "--exact"],
     ["hk", *PRIMES, "--t", "1000000", "--kmax", "1", "--exact"],
-    # the tree bound stays open: Dinic runs, and its optimum is the roots
+    # the tree bound would stay open, but level 1 is whole and the level-sum
+    # test holds: neither the tree pass nor Dinic runs
     ["verify-tbest", "--primes-below", "1000", "--t", "1.2", "--k", "1",
      "--max-omega", "2", "--max-value", "100000"],
     # the tree bound stays open and the optimum is Dinic's cut
@@ -202,6 +204,9 @@ LINES = [
     # h_4381 overflows binary64
     *([argv, "--primes-below", "1000", "--t", "0.0001", "--kmax", "4381"]
       for argv in ("hk", "chain")),
+    # n^-t underflows to 0.0 for a valid t: the oracle weighs every element
+    ["oracle", "--primes", "2,3,5,7", "--k-lo", "1", "--max-omega", "22",
+     "--max-value", "4611686018427387904", "--t", "40"],
 ]
 
 _RUNTIME = re.compile(r'("runtime_ms": )\d+')

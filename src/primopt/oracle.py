@@ -27,6 +27,18 @@ and so does its certification: the weights, their integer quanta, the tree
 bound, the level sets and the member sums run on numpy columns or on
 Python lists.
 
+``verify_tbest`` first asks the level sums.  Under n^-t, N(P) is a product
+of chains with log-concave rank weights, so by Harper's product theorem no
+antichain of N_{>=k}(P) outweighs the largest h_j, j >= k, and h_{k+1} <=
+h_k makes that h_k: ``symfunc.level_sum_check`` decides it exactly, on
+integer bounds of the m prime weights.  When the test holds and the value
+cap leaves level k whole, every antichain of the truncation is one of
+N_{>=k}(P), so level k is its optimum.  Only the level's own weights are
+then formed, for its fsum; no weight is scaled, and no tree pass, covering
+edge or Dinic run follows.  A test that fails or is left open, a level the
+cap cuts, and the Erdos weights of ``verify_erdos_best`` go to the
+optimizer below.
+
 The optimizer first tries a bound from Erdos's tree.  Every element above
 level k_lo has the parent n / P(n), P(n) its largest prime, which is itself
 a member (one level lower, smaller value); the level-k_lo elements are the
@@ -99,7 +111,7 @@ from .analytic import HOLDS, FAILS, MEMBERS_SHOWN, ConditionVerdict, check_condi
 from .erdos import erdos_weights
 from .errors import SizeLimitError
 from .primes import MAX_ELEMENT, PrimeSet
-from .symfunc import h_all, power_weights, sigma_nk
+from .symfunc import h_all, level_sum_check, power_weights, sigma_nk
 
 # Element indices: a list, or an int64 array for a columnar universe.
 Indices = Union[list[int], np.ndarray]
@@ -694,6 +706,13 @@ def _value_tail_bound(prime_set: PrimeSet, t: float, max_value: int) -> float:
     return float(max_value) ** (-theta) * prod
 
 
+def _level_complete(universe: TruncatedUniverse) -> bool:
+    """Whether the value cap leaves level k_lo whole: all comb(k_lo + m - 1,
+    m - 1) multisets of k_lo of the m primes are members."""
+    m, levels = len(universe.prime_set), universe.levels
+    return len(levels) > 1 and levels[1] == math.comb(universe.k_lo + m - 1, m - 1)
+
+
 def _certify(
     universe: TruncatedUniverse,
     weights,
@@ -702,11 +721,19 @@ def _certify(
     no_tail_reason: str,
     condition: ConditionVerdict,
     claim: str,
+    proved: bool = False,
 ) -> OptimalityReport:
-    members, optimum, roots, on_roots, quantum = _optimum(universe, weights)
+    """The report on level k_lo.  When ``proved``, level k_lo is already
+    known to be optimal and ``weights`` are its own; else they cover the
+    universe and the tree pass, then Dinic, find the optimum."""
+    if proved:
+        members = np.arange(len(weights)) if universe.columnar else range(len(weights))
+        on_roots, quantum = True, 0.0
+        optimum = math.fsum(_gather(weights, members))
+    else:
+        members, optimum, roots, on_roots, quantum = _optimum(universe, weights)
     # fsum rounds the exact sum once, so the same members weigh the same
     level_weight = optimum if on_roots else math.fsum(_gather(weights, roots))
-    m = len(universe.prime_set)
 
     # Each weight rounds to its quantum by half a quantum at most, so an
     # antichain's integer weight is within n / 2 quanta of its float weight,
@@ -726,7 +753,7 @@ def _certify(
         )
     if tail_bound is None:
         notes.append(f"{no_tail_reason}; the claim is restricted to the truncation")
-    if len(roots) != math.comb(universe.k_lo + m - 1, m - 1):
+    if not _level_complete(universe):
         notes.append("level set is truncated by the value cap")
 
     return OptimalityReport(
@@ -764,14 +791,21 @@ def verify_tbest(
     if max_omega + 1 < max_value.bit_length():
         omega_tail = _omega_tail_bound(prime_set, t, max_omega)
         tail = None if omega_tail is None else omega_tail + tail
+    reference_full = float(sigma_nk(prime_set, t, k))
+    # Level k is t-best over all of N_{>=k}(P) when the level-sum test
+    # holds, and so over the truncation once the value cap leaves it whole:
+    # only the level's own weights are needed
+    proved = _level_complete(universe) and level_sum_check(prime_set, t, k) == HOLDS
+    weighed = universe.elements[: universe.levels[1]] if proved else universe.elements
     return _certify(
         universe,
-        power_weights(universe.elements, t),
-        reference_full=float(sigma_nk(prime_set, t, k)),
+        power_weights(weighed, t),
+        reference_full=reference_full,
         tail_bound=tail,
         no_tail_reason="weight sum of the alphabet is >= 1: no tail bound",
         condition=condition,
         claim=f"level {k} is t-best (t={t}) over the truncation",
+        proved=proved,
     )
 
 

@@ -5,7 +5,8 @@ The degree-k sum over weights (x_1..x_m) equals the weighted sum over the
 set of semigroup elements with exactly k prime factors, at x_i = p_i^-t.
 Everything is a finite positive sum, so the rolling-row DP is numerically
 stable.  The polynomial identities are decided exactly, on the binary64
-weights as integers over one power-of-two scale, and the gcd-block
+weights as integers over one power-of-two scale, as is the level-sum step
+h_{k+1} <= h_k, on integer bounds of the true weights; the gcd-block
 partition by exact set equality; the Schur and chain checks compare floats
 against a slack derived from the roundings each performs (the note above
 ``_level_sums``).
@@ -77,6 +78,48 @@ def power_weights(values: Union[PrimeSet, Sequence[int], np.ndarray], t: float):
         n = min(n for n, w in zip(values, weights) if w == 0.0)
         raise PrecisionError(f"weight {n}^-{t} underflows to 0 in binary64")
     return weights
+
+
+# The weight w = float(p) ** -t against p^-t.  libm's pow errs by under one
+# ulp (glibc documents 0.52), and 2 ulps are allowed: |w - float(p)^-t| <=
+# 2^-51 w + 2^-1073, the first term for a normal w (ulp(w) <= 2^-52 w), the
+# second, two ulps of 0, for a subnormal or zero one.  Up to 2^53 the cast
+# float(p) is exact; above it float(p) = p (1 + e), |e| <= u = 2^-53, so p^-t
+# = float(p)^-t (1 + e)^t, and with x = t u <= 1/4, (1 + u)^t <= exp(x) <=
+# 1 + 2x and (1 - u)^t >= 1 - u t / (1 - u) >= 1 - 2x.  Together p^-t lies
+# in [(w - z)(1 - r), (w + z)(1 + r)], z = 2^-1073, with r = 2^-50 (which
+# holds (1 + 2^-51)(1 + 2x) - 1 for x = 0) plus 3x for p above 2^53.  Past
+# x = 1/4 such a p has p^-t < 2^(-53 * 2^51), far below z, so r = 1 serves.
+# On the grid d = 2^s each bound is rounded outward: d z (1 + r) <= 2 d z is
+# at most 2^(s - 1072) quanta, or 1.  s puts every nonzero w at 2^62 quanta
+# or more (so d w is an integer), which keeps the rounding far below r.
+_POW_PAD = 2**14  # 2^-50 over 2^64
+
+
+def power_bounds(
+    values: Union[PrimeSet, Sequence[int]], t: float
+) -> tuple[int, list[int], list[int]]:
+    """(d, lo, hi): d a power of two and integers lo_i <= d p_i^-t <= hi_i,
+    around the weights ``power_weights`` gives (the note above).
+
+    The weights may underflow: a zero weight gets lo 0 and a positive hi.
+    """
+    if not (t > 0) or not math.isfinite(t):
+        raise ValueError("weights need a finite t > 0")
+    weights = [float(p) ** (-t) for p in values]
+    s = max((63 - math.frexp(w)[1] for w in weights if w), default=1074)
+    zero = 1 << max(0, s - 1072)
+    num, den = t.as_integer_ratio()
+    # 2^-50 + 3 t u over 2^64, rounded up
+    cast = _POW_PAD - (-num * 3 * 2**11 // den) if t <= 2**51 else 1 << 64
+    lo, hi = [], []
+    for p, w in zip(values, weights):
+        num, den = w.as_integer_ratio()
+        scaled = num << (s - den.bit_length() + 1)
+        pad = -((-scaled * (cast if p > 2**53 else _POW_PAD)) >> 64) + zero
+        lo.append(max(0, scaled - pad))
+        hi.append(scaled + pad)
+    return 1 << s, lo, hi
 
 
 def exact_weights_from_primes(prime_set: PrimeSet, t: int, kmax: int = 1) -> list[Fraction]:
@@ -253,6 +296,39 @@ def quadratic_equivalence_check(prime_set: PrimeSet, t: float) -> bool:
     if not s2 < s1 * d:
         return False
     return (s1 * d >= h2) == (s1 <= d or (s1 - d) ** 2 <= d * d - s2)
+
+
+def level_sum_check(prime_set: PrimeSet, t: float, k: int) -> str:
+    """Whether level k is t-best over all of N_{>=k}(P): HOLDS when h_{k+1}
+    <= h_k at the true weights p^-t, FAILS when h_{k+1} > h_k, INCONCLUSIVE
+    when the weights' enclosures leave the sign open.
+
+    N(P) under divisibility is the product of one chain per prime, chain p
+    weighing p^-at at rank a, and n^-t is the product weight.  By Harper's
+    product theorem (L. H. Harper, "The morphology of partially ordered
+    sets", JCTA 17 (1974); K. Engel, *Sperner Theory* (1997), ch. 4) such a
+    product of chains with log-concave rank weights has the LYM property
+    for its rank sums, the level sums h_j: an antichain A of N_{>=k}(P)
+    has sum_j w(A_j) / h_j <= 1, so w(A) <= max_{j>=k} h_j.  (h_j) is
+    log-concave, a convolution of geometric sequences, so h_{k+1} <= h_k
+    makes h_k that maximum, and level k, itself an antichain, is t-best;
+    otherwise level k + 1 outweighs it.  For k = 1 this is
+    ``quadratic_equivalence_check``'s h_2 <= h_1.
+
+    Exact on the integer bounds of ``power_bounds`` over d, since h_j rises
+    in every weight: HOLDS iff h_{k+1}(hi) <= d h_k(lo), FAILS iff
+    h_{k+1}(lo) > d h_k(hi).  Both sums go through ``h_all``, so its budget
+    holds.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    d, lo, hi = power_bounds(prime_set, t)
+    low, high = h_all(lo, k + 1), h_all(hi, k + 1)
+    if high[k + 1] <= d * low[k]:
+        return HOLDS
+    if low[k + 1] > d * high[k]:
+        return FAILS
+    return INCONCLUSIVE
 
 
 def level_elements(prime_set: PrimeSet, k: int) -> list[int]:

@@ -349,10 +349,13 @@ def test_domain_error_exit_3(capsys):
 
 def test_precision_error_exit_2(capsys):
     assert main(["zeta", "--s", "1.01", "--radius", "1e-14"]) == 2
-    # n^-t underflows to 0.0 for a valid t: the flow and the brute force agree
-    assert main(["verify-tbest", "--primes", "2,3,5,7", "--k", "1", "--max-omega", "22",
-                 "--max-value", "4611686018427387904", "--t", "40"]) == 2
+    # n^-t underflows to 0.0 for a valid t: the oracle weighs every element
+    caps = ["--max-omega", "22", "--max-value", "4611686018427387904", "--t", "40"]
+    assert main(["oracle", "--primes", "2,3,5,7", "--k-lo", "1", *caps]) == 2
     assert "123451776^-40.0 underflows" in capsys.readouterr().out
+    # verify-tbest decides level 1 from the prime weights and weighs only it
+    assert main(["verify-tbest", "--primes", "2,3,5,7", "--k", "1", *caps]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "holds"
     oracle = ["oracle", "--primes", "2,3", "--k-lo", "1", "--max-omega", "3",
               "--max-value", "100", "--t", "1e308"]
     assert main(oracle) == 2

@@ -13,10 +13,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from primopt import oracle
-from primopt.analytic import jsonable
+from primopt.analytic import FAILS, HOLDS, INCONCLUSIVE, jsonable
 from primopt.cli import main
 from primopt.erdos import erdos_sum, erdos_weights
-from primopt.errors import SizeLimitError
+from primopt.errors import PrecisionError, SizeLimitError
 from primopt.oracle import (
     DEFAULT_MAX_ELEMENTS,
     Antichain,
@@ -34,7 +34,9 @@ from primopt.oracle import (
     verify_tbest,
 )
 from primopt.primes import MAX_ELEMENT, PrimeSet, omega, sieve_primes
-from primopt.symfunc import h_all, power_weights, sigma_nk
+from primopt.symfunc import (
+    exact_weights_from_primes, h_all, level_sum_check, power_weights, sigma_nk,
+)
 
 
 def semigroup_filter(primes, k_lo, max_omega, max_value):
@@ -745,6 +747,29 @@ def _t_with_prime_sum(primes, target):
     return lo
 
 
+def omega_band_draws(count):
+    """``count`` seeded Omega bands (primes, k, top, max_value, t): 2 to 12
+    primes below 200, levels k..top of at most 5,000 elements in all, a t
+    at which sum p^-t falls through a draw from (0.8, 3.0), and a value cap
+    that leaves the band whole (max(P)^top) on two draws of three and cuts
+    it on the third."""
+    rng = random.Random(15)
+    small = sieve_primes(200).as_list()
+    for draw in range(count):
+        while True:
+            primes = sorted(rng.sample(small, rng.randint(2, 12)))
+            k = rng.randint(1, 3)
+            top = k + rng.randint(0, 3)
+            if sum(math.comb(j + len(primes) - 1, j) for j in range(k, top + 1)) <= 5000:
+                break
+        # sum p^-t >= 1 on most draws, so the tree bound often stays open
+        t = _t_with_prime_sum(primes, rng.uniform(0.8, 3.0))
+        max_value = whole = primes[-1] ** top
+        if draw % 3 == 2:
+            max_value = int(math.exp(rng.uniform(math.log(primes[0] ** top), math.log(whole))))
+        yield primes, k, top, max_value, t
+
+
 def test_flow_optimum_of_an_omega_band_is_its_heaviest_level():
     # N(P) under a multiplicative weight is a product of chains whose rank
     # sums h_j are log-concave, so it has the LYM property (K. Engel, Sperner
@@ -757,23 +782,9 @@ def test_flow_optimum_of_an_omega_band_is_its_heaviest_level():
     # denominator 2^(top d): n = prod p^e on level j weighs
     # prod a_p^e * 2^((top - j) d), and h_all over the same a_p gives
     # h_j * 2^(j d).
-    rng = random.Random(15)
-    small = sieve_primes(200).as_list()
     open_trees = above_k = 0
-    for draw in range(60):
-        while True:
-            primes = sorted(rng.sample(small, rng.randint(2, 12)))
-            k = rng.randint(1, 3)
-            top = k + rng.randint(0, 3)
-            if sum(math.comb(j + len(primes) - 1, j) for j in range(k, top + 1)) <= 5000:
-                break
-        # sum p^-t >= 1 on most draws, so the tree bound often stays open
-        t = _t_with_prime_sum(primes, rng.uniform(0.8, 3.0))
-        whole = primes[-1] ** top
-        cut = draw % 3 == 2
-        max_value = whole
-        if cut:
-            max_value = int(math.exp(rng.uniform(math.log(primes[0] ** top), math.log(whole))))
+    for primes, k, top, max_value, t in omega_band_draws(60):
+        cut = max_value < primes[-1] ** top
         universe = build_universe(PrimeSet(primes), k, top, max_value)
 
         ratios = [(float(p) ** -t).as_integer_ratio() for p in primes]
@@ -923,19 +934,68 @@ def test_regimes_give_identical_reports_on_seeded_universes():
 _DEEP = (PrimeSet([2, 3, 5, 7]), 1, 22, 2**62)
 
 
+# level_sum_check leaves the primes below 100 open at this t, a few ulps
+# above where h_2 - h_1 changes sign
+_OPEN_T = 1.0156227079501332
+
+# the level-sum test decides "open-roots" and "deep-underflow" (level 1 is
+# whole, and only its four weights are formed); the fallback's own inputs
+# follow each: a level cut by the value cap, and a test left open, where
+# the tree bound stays open and Dinic runs, and element weights that
+# underflow off a cut level
+_FALLBACKS = {
+    # the tree bound stays open and Dinic decides: the roots are optimal
+    "cut-roots": lambda: verify_tbest(sieve_primes(1000), 1.2, 1, 2, 990),
+    # the tree bound stays open and Dinic's cut ties the roots on the grid
+    "open-test": lambda: verify_tbest(sieve_primes(100), _OPEN_T, 1, 2, 10**4),
+    "cut-underflow": lambda: verify_tbest(
+        PrimeSet([2, 3, 5, 7, 100003]), 40.0, 2, 22, 100003**2 - 1
+    ),
+}
+
+
 @pytest.mark.parametrize("call", [
     *(lambda t=t: verify_tbest(_DEEP[0], t, *_DEEP[1:]) for t in (1.5, 8.0, 40.0)),
+    lambda: max_weight_antichain_flow(build_universe(*_DEEP), 40.0),
     lambda: verify_erdos_best(*_DEEP),
     lambda: max_weight_antichain_flow(build_universe(*_DEEP), 1.5),
-    # the tree bound stays open and Dinic decides: the roots are optimal
     lambda: verify_tbest(sieve_primes(1000), 1.2, 1, 2, 10**5),
+    *_FALLBACKS.values(),
     # the tree bound stays open and the optimum is Dinic's cut
     lambda: verify_tbest(sieve_primes(300), 1.02, 1, 2, 90000),
     lambda: max_weight_antichain_flow(build_universe(sieve_primes(300), 1, 2, 90000), 1.02),
-], ids=["deep-1.5", "deep-8", "deep-underflow", "deep-erdos", "deep-flow",
-        "open-roots", "open-cut", "open-cut-flow"])
+], ids=["deep-1.5", "deep-8", "deep-underflow", "deep-underflow-flow", "deep-erdos",
+        "deep-flow", "open-roots", *_FALLBACKS, "open-cut", "open-cut-flow"])
 def test_regimes_give_identical_reports(call):
     assert_same_in_both_regimes(call)
+
+
+def _counting(monkeypatch, name, calls):
+    """Replace oracle.``name`` by a wrapper that appends to ``calls``."""
+    function = getattr(oracle, name)
+
+    def counted(*args):
+        calls.append(name)
+        return function(*args)
+
+    monkeypatch.setattr(oracle, name, counted)
+
+
+def test_fallback_inputs_reach_the_tree_and_dinic(monkeypatch):
+    calls = []
+    for name in ("_tree_optimum", "_residual_optimum"):
+        _counting(monkeypatch, name, calls)
+    assert level_sum_check(sieve_primes(100), _OPEN_T, 1) == INCONCLUSIVE
+    assert not oracle._level_complete(build_universe(sieve_primes(1000), 1, 2, 990))
+    for name in ("cut-roots", "open-test"):
+        calls.clear()
+        assert _FALLBACKS[name]().holds()
+        assert calls == ["_tree_optimum", "_residual_optimum"], name
+    # the element weights refuse before the tree pass
+    calls.clear()
+    with pytest.raises(PrecisionError, match="weight 123451776"):
+        _FALLBACKS["cut-underflow"]()
+    assert calls == []
 
 
 def log_uniform_draws(count, seed):
@@ -997,6 +1057,7 @@ def test_erdos_optimum_weight_is_erdos_sum_bit_for_bit(args):
 def test_dinic_is_built_only_where_the_tree_stays_open(monkeypatch):
     built = []
     covered = []
+    passes = []
 
     class CountingDinic(_Dinic):
         def __init__(self, *args, **kwargs):
@@ -1011,17 +1072,84 @@ def test_dinic_is_built_only_where_the_tree_stays_open(monkeypatch):
 
     monkeypatch.setattr(oracle, "_Dinic", CountingDinic)
     monkeypatch.setattr(oracle.TruncatedUniverse, "covering_edges", counting_edges)
+    for name in ("_tree_optimum", "_scaled_weights"):
+        _counting(monkeypatch, name, passes)
+    # the level-sum test decides all four: no weight is scaled and no tree walked
     assert verify_tbest(PrimeSet([2, 3, 5]), 1.5, 1, 6, 10**6).holds()
-    assert verify_erdos_best(PrimeSet([5, 7, 11, 13]), 1, 4, 10**6).holds()
-    # 14,898 of these 14,949 weights round to 0 quanta, and still no network
     assert verify_tbest(PrimeSet([2, 3, 5, 7]), 8.0, 1, 22, 2**62).holds()
     # the other two certify-large instances of perfbench: wide and deep
     assert verify_tbest(sieve_primes(1000), 1.5, 2, 3, 10**6).holds()
     assert verify_tbest(PrimeSet([2, 3, 5, 7]), 1.5, 1, 22, 2**62).holds()
+    assert passes == []
+    # the Erdos weights keep the tree pass, which closes
+    assert verify_erdos_best(PrimeSet([5, 7, 11, 13]), 1, 4, 10**6).holds()
+    assert passes == ["_scaled_weights", "_tree_optimum"]
     assert built == [] and covered == []
     report = verify_tbest(sieve_primes(300), 1.02, 1, 2, 300**2)
     assert report.verdict == "fails"
     assert len(built) == 1 and len(covered) == 1
+
+
+@pytest.mark.parametrize("columns_from", [LISTS, COLUMNS])
+def test_the_decided_path_weighs_only_level_k(monkeypatch, columns_from):
+    monkeypatch.setattr(oracle, "_COLUMNS_FROM", columns_from)
+    weighed = []
+
+    def recording(values, t):
+        if not isinstance(values, PrimeSet):  # the tails weigh the primes
+            weighed.append(as_list(values))
+        return power_weights(values, t)
+
+    monkeypatch.setattr(oracle, "power_weights", recording)
+    for args in (
+        (PrimeSet([2, 3, 5]), 1.5, 1, 6, 10**6),
+        (sieve_primes(1000), 1.5, 2, 3, 10**6),
+        (sieve_primes(1000), 1.2, 1, 2, 10**5),
+        # 123451776^-40 underflows, and it is never formed
+        (PrimeSet([2, 3, 5, 7]), 40.0, 1, 22, 2**62),
+    ):
+        weighed.clear()
+        universe = build_universe(args[0], *args[2:])
+        assert verify_tbest(*args).holds()
+        assert weighed == [as_list(universe.elements)[: universe.levels[1]]]
+
+
+def _verify_json(prime_set, t, k, max_omega, max_value):
+    return json.dumps(jsonable(verify_tbest(prime_set, t, k, max_omega, max_value)))
+
+
+def test_decided_reports_equal_the_fallback_on_seeded_draws():
+    # Where level_sum_check HOLDS and level k is whole, verify_tbest skips the
+    # tree pass and Dinic.  Its report must be _certify's over every element,
+    # the path it takes when the test is left open.  A decisive verdict at
+    # any t agrees with exact Fraction sums over the binary64 weights, which
+    # the bounds enclose too; at integer t with the true weights p^-t.
+    draws = [
+        (universe.prime_set, kind, universe.k_lo, universe.max_omega, universe.max_value)
+        for universe, kind, _ in seeded_universes(1040) if kind not in ("erdos", "arbitrary")
+    ] + [
+        (PrimeSet(primes), t, k, top, max_value)
+        for primes, k, top, max_value, t in omega_band_draws(60)
+    ]
+    counts = {"decided": 0, FAILS: 0, HOLDS: 0}
+    for prime_set, t, k, max_omega, max_value in draws:
+        verdict = level_sum_check(prime_set, t, k)
+        h = h_all([Fraction(w) for w in power_weights(prime_set, t)], k + 1)
+        assert verdict == INCONCLUSIVE or (h[k + 1] <= h[k]) == (verdict == HOLDS)
+        counts[verdict] = counts.get(verdict, 0) + 1
+        for whole in (1, 2):
+            exact = h_all(exact_weights_from_primes(prime_set, whole, k + 1), k + 1)
+            expected = HOLDS if exact[k + 1] <= exact[k] else FAILS
+            assert level_sum_check(prime_set, whole, k) == expected
+        universe = build_universe(prime_set, k, max_omega, max_value)
+        if t > 1.0 and verdict == HOLDS and oracle._level_complete(universe):
+            counts["decided"] += 1
+            args = (prime_set, t, k, max_omega, max_value)
+            decided = _verify_json(*args)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(oracle, "level_sum_check", lambda *_: INCONCLUSIVE)
+                assert _verify_json(*args) == decided, args
+    assert counts["decided"] >= 300 and counts[FAILS] >= 20, counts
 
 
 def test_flow_equals_bruteforce_on_exhaustive_grid():

@@ -3,12 +3,13 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from primopt import symfunc
-from primopt.analytic import ErrBoundReal
+from primopt.analytic import FAILS, HOLDS, INCONCLUSIVE, ErrBoundReal
 from primopt.errors import SizeLimitError
 from primopt.primes import PrimeSet, sieve_primes
 from primopt.symfunc import (
@@ -17,6 +18,8 @@ from primopt.symfunc import (
     exact_weights_from_primes,
     h_all,
     level_elements,
+    level_sum_check,
+    power_bounds,
     power_weights,
     quadratic_equivalence_check,
     schur_check,
@@ -280,6 +283,98 @@ def test_quadratic_equivalence_holds_exactly_near_the_root(primes, t, ulps):
     for _ in range(abs(ulps)):
         near = math.nextafter(near, math.copysign(math.inf, ulps))
     assert quadratic_equivalence_check(prime_set, near)
+
+
+@given(st.integers(2, 2**63 - 1), st.floats(0.0, 60.0, exclude_min=True))
+@settings(max_examples=300, deadline=None)
+@example(2, 60.0)
+@example(2**53 + 1, 1.0)  # float(n) rounds down
+@example(2**63 - 1, 60.0)  # the cast error times the largest t
+@example(2**63 - 1, 16.5)  # subnormal: about 2^-1039
+@example(3037000493, 34.0)  # subnormal: about 2^-1071
+@example(2**63 - 1, 17.1)  # 2^-1077: rounds to 0
+@example(3, 5e-324)  # 3^-t rounds to 1.0
+def test_power_bounds_enclose_mpmath(n, t):
+    d, (lo,), (hi,) = power_bounds([n], t)
+    weight = float(n) ** -t
+    assert d & (d - 1) == 0 and 0 <= lo <= hi
+    # the integers bracket the weight's own bits, so they keep them
+    assert lo <= Fraction(weight) * d <= hi
+    with mpmath.workdps(60):
+        exact = mpmath.mpf(n) ** -mpmath.mpf(t)
+        assert lo <= exact * d <= hi
+    if weight >= 2.0**-1000:  # normal: the pad is relative and small
+        assert hi - lo <= Fraction(weight) * d / 2**44
+
+
+def test_power_bounds_examples():
+    # 2^-10 is exact: d puts it at 2^62 quanta, padded by 2^-50 of that and one quantum
+    assert power_bounds([2], 10.0) == (2**72, [2**62 - 2**12 - 1], [2**62 + 2**12 + 1])
+    d, lo, hi = power_bounds(PrimeSet([2, 3, 5]), 1.5)
+    assert [w * d for w in power_weights(PrimeSet([2, 3, 5]), 1.5)] == [
+        (a + b) / 2 for a, b in zip(lo, hi)
+    ]
+    # 5^-500 underflows: lo 0 and hi above the true value
+    d, (lo,), (hi,) = power_bounds([5], 500.0)
+    assert d == 2**1074 and lo == 0 and 0 < hi <= 4
+    with pytest.raises(ValueError):
+        power_bounds([2], 0.0)
+    with pytest.raises(ValueError):
+        power_bounds([2], math.inf)
+
+
+def _exact_step(prime_set, t, k):
+    """Whether h_{k+1} <= h_k in exact Fractions at integer t."""
+    h = h_all(exact_weights_from_primes(prime_set, t, k + 1), k + 1)
+    return h[k + 1] <= h[k]
+
+
+def test_level_sum_check_matches_exact_sums():
+    # t = 1 fails from about the first 18 primes on, where S_1 passes 1 + sqrt(1 - S_2)
+    rng = random.Random(31)
+    pool = sieve_primes(400).as_list()
+    verdicts = {HOLDS: 0, FAILS: 0}
+    for _ in range(300):
+        prime_set = PrimeSet(pool[: rng.randint(1, 78)] if rng.random() < 0.5
+                             else sorted(rng.sample(pool, rng.randint(1, 12))))
+        t, k = rng.choice((1, 1, 2, 3)), rng.randint(1, 3)
+        verdict = level_sum_check(prime_set, t, k)
+        assert verdict == (HOLDS if _exact_step(prime_set, t, k) else FAILS)
+        verdicts[verdict] += 1
+    assert min(verdicts.values()) >= 10, verdicts
+    # k = 1 is the quadratic equivalence's h_2 <= h_1
+    assert level_sum_check(sieve_primes(10**5), 1.02, 1) == FAILS
+    assert level_sum_check(sieve_primes(1000), 1.2, 1) == HOLDS
+    with pytest.raises(ValueError):
+        level_sum_check(PrimeSet([2]), 1.5, 0)
+
+
+def test_level_sum_check_is_inconclusive_only_at_its_root():
+    # h_2 - h_1 changes sign once as t grows: bisect the verdict to the
+    # adjacent floats where it changes, and find the open band in between
+    prime_set = sieve_primes(100)
+    lo, hi = 1.0, 2.0
+    assert level_sum_check(prime_set, lo, 1) == FAILS
+    assert level_sum_check(prime_set, hi, 1) == HOLDS
+    while math.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if level_sum_check(prime_set, mid, 1) == FAILS else (lo, mid)
+    verdicts = []
+    t = lo
+    for _ in range(40):
+        verdicts.append(level_sum_check(prime_set, t, 1))
+        t = math.nextafter(t, 2.0)
+    first = verdicts.index(INCONCLUSIVE)
+    last = len(verdicts) - verdicts[::-1].index(INCONCLUSIVE)
+    assert set(verdicts[:first]) == {FAILS} and set(verdicts[last:]) == {HOLDS}
+    assert set(verdicts[first:last]) == {INCONCLUSIVE} and last - first < 30
+
+
+def test_level_sum_check_stays_within_the_h_all_budget(monkeypatch):
+    monkeypatch.setattr(symfunc, "_H_ALL_BUDGET", 8)
+    assert level_sum_check(PrimeSet([2, 3, 5, 7]), 1.5, 1) == HOLDS
+    with pytest.raises(SizeLimitError):
+        level_sum_check(PrimeSet([2, 3, 5, 7]), 1.5, 2)
 
 
 def test_level_elements_counts_and_membership():
