@@ -88,11 +88,12 @@ def power_weights(values: Union[PrimeSet, Sequence[int], np.ndarray], t: float):
 # = float(p)^-t (1 + e)^t, and with x = t u <= 1/4, (1 + u)^t <= exp(x) <=
 # 1 + 2x and (1 - u)^t >= 1 - u t / (1 - u) >= 1 - 2x.  Together p^-t lies
 # in [(w - z)(1 - r), (w + z)(1 + r)], z = 2^-1073, with r = 2^-50 (which
-# holds (1 + 2^-51)(1 + 2x) - 1 for x = 0) plus 3x for p above 2^53.  Past
-# x = 1/4 such a p has p^-t < 2^(-53 * 2^51), far below z, so r = 1 serves.
-# On the grid d = 2^s each bound is rounded outward: d z (1 + r) <= 2 d z is
-# at most 2^(s - 1072) quanta, or 1.  s puts every nonzero w at 2^62 quanta
-# or more (so d w is an integer), which keeps the rounding far below r.
+# holds (1 + 2^-51)(1 + 2x) - 1 for x = 0) plus 3x once a p passes 2^53.
+# Past x = 1/4 such a p has p^-t < 2^(-53 * 2^51), far below z, so r = 1
+# serves.  On the grid d = 2^s each bound is rounded outward: d w r rounds
+# down by under one quantum, and d z (1 + r) <= 2 d z is at most 2^(s - 1072)
+# quanta, or 1.  s puts every nonzero w at 2^62 quanta or more (so d w is an
+# integer), which keeps the rounding far below r.
 _POW_PAD = 2**14  # 2^-50 over 2^64
 
 
@@ -107,16 +108,21 @@ def power_bounds(
     if not (t > 0) or not math.isfinite(t):
         raise ValueError("weights need a finite t > 0")
     weights = [float(p) ** (-t) for p in values]
-    s = max((63 - math.frexp(w)[1] for w in weights if w), default=1074)
-    zero = 1 << max(0, s - 1072)
-    num, den = t.as_integer_ratio()
-    # 2^-50 + 3 t u over 2^64, rounded up
-    cast = _POW_PAD - (-num * 3 * 2**11 // den) if t <= 2**51 else 1 << 64
+    smallest = min(filter(None, weights), default=0.0)
+    s = 63 - math.frexp(smallest)[1] if smallest else 1074
+    if max(values, default=0) <= 2**53:
+        r = _POW_PAD
+    elif t <= 2**51:
+        num, den = t.as_integer_ratio()
+        r = _POW_PAD - (-num * 3 * 2**11 // den)  # 2^-50 + 3 t u over 2^64, rounded up
+    else:
+        r = 1 << 64
+    rounding = 1 + (1 << max(0, s - 1072))
     lo, hi = [], []
-    for p, w in zip(values, weights):
+    for w in weights:
         num, den = w.as_integer_ratio()
-        scaled = num << (s - den.bit_length() + 1)
-        pad = -((-scaled * (cast if p > 2**53 else _POW_PAD)) >> 64) + zero
+        scaled = num << (s + 1 - den.bit_length())
+        pad = (scaled * r >> 64) + rounding
         lo.append(max(0, scaled - pad))
         hi.append(scaled + pad)
     return 1 << s, lo, hi

@@ -1131,12 +1131,12 @@ def test_decided_reports_equal_the_fallback_on_seeded_draws():
         (PrimeSet(primes), t, k, top, max_value)
         for primes, k, top, max_value, t in omega_band_draws(60)
     ]
-    counts = {"decided": 0, FAILS: 0, HOLDS: 0}
+    counts = {"decided": 0, FAILS: 0, HOLDS: 0, INCONCLUSIVE: 0}
     for prime_set, t, k, max_omega, max_value in draws:
         verdict = level_sum_check(prime_set, t, k)
         h = h_all([Fraction(w) for w in power_weights(prime_set, t)], k + 1)
         assert verdict == INCONCLUSIVE or (h[k + 1] <= h[k]) == (verdict == HOLDS)
-        counts[verdict] = counts.get(verdict, 0) + 1
+        counts[verdict] += 1
         for whole in (1, 2):
             exact = h_all(exact_weights_from_primes(prime_set, whole, k + 1), k + 1)
             expected = HOLDS if exact[k + 1] <= exact[k] else FAILS

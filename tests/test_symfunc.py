@@ -308,15 +308,16 @@ def test_power_bounds_enclose_mpmath(n, t):
 
 
 def test_power_bounds_examples():
-    # 2^-10 is exact: d puts it at 2^62 quanta, padded by 2^-50 of that and one quantum
-    assert power_bounds([2], 10.0) == (2**72, [2**62 - 2**12 - 1], [2**62 + 2**12 + 1])
+    # 2^-10 is exact: d puts it at 2^62 quanta, padded by 2^-50 of that, one
+    # quantum for rounding it and one for two ulps of 0
+    assert power_bounds([2], 10.0) == (2**72, [2**62 - 2**12 - 2], [2**62 + 2**12 + 2])
     d, lo, hi = power_bounds(PrimeSet([2, 3, 5]), 1.5)
     assert [w * d for w in power_weights(PrimeSet([2, 3, 5]), 1.5)] == [
         (a + b) / 2 for a, b in zip(lo, hi)
     ]
-    # 5^-500 underflows: lo 0 and hi above the true value
+    # 5^-500 underflows: lo 0, and hi two ulps of 0 (4 quanta) and one quantum
     d, (lo,), (hi,) = power_bounds([5], 500.0)
-    assert d == 2**1074 and lo == 0 and 0 < hi <= 4
+    assert (d, lo, hi) == (2**1074, 0, 5)
     with pytest.raises(ValueError):
         power_bounds([2], 0.0)
     with pytest.raises(ValueError):
