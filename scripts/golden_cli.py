@@ -177,8 +177,8 @@ LINES = [
     ["check-condition", "--primes", "2", "--include-three", "--t", "1"],
     ["schur", "--weights", "0.5,0.25", "--primes", "2,3", "--kmax", "2"],
     ["schur", "--weights", "", "--kmax", "2"],
-    # every n past the Omega cap is past the value cap: the value tail alone
-    # bounds what the truncation leaves out
+    # an Omega cap past every element's: the universe holds the six powers
+    # of 2 up to the value cap
     ["verify-tbest", "--primes", "2", "--t", "1.5", "--k", "1", "--max-omega", "1000000000",
      "--max-value", "100"],
     # flags a command would ignore are refused, by name
@@ -207,6 +207,10 @@ LINES = [
     # n^-t underflows to 0.0 for a valid t: the oracle weighs every element
     ["oracle", "--primes", "2,3,5,7", "--k-lo", "1", "--max-omega", "22",
      "--max-value", "4611686018427387904", "--t", "40"],
+    # the level-sum test is left open, a few ulps above the root of h_2 - h_1:
+    # the claim keeps to the truncation
+    ["verify-tbest", "--primes-below", "100", "--t", "1.0156227079501332", "--k", "1",
+     "--max-omega", "2", "--max-value", "10000"],
 ]
 
 _RUNTIME = re.compile(r'("runtime_ms": )\d+')

@@ -267,7 +267,7 @@ def _cmd_erdos_sum(args):
     return _envelope(
         "reciprocal-log weight sum",
         HOLDS,
-        lhs=ErrBoundReal.exact(erdos.erdos_sum(members)),
+        lhs=erdos.erdos_sum(members),
         members=members,
     )
 

@@ -1,8 +1,8 @@
 """Reciprocal-log weights 1/(n log n) and their integral bridge to power weights.
 
 ``erdos_weights`` is the one kernel for the weight, in the form of its
-input and with the same bits in either; ``erdos_sum`` sums it, and the
-oracle's ``verify_erdos_best`` certifies under it.
+input and with the same bits in either; ``erdos_sum`` encloses its sum,
+and the oracle's ``verify_erdos_best`` certifies under it.
 
 For a finite set, the reciprocal-log sum equals the integral over t in
 (1, inf) of the power-weight sum: each term integrates to n^-1/log n.  The
@@ -59,9 +59,12 @@ def _members(members: Sequence[int]) -> list[int]:
     return values
 
 
-def erdos_sum(members: Sequence[int]) -> float:
-    """Sum of 1/(n log n) over a finite set of integers >= 2."""
-    return math.fsum(erdos_weights(_members(members)))
+def erdos_sum(members: Sequence[int]) -> ErrBoundReal:
+    """An enclosure of the sum of 1/(n log n) over a finite set of integers
+    >= 2.  A term carries 6 roundings (cast, log, product, divide) and the
+    fsum one more, within ``_pad``'s 8 u."""
+    direct = math.fsum(erdos_weights(_members(members)))
+    return ErrBoundReal(direct, _pad(direct))
 
 
 def _bridge_integral(xs: list[float]) -> ErrBoundReal:
@@ -95,12 +98,9 @@ def _bridge_integral(xs: list[float]) -> ErrBoundReal:
 def integral_bridge_check(members: Sequence[int]) -> ConditionVerdict:
     """The enclosed integral of the power-weight sum over (1, inf) against
     the direct reciprocal-log sum: lhs is |integral - erdos_sum|, rhs the
-    radius of that difference, so it holds iff the two enclosures meet.  A
-    direct term carries 6 roundings (cast, log, product, divide) and the
-    fsum one more, within ``_pad``'s 8 u."""
+    radius of that difference, so it holds iff the two enclosures meet."""
     values = _members(members)
-    direct = erdos_sum(values)
-    difference = _bridge_integral([float(n) for n in values]) - ErrBoundReal(direct, _pad(direct))
+    difference = _bridge_integral([float(n) for n in values]) - erdos_sum(values)
     return ConditionVerdict.compare(
         ErrBoundReal.exact(abs(difference.value)), ErrBoundReal.exact(difference.radius)
     )

@@ -32,12 +32,12 @@ of chains with log-concave rank weights, so by Harper's product theorem no
 antichain of N_{>=k}(P) outweighs the largest h_j, j >= k, and h_{k+1} <=
 h_k makes that h_k: ``symfunc.level_sum_check`` decides it exactly, on
 integer bounds of the m prime weights.  When the test holds and the value
-cap leaves level k whole, every antichain of the truncation is one of
-N_{>=k}(P), so level k is its optimum.  Only the level's own weights are
-then formed, for its fsum; no weight is scaled, and no tree pass, covering
-edge or Dinic run follows.  A test that fails or is left open, a level the
-cap cuts, and the Erdos weights of ``verify_erdos_best`` go to the
-optimizer below.
+cap leaves level k whole, the claim is over all of N_{>=k}(P), whose
+antichains include the truncation's, and only the level's own weights are
+formed, for its fsum; no weight is scaled, and no tree pass, covering edge
+or Dinic run follows.  Every other report claims the truncation only: a
+test that fails or is left open, a level the cap cuts, and the Erdos
+weights of ``verify_erdos_best`` go to the optimizer below.
 
 The optimizer first tries a bound from Erdos's tree.  Every element above
 level k_lo has the parent n / P(n), P(n) its largest prime, which is itself
@@ -111,7 +111,7 @@ from .analytic import HOLDS, FAILS, MEMBERS_SHOWN, ConditionVerdict, check_condi
 from .erdos import erdos_weights
 from .errors import SizeLimitError
 from .primes import MAX_ELEMENT, PrimeSet
-from .symfunc import h_all, level_sum_check, power_weights, sigma_nk
+from .symfunc import h_all, level_sum_check, power_weights
 
 # Element indices: a list, or an int64 array for a columnar universe.
 Indices = Union[list[int], np.ndarray]
@@ -668,13 +668,12 @@ def max_weight_antichain_bruteforce(
 
 @dataclass
 class OptimalityReport:
-    """Outcome of one certification over a truncation; fields in JSON key order."""
+    """Outcome of one certification, its scope in ``claim``; fields in JSON key order."""
 
     claim: str
     verdict: str
     optimum_weight: float
     reference_weight: float
-    tail_bound: Optional[float]
     universe_size: int
     optimum_members: Antichain
     condition_verdict: ConditionVerdict
@@ -682,28 +681,6 @@ class OptimalityReport:
 
     def holds(self) -> bool:
         return self.verdict == HOLDS
-
-
-def _omega_tail_bound(prime_set: PrimeSet, t: float, max_omega: int) -> Optional[float]:
-    """Upper bound for the t-weight of everything above the Omega cap:
-    sum_{j>J} h_j <= h_J * r / (1 - r) when r = sum p^-t < 1."""
-    xs = power_weights(prime_set, t)
-    r = math.fsum(xs)
-    if r >= 1.0:
-        return None
-    h_cap = h_all(xs, max_omega)[max_omega]
-    return h_cap * r / (1.0 - r)
-
-
-def _value_tail_bound(prime_set: PrimeSet, t: float, max_value: int) -> float:
-    """Upper bound for the t-weight of semigroup members above the value cap:
-    sum over n > V of n^-t <= V^-theta * prod (1 - p^-(t-theta))^-1 with
-    theta = (t-1)/2, positive since the caller refuses t <= 1."""
-    theta = 0.5 * (t - 1.0)
-    prod = 1.0
-    for p in prime_set:
-        prod /= 1.0 - float(p) ** (-(t - theta))
-    return float(max_value) ** (-theta) * prod
 
 
 def _level_complete(universe: TruncatedUniverse) -> bool:
@@ -717,8 +694,6 @@ def _certify(
     universe: TruncatedUniverse,
     weights,
     reference_full: Optional[float],
-    tail_bound: Optional[float],
-    no_tail_reason: str,
     condition: ConditionVerdict,
     claim: str,
     proved: bool = False,
@@ -751,8 +726,6 @@ def _certify(
             "condition not certified for this prime set: conjecture instance, "
             "not theorem instance (empirical evidence only)"
         )
-    if tail_bound is None:
-        notes.append(f"{no_tail_reason}; the claim is restricted to the truncation")
     if not _level_complete(universe):
         notes.append("level set is truncated by the value cap")
 
@@ -761,7 +734,6 @@ def _certify(
         verdict=verdict,
         optimum_weight=optimum,
         reference_weight=level_weight if reference_full is None else reference_full,
-        tail_bound=tail_bound,
         universe_size=len(universe),
         optimum_members=_antichain_at(universe, members),
         condition_verdict=condition,
@@ -777,34 +749,28 @@ def verify_tbest(
     max_value: int,
     max_elements: int = DEFAULT_MAX_ELEMENTS,
 ) -> OptimalityReport:
-    """Certify that the level-k slice is the heaviest antichain of the
-    truncated Omega >= k universe under n^-t weights."""
+    """Certify that level k is the heaviest antichain under n^-t weights:
+    over all of N_{>=k}(P) where the level-sum test holds and the value cap
+    leaves level k whole, else over the truncated Omega >= k universe."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if not (t > 1.0) or not math.isfinite(t):
         raise ValueError("t-best certification needs a finite t > 1")
     universe = build_universe(prime_set, k, max_omega, max_value, max_elements)
     condition = check_condition(prime_set, t)
-    tail = _value_tail_bound(prime_set, t, max_value)
-    # n with Omega(n) > max_omega is at least 2^(max_omega + 1); when that
-    # passes max_value, the value tail already counts n
-    if max_omega + 1 < max_value.bit_length():
-        omega_tail = _omega_tail_bound(prime_set, t, max_omega)
-        tail = None if omega_tail is None else omega_tail + tail
-    reference_full = float(sigma_nk(prime_set, t, k))
+    reference_full = h_all(power_weights(prime_set, t), k)[k]
     # Level k is t-best over all of N_{>=k}(P) when the level-sum test
     # holds, and so over the truncation once the value cap leaves it whole:
     # only the level's own weights are needed
     proved = _level_complete(universe) and level_sum_check(prime_set, t, k) == HOLDS
     weighed = universe.elements[: universe.levels[1]] if proved else universe.elements
+    scope = f"N_{{>={k}}}(P)" if proved else "the truncation"
     return _certify(
         universe,
         power_weights(weighed, t),
         reference_full=reference_full,
-        tail_bound=tail,
-        no_tail_reason="weight sum of the alphabet is >= 1: no tail bound",
         condition=condition,
-        claim=f"level {k} is t-best (t={t}) over the truncation",
+        claim=f"level {k} is t-best (t={t}) over {scope}",
         proved=proved,
     )
 
@@ -816,8 +782,8 @@ def verify_erdos_best(
     max_value: int,
     max_elements: int = DEFAULT_MAX_ELEMENTS,
 ) -> OptimalityReport:
-    """Same certification under the 1/(n log n) weight, over the truncation
-    only: no tail bound is reported."""
+    """Same certification under the 1/(n log n) weight; the claim is over
+    the truncation only."""
     if k < 1:
         raise ValueError("k must be >= 1")
     universe = build_universe(prime_set, k, max_omega, max_value, max_elements)
@@ -826,11 +792,6 @@ def verify_erdos_best(
         universe,
         erdos_weights(universe.elements),
         reference_full=None,
-        tail_bound=None,
-        no_tail_reason=(
-            "1/(n log n) is at most a multiple of n^-t only for t <= 1, and the "
-            "value-cap tail bound needs t > 1"
-        ),
         condition=condition,
         claim=f"level {k} is reciprocal-log-best over the truncation",
     )

@@ -848,7 +848,7 @@ def test_certify_notes_a_tie_within_the_grid():
     universe = build_universe(prime_set, 1, 2, 4)
     assert universe.elements == (2, 3, 4)
     report = oracle._certify(
-        universe, [0.49 * 2**-59, 1.0, 0.51 * 2**-59], None, None, "no tail",
+        universe, [0.49 * 2**-59, 1.0, 0.51 * 2**-59], None,
         oracle.check_condition(prime_set, 2.0), "claim",
     )
     assert report.verdict == "holds"
@@ -1051,7 +1051,7 @@ def test_erdos_optimum_weight_is_erdos_sum_bit_for_bit(args):
             report = verify_erdos_best(*args)
         members = report.optimum_members.members
         assert len(members) > 1
-        assert report.optimum_weight.hex() == erdos_sum(members).hex()
+        assert report.optimum_weight.hex() == erdos_sum(members).value.hex()
 
 
 def test_dinic_is_built_only_where_the_tree_stays_open(monkeypatch):
@@ -1096,7 +1096,7 @@ def test_the_decided_path_weighs_only_level_k(monkeypatch, columns_from):
     weighed = []
 
     def recording(values, t):
-        if not isinstance(values, PrimeSet):  # the tails weigh the primes
+        if not isinstance(values, PrimeSet):  # h_k weighs the primes
             weighed.append(as_list(values))
         return power_weights(values, t)
 
@@ -1115,22 +1115,32 @@ def test_the_decided_path_weighs_only_level_k(monkeypatch, columns_from):
 
 
 def _verify_json(prime_set, t, k, max_omega, max_value):
-    return json.dumps(jsonable(verify_tbest(prime_set, t, k, max_omega, max_value)))
+    """The JSON of verify_tbest's report without its claim."""
+    payload = jsonable(verify_tbest(prime_set, t, k, max_omega, max_value))
+    del payload["claim"]
+    return json.dumps(payload)
 
 
-def test_decided_reports_equal_the_fallback_on_seeded_draws():
-    # Where level_sum_check HOLDS and level k is whole, verify_tbest skips the
-    # tree pass and Dinic.  Its report must be _certify's over every element,
-    # the path it takes when the test is left open.  A decisive verdict at
-    # any t agrees with exact Fraction sums over the binary64 weights, which
-    # the bounds enclose too; at integer t with the true weights p^-t.
-    draws = [
+def _tbest_draws():
+    """(prime_set, t, k, max_omega, max_value) of the seeded universes under
+    n^-t and of the seeded Omega bands; t may be 1 or less."""
+    return [
         (universe.prime_set, kind, universe.k_lo, universe.max_omega, universe.max_value)
         for universe, kind, _ in seeded_universes(1040) if kind not in ("erdos", "arbitrary")
     ] + [
         (PrimeSet(primes), t, k, top, max_value)
         for primes, k, top, max_value, t in omega_band_draws(60)
     ]
+
+
+def test_decided_reports_equal_the_fallback_on_seeded_draws():
+    # Where level_sum_check HOLDS and level k is whole, verify_tbest skips the
+    # tree pass and Dinic.  Its report must be _certify's over every element,
+    # the path it takes when the test is left open, in every field but the
+    # claim, whose scope the next test checks.  A decisive verdict at any t
+    # agrees with exact Fraction sums over the binary64 weights, which the
+    # bounds enclose too; at integer t with the true weights p^-t.
+    draws = _tbest_draws()
     counts = {"decided": 0, FAILS: 0, HOLDS: 0, INCONCLUSIVE: 0}
     for prime_set, t, k, max_omega, max_value in draws:
         verdict = level_sum_check(prime_set, t, k)
@@ -1150,6 +1160,32 @@ def test_decided_reports_equal_the_fallback_on_seeded_draws():
                 patch.setattr(oracle, "level_sum_check", lambda *_: INCONCLUSIVE)
                 assert _verify_json(*args) == decided, args
     assert counts["decided"] >= 300 and counts[FAILS] >= 20, counts
+
+
+def test_full_claims_bound_every_larger_truncation():
+    # The claim names N_{>=k}(P) exactly where the level-sum test HOLDS and
+    # the value cap leaves level k whole.  There no antichain of N_{>=k}(P)
+    # outweighs h_k, so the flow optimum of every larger truncation, in
+    # Omega and in value, stays at or below the reported h_k up to rounding
+    # (85 of these flows run Dinic).
+    counts = {"full": 0, "truncation": 0}
+    for prime_set, t, k, max_omega, max_value in _tbest_draws():
+        if not t > 1.0:
+            continue
+        report = verify_tbest(prime_set, t, k, max_omega, max_value)
+        universe = build_universe(prime_set, k, max_omega, max_value)
+        full = level_sum_check(prime_set, t, k) == HOLDS and oracle._level_complete(universe)
+        scope = f"N_{{>={k}}}(P)" if full else "the truncation"
+        assert report.claim == f"level {k} is t-best (t={t}) over {scope}"
+        counts["full" if full else "truncation"] += 1
+        if not full:
+            continue
+        assert report.holds()
+        for more_omega, value_factor in ((1, 1), (0, 10), (3, 10**4)):
+            larger = build_universe(prime_set, k, max_omega + more_omega, max_value * value_factor)
+            weight = max_weight_antichain_flow(larger, t)[1]
+            assert weight <= report.reference_weight * (1.0 + 1e-12), (prime_set, t, k)
+    assert counts["full"] >= 300 and counts["truncation"] >= 100, counts
 
 
 def test_flow_equals_bruteforce_on_exhaustive_grid():
@@ -1215,7 +1251,7 @@ def test_verify_tbest_certifies_small_alphabet():
     assert report.holds()
     assert report.optimum_members.members == (2, 3, 5)
     assert report.condition_verdict.verdict == "holds"
-    assert report.tail_bound is not None and report.tail_bound < 0.2
+    assert report.claim == "level 1 is t-best (t=1.5) over N_{>=1}(P)"
     assert "level set is truncated by the value cap" not in report.notes
 
 
@@ -1263,32 +1299,19 @@ def test_verify_erdos_best_examples():
     assert both.condition_verdict.verdict == "holds"
     assert both.holds()
     assert both.optimum_members.members == (2, 3)
-    # sum 1/p < 1 on both, but an Omega-only tail ignores the value cap and
-    # so bounds nothing that the truncation leaves out
-    for light in (report, both):
-        assert light.tail_bound is None
-        assert any("only for t <= 1" in note and "restricted to the truncation" in note
-                   for note in light.notes)
+    # sum 1/p < 1 on the first two and > 1 on the third: every Erdos claim
+    # keeps to the truncation
+    heavy = verify_erdos_best(PrimeSet([2, 3, 5, 7, 11]), 1, 3, 3000)
+    for erdos in (report, both, heavy):
+        assert erdos.claim == "level 1 is reciprocal-log-best over the truncation"
 
 
-def test_verify_erdos_tail_unavailable_for_heavy_alphabet():
-    primes = PrimeSet([2, 3, 5, 7, 11])  # reciprocal sum > 1
-    report = verify_erdos_best(primes, 1, 3, 3000)
-    assert report.tail_bound is None
-    assert any("restricted to the truncation" in note for note in report.notes)
-
-
-def test_verify_tbest_value_tail_alone_past_the_omega_cap():
-    # 2^(max_omega + 1) > max_value: every n above the Omega cap is above the
-    # value cap as well, so the value tail alone bounds what is left out, and
-    # no h_j up to max_omega is summed
-    P = PrimeSet([2])
-    report = verify_tbest(P, 1.5, 1, 10**9, 100)
+def test_verify_tbest_omega_cap_past_every_element():
+    # 2^(max_omega + 1) > max_value: no n above the Omega cap is a member, so
+    # no h_j up to max_omega is summed, and the claim is over N_{>=1}(P)
+    report = verify_tbest(PrimeSet([2]), 1.5, 1, 10**9, 100)
     assert report.holds() and report.universe_size == 6
-    assert report.tail_bound == verify_tbest(P, 1.5, 1, 6, 100).tail_bound
-    assert report.tail_bound < verify_tbest(P, 1.5, 1, 5, 100).tail_bound < math.inf
-    # what the truncation leaves out: 2^a for a >= 7
-    assert 2.0 ** -10.5 / (1.0 - 2.0 ** -1.5) <= report.tail_bound
+    assert report.claim == "level 1 is t-best (t=1.5) over N_{>=1}(P)"
 
 
 def test_sigma_nk_matches_oracle_level_enumeration():
@@ -1303,14 +1326,6 @@ def test_sigma_nk_matches_oracle_level_enumeration():
         assert abs(direct - float(sigma_nk(P, t, k))) <= 1e-12 * max(1.0, direct)
 
 
-def test_optimum_respects_reference_plus_tail_when_condition_holds():
-    for primes, t, k in (((2, 3, 5), 1.5, 1), ((3, 5, 7), 1.2, 2), ((2,), 1.1, 3)):
-        report = verify_tbest(PrimeSet(primes), t, k, k + 3, 10**6)
-        assert report.condition_verdict.verdict == "holds"
-        assert report.tail_bound is not None
-        assert report.optimum_weight <= report.reference_weight + report.tail_bound + 1e-9
-
-
 def test_optimality_report_json_shape():
     report = verify_tbest(PrimeSet([2, 3]), 1.5, 1, 4, 10**4)
     payload = jsonable(report)
@@ -1319,7 +1334,6 @@ def test_optimality_report_json_shape():
         "verdict",
         "optimum_weight",
         "reference_weight",
-        "tail_bound",
         "universe_size",
         "optimum_members",
         "condition_verdict",
