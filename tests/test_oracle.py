@@ -1299,11 +1299,18 @@ def test_verify_erdos_best_examples():
     assert both.condition_verdict.verdict == "holds"
     assert both.holds()
     assert both.optimum_members.members == (2, 3)
-    # sum 1/p < 1 on the first two and > 1 on the third: every Erdos claim
-    # keeps to the truncation
-    heavy = verify_erdos_best(PrimeSet([2, 3, 5, 7, 11]), 1, 3, 3000)
-    for erdos in (report, both, heavy):
+    # sum 1/p < 1 on both, yet the Erdos claim keeps to the truncation
+    for erdos in (report, both):
         assert erdos.claim == "level 1 is reciprocal-log-best over the truncation"
+
+
+def test_verify_erdos_tail_unavailable_for_heavy_alphabet():
+    # reciprocal sum > 1: nothing bounds what the truncation leaves out, so
+    # the claim keeps to the truncation and the report carries no tail
+    report = verify_erdos_best(PrimeSet([2, 3, 5, 7, 11]), 1, 3, 3000)
+    assert report.holds()
+    assert report.claim == "level 1 is reciprocal-log-best over the truncation"
+    assert "tail_bound" not in jsonable(report)
 
 
 def test_verify_tbest_omega_cap_past_every_element():
