@@ -211,6 +211,14 @@ LINES = [
     # the claim keeps to the truncation
     ["verify-tbest", "--primes-below", "100", "--t", "1.0156227079501332", "--k", "1",
      "--max-omega", "2", "--max-value", "10000"],
+    # h_1100 = 2^-1100 rounds to 0.0, and the radius still holds it
+    ["hk", "--primes", "2", "--t", "1", "--kmax", "1100"],
+    # the level-sum test proves level 2 though the k = 1 condition fails: a
+    # proved report carries no conjecture note
+    ["verify-tbest", "--primes-below", "200", "--t", "1.01", "--k", "2",
+     "--max-omega", "2", "--max-value", "40000"],
+    # h_444 h_446 overflows binary64
+    ["schur", "--primes-below", "1000", "--t", "0.0001", "--kmax", "460"],
 ]
 
 _RUNTIME = re.compile(r'("runtime_ms": )\d+')

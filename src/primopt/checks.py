@@ -136,8 +136,8 @@ def _theorem_instances(rng):
 def _level_two_overtakes_near_one(rng):
     primes_1e5 = sieve_primes(10**5)
     s1 = analytic.sigma_t(primes_1e5, 1.02)
-    h2 = float(symfunc.sigma_nk(primes_1e5, 1.02, 2))
-    return f"{h2:.6f} > {s1.value:.6f}", h2 > s1.upper()
+    h2 = symfunc.sigma_nk(primes_1e5, 1.02, 2)
+    return f"{h2.value:.6f} > {s1.value:.6f}", h2.lower() > s1.upper()
 
 
 @_check("identity_suite", "identity suite (random and exhaustive)", "all pass", 60.0)

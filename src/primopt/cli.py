@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 import time
@@ -138,15 +139,15 @@ def _cmd_hk(args):
     prime_set = _prime_set(args)
     if args.exact:
         xs = symfunc.exact_weights_from_primes(prime_set, args.t, args.kmax)
+        h = symfunc.h_all(xs, args.kmax)
+        top = float(h[-1])
+        # the rounding to a float, or ulp(0) where half an ulp is no float
+        lhs = ErrBoundReal(top, 0.0 if top == h[-1] else math.ulp(top) / 2 or math.ulp(0.0))
+        shown = [str(v) for v in h]
     else:
-        xs = symfunc.power_weights(prime_set, args.t)
-    h = symfunc.h_all(xs, args.kmax)
-    return _envelope(
-        f"level sums h_0..h_{args.kmax} at t={args.t}",
-        HOLDS,
-        lhs=ErrBoundReal.exact(float(h[-1])),
-        h=[str(v) if args.exact else float(v) for v in h],
-    )
+        h = symfunc.power_sums(prime_set, args.t, args.kmax)
+        lhs, shown = h[-1], [float(v.value) for v in h]
+    return _envelope(f"level sums h_0..h_{args.kmax} at t={args.t}", HOLDS, lhs=lhs, h=shown)
 
 
 def _cmd_schur(args):

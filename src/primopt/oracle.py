@@ -700,7 +700,8 @@ def _certify(
 ) -> OptimalityReport:
     """The report on level k_lo.  When ``proved``, level k_lo is already
     known to be optimal and ``weights`` are its own; else they cover the
-    universe and the tree pass, then Dinic, find the optimum."""
+    universe and the tree pass, then Dinic, find the optimum, and a condition
+    short of HOLDS marks the report a conjecture instance."""
     if proved:
         members = np.arange(len(weights)) if universe.columnar else range(len(weights))
         on_roots, quantum = True, 0.0
@@ -721,7 +722,7 @@ def _certify(
     # the truncated level is part of the full one, so this bounds both
     verdict = HOLDS if optimum <= level_weight + tol else FAILS
 
-    if condition.verdict != HOLDS:
+    if condition.verdict != HOLDS and not proved:
         notes.append(
             "condition not certified for this prime set: conjecture instance, "
             "not theorem instance (empirical evidence only)"

@@ -1,15 +1,13 @@
 """Complete homogeneous symmetric sums over prime weights, and the identity
 checks tying them to level sets of the restricted semigroup.
 
-The degree-k sum over weights (x_1..x_m) equals the weighted sum over the
-set of semigroup elements with exactly k prime factors, at x_i = p_i^-t.
-Everything is a finite positive sum, so the rolling-row DP is numerically
-stable.  The polynomial identities are decided exactly, on the binary64
-weights as integers over one power-of-two scale, as is the level-sum step
-h_{k+1} <= h_k, on integer bounds of the true weights; the gcd-block
-partition by exact set equality; the Schur and chain checks compare floats
-against a slack derived from the roundings each performs (the note above
-``_level_sums``).
+The degree-k sum h_k over weights (x_1..x_m) equals the weighted sum over
+the semigroup elements with exactly k prime factors, at x_i = p_i^-t.  Every
+check decides on integers or on enclosures, none against a slack: the
+polynomial identities on the binary64 weights as integers over one
+power-of-two scale, the level-sum step on integer bounds of the true weights,
+the gcd-block partition by exact set equality, and the Schur and chain checks
+on h_k's running-error enclosures (``h_all_enclosed``).
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .analytic import (
-    HOLDS, INCONCLUSIVE, FAILS, ConditionVerdict, ErrBoundReal, VerificationReport, _gamma,
+    HOLDS, INCONCLUSIVE, FAILS, ConditionVerdict, ErrBoundReal, VerificationReport, _mul_pair,
 )
 from .errors import PrecisionError, SizeLimitError
 from .primes import PrimeSet, omega
@@ -46,12 +44,6 @@ _H_ALL_BUDGET = 5 * 10**6
 # Fraction does.  On 2 vCPUs h_0..h_5000 over {1/2, 1/3}, 3,891 digits at
 # most, took 2 s.
 _DIGIT_BUDGET = 4300
-
-
-def _check_weights(xs: Sequence[Number]) -> None:
-    for x in xs:
-        if not (0 < x < 1):
-            raise ValueError(f"weight {x} outside (0, 1)")
 
 
 def power_weights(values: Union[PrimeSet, Sequence[int], np.ndarray], t: float):
@@ -97,6 +89,16 @@ def power_weights(values: Union[PrimeSet, Sequence[int], np.ndarray], t: float):
 _POW_PAD = 2**14  # 2^-50 over 2^64
 
 
+def _pow_pad(values: Union[PrimeSet, Sequence[int]], t: float) -> int:
+    """r of the note above, over 2^64 and rounded up."""
+    if max(values, default=0) <= 2**53:
+        return _POW_PAD
+    if t <= 2**51:
+        num, den = t.as_integer_ratio()
+        return _POW_PAD - (-num * 3 * 2**11 // den)  # 2^-50 + 3 t u over 2^64, rounded up
+    return 1 << 64
+
+
 def power_bounds(
     values: Union[PrimeSet, Sequence[int]], t: float
 ) -> tuple[int, list[int], list[int]]:
@@ -110,13 +112,7 @@ def power_bounds(
     weights = [float(p) ** (-t) for p in values]
     smallest = min(filter(None, weights), default=0.0)
     s = 63 - math.frexp(smallest)[1] if smallest else 1074
-    if max(values, default=0) <= 2**53:
-        r = _POW_PAD
-    elif t <= 2**51:
-        num, den = t.as_integer_ratio()
-        r = _POW_PAD - (-num * 3 * 2**11 // den)  # 2^-50 + 3 t u over 2^64, rounded up
-    else:
-        r = 1 << 64
+    r = _pow_pad(values, t)
     rounding = 1 + (1 << max(0, s - 1072))
     lo, hi = [], []
     for w in weights:
@@ -149,96 +145,99 @@ def exact_weights_from_primes(prime_set: PrimeSet, t: int, kmax: int = 1) -> lis
     return [Fraction(1, p ** int(t)) for p in prime_set]
 
 
+def _first_row(m: int, kmax: int) -> list:
+    """h_0..h_kmax over no weights, refused past ``_H_ALL_BUDGET`` steps over m."""
+    if kmax < 0:
+        raise ValueError("kmax must be >= 0")
+    steps = kmax * max(1, m)
+    if steps > _H_ALL_BUDGET:
+        raise SizeLimitError(
+            f"h_0..h_{kmax} over {m} weights takes {steps} steps, "
+            f"past the h_all budget of {_H_ALL_BUDGET}"
+        )
+    return [1] + [0] * kmax
+
+
+def _refuse_overflow(row: list) -> None:
+    if math.inf in row:
+        raise PrecisionError(f"level sum h_{row.index(math.inf)} overflows binary64")
+
+
 def h_all(xs: Sequence[Number], kmax: int) -> list[Number]:
     """h_0..h_kmax of the weight vector: h_k sums all degree-k monomials
     with non-decreasing indices.
 
-    Rolling-row DP over variables: after processing i variables the row
-    holds the sums restricted to those variables.  O(m * kmax) time,
-    O(kmax) memory.  Works on floats and Fractions alike.  Past
-    ``_H_ALL_BUDGET`` steps the sums are refused before the row exists; a
-    float sum past binary64 is refused once the row is done.
-    """
-    if kmax < 0:
-        raise ValueError("kmax must be >= 0")
-    steps = kmax * max(1, len(xs))
-    if steps > _H_ALL_BUDGET:
-        raise SizeLimitError(
-            f"h_0..h_{kmax} over {len(xs)} weights takes {steps} steps, "
-            f"past the h_all budget of {_H_ALL_BUDGET}"
-        )
-    row: list[Number] = [1] + [0] * kmax
+    Rolling-row DP over the variables: after i of them the row holds the
+    sums over those i.  O(m * kmax) time, O(kmax) memory, on floats,
+    Fractions and ints.  Past ``_H_ALL_BUDGET`` steps the sums are refused
+    before the row exists, and a float sum past binary64 once it is done."""
+    row = _first_row(len(xs), kmax)
     for x in xs:
         for k in range(1, kmax + 1):
             row[k] = row[k] + x * row[k - 1]
-    if math.inf in row:
-        raise PrecisionError(f"level sum h_{row.index(math.inf)} overflows binary64")
+    _refuse_overflow(row)
     return row
 
 
-def sigma_nk(prime_set: PrimeSet, t: float, k: int) -> float:
+# Running error (N. J. Higham, *Accuracy and Stability of Numerical
+# Algorithms*, 2nd ed., ch. 3): a binary64 sum or product is within u = 2^-53
+# of its result, a product also within ulp(0) / 2 where it underflows.  So
+# the update s = row[k] + x row[k - 1] adds at most x err[k - 1] + 2 u s +
+# ulp(0) / 2 to h_k's error, and a weight e off the true one adds
+# e (row[k - 1] + err[k - 1]).  The radius rounds too: its nonnegative terms
+# reach err[k] through under 8 (m + k) roundings, which lose under 2^-27 of
+# it within the budget; 2 ulp(0) per step hold its own products' underflow,
+# and e's floor is doubled for its own.  Four times the sum, at least 4 u h_k,
+# leaves room for the rounding of value -+ radius in lower() and upper().
+def h_all_enclosed(xs: Sequence[float], kmax: int, pad: float = 0.0) -> tuple[list, list]:
+    """h_0..h_kmax and their running-error radii (the note above) at true
+    weights within pad (x + 2^-1022) of the positive floats xs: h_all's
+    values, under its budget and overflow refusal, which an upper end meets too."""
+    row = _first_row(len(xs), kmax)
+    err = [0.0] * (kmax + 1)
+    levels = range(1, kmax + 1)  # built once: one per weight cost 1 of 4 ms at m = 9,592
+    for x in xs:
+        e = pad * (x + 2.0**-1021)
+        below, below_err = 1, 0.0
+        for k in levels:
+            s = row[k] + x * below
+            below_err = err[k] + x * below_err + e * (below + below_err) + s * 2.0**-52 + 2.0**-1073
+            row[k] = below = s
+            err[k] = below_err
+    radii = [4.0 * r for r in err]
+    _refuse_overflow([v + r for v, r in zip(row, radii)])
+    return row, radii
+
+
+def power_sums(prime_set: PrimeSet, t: float, kmax: int) -> list[ErrBoundReal]:
+    """Enclosures of h_0..h_kmax at the true weights p^-t, which lie within
+    r w + 2^-1073 (1 + r) <= r (w + 2^-1022) of ``power_weights``' w (r >= 2^-50)."""
+    pad = math.ldexp(_pow_pad(prime_set, t), -64)
+    return list(map(ErrBoundReal, *h_all_enclosed(power_weights(prime_set, t), kmax, pad)))
+
+
+def sigma_nk(prime_set: PrimeSet, t: float, k: int) -> ErrBoundReal:
     """Weighted sum over the level-k slice of the semigroup: h_k at p^-t."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return h_all(power_weights(prime_set, t), k)[k]
-
-
-# Slack of the float checks below, counted from the operations each does.  A
-# binary64 add, multiply or cast gives x (1 + d), |d| <= u = 2^-53, or x + e,
-# |e| <= ulp(0) / 2, for a product that underflows (a sum that underflows is
-# exact).  A weight float(n) ** -t carries w = 2 + ceil(t) factors 1 + d
-# (libm's pow errs by under one ulp, the cast by (1 + d)^-t), and n such
-# factors lie within 1 +- gamma(n).  h_all's update passes each monomial of
-# h_k over m positive weights through m + 2k - 1 roundings (by induction), so
-# h_k carries gamma(m + (2 + w) k).
-#
-# Underflows add to that.  The product that weight i adds at row[j] may
-# underflow, once per (i, j); its e reaches h_k times at most h_{k-j} <= S,
-# S the row's sum.  So h_k is off by at most ulp(0) / 2 m S, which the
-# per-level bound E = ulp(0) (1 + m S) holds twice over, the factor 2 taking
-# the roundings of S, E and the carried e.  E is finite where S is: ulp(0) m
-# is exact, and times S it stays below 1.
-#
-# A chain step h_k against h_{k+1} then errs by g = gamma(2 (m + (2 + w) K) +
-# 4) of its terms, K the row's last k, with the comparison and the slack's own
-# roundings, plus E on each side: its slack is g h_{k+1} + 2E.  A determinant
-# h_{k+1}^2 - h_k h_{k+2} errs by g of a + b, its two products, plus what the
-# levels' E carry through them, at most E (2 h_{k+1} + h_k + h_{k+2} + 2E)
-# before two roundings, plus ulp(0) <= E where a or b underflows itself: all
-# within 2E (1 + 2 h_{k+1} + h_k + h_{k+2}).  Each slack scales with the
-# levels it compares, so a large h_K cannot hide the rise from h_1 to h_2
-# that the chain's hypothesis reads.  A level sum, S, a or b that is not
-# finite would make a slack that passes every comparison, so each is refused
-# with a PrecisionError: by h_all, here, or at the determinant.
-
-
-def _level_sums(xs: Sequence[Number], kmax: int, w: int = 0) -> tuple[list, float, float]:
-    """h_0..h_kmax over weights of w roundings, their relative slack g, and
-    2E, a chain step's absolute slack (the note above)."""
-    h = h_all(xs, kmax)
-    g = _gamma(2 * (len(xs) + (2 + w) * kmax) + 4)
-    s = sum(h)  # inf past binary64, where math.fsum raises
-    if s == math.inf:
-        raise PrecisionError(f"the sum of h_0..h_{kmax} overflows binary64")
-    return h, g, 2.0 * (math.ulp(0.0) + math.ulp(0.0) * len(xs) * s)
+    return power_sums(prime_set, t, k)[k]
 
 
 def schur_check(xs: Sequence[Number], kmax: int) -> tuple[bool, Optional[int]]:
-    """Log-concavity of the h-sequence: h_{k+1}^2 - h_k h_{k+2} >= 0 (up to
-    its derived rounding slack) for 0 <= k < kmax.
-
-    Returns (ok, first violating k or None).
-    """
+    """Log-concavity of the h-sequence at the binary64 weights xs, as (ok,
+    first violating k or None): no k < kmax whose enclosures prove h_k h_{k+2}
+    > h_{k+1}^2."""
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    _check_weights(xs)
-    h, g, tiny = _level_sums(xs, kmax + 1)
+    outside = next((x for x in xs if not 0 < x < 1), None)
+    if outside is not None:
+        raise ValueError(f"weight {outside} outside (0, 1)")
+    h, r = h_all_enclosed(xs, kmax + 1)
     for k in range(kmax):
-        a, b = h[k + 1] * h[k + 1], h[k] * h[k + 2]
-        slack = g * (a + b) + tiny * (1.0 + 2.0 * h[k + 1] + h[k] + h[k + 2])
-        if not math.isfinite(slack):
+        # h_k h_{k+2} and h_{k+1}^2 by ErrBoundReal's product rule, on bare pairs
+        a, ar = _mul_pair(h[k], r[k], h[k + 2], r[k + 2])
+        b, br = _mul_pair(h[k + 1], r[k + 1], h[k + 1], r[k + 1])
+        if math.inf in (a + ar, b + br):
             raise PrecisionError(f"determinant at k={k} overflows binary64")
-        if a - b < -slack:
+        if a - ar > b + br:
             return False, k
     return True, None
 
@@ -246,15 +245,15 @@ def schur_check(xs: Sequence[Number], kmax: int) -> tuple[bool, Optional[int]]:
 def chain_check(prime_set: PrimeSet, t: float, kmax: int) -> VerificationReport:
     """If h_1 >= h_2 at p^-t, the whole sequence h_k must be non-increasing.
 
-    Verdict: holds when the hypothesis and the full chain both check out,
-    fails if the hypothesis holds but some later step rises (which would
-    contradict log-concavity), inconclusive when h_2 > h_1 so no chain is
-    claimed.
+    Verdict: holds when no step's enclosures prove a rise, fails if the
+    hypothesis holds but some later step rises (which would contradict
+    log-concavity), inconclusive when h_2 > h_1 so no chain is claimed.
     """
     if kmax < 2:
         raise ValueError("kmax must be >= 2: the hypothesis compares h_1 with h_2")
-    h, g, tiny = _level_sums(power_weights(prime_set, t), kmax, 2 + math.ceil(t))
-    rise = next((k for k in range(1, kmax) if h[k] < h[k + 1] * (1.0 - g) - tiny), None)
+    sums = power_sums(prime_set, t, kmax)
+    rise = next((k for k in range(1, kmax) if sums[k + 1].definitely_gt(sums[k])), None)
+    h = [v.value for v in sums]
     if rise is None:
         verdict, notes = HOLDS, []
     elif rise == 1:
@@ -265,7 +264,7 @@ def chain_check(prime_set: PrimeSet, t: float, kmax: int) -> VerificationReport:
     return VerificationReport(
         claim=f"level sums non-increasing from k=1 for t={t}",
         verdict=verdict,
-        quantities={"t": t, "h": list(h)},
+        quantities={"t": t, "h": h},
         notes=notes,
     )
 

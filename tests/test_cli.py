@@ -94,7 +94,10 @@ def test_chain_command(capsys):
 
 def test_schur_and_chain_exit_1_on_a_violation(capsys, monkeypatch):
     # a sequence no positive weights give: h_2^2 < h_1 h_3, and h_2 < h_3
-    monkeypatch.setattr(symfunc, "h_all", lambda xs, kmax: [1.0, 0.5, 0.25, 0.5][: kmax + 1])
+    sums = [1.0, 0.5, 0.25, 0.5]
+    monkeypatch.setattr(
+        symfunc, "h_all_enclosed", lambda xs, kmax, pad=0.0: (sums[: kmax + 1], [0.0] * (kmax + 1))
+    )
     code, report = run_json(capsys, "schur", "--weights", "0.5,0.3,0.2", "--kmax", "2")
     assert code == 1 and report["verdict"] == "fails"
     assert report["detail"]["first_violation"] == 1

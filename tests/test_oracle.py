@@ -1262,6 +1262,15 @@ def test_verify_tbest_single_prime_chain():
         assert report.optimum_members.members == (2**k,)
 
 
+def test_proved_report_carries_no_conjecture_note():
+    # the k = 1 condition fails for the primes below 200 at t = 1.01, but the
+    # level-sum test proves level 2: the report is a theorem instance
+    report = verify_tbest(sieve_primes(200), 1.01, 2, 2, 40000)
+    assert report.claim == "level 2 is t-best (t=1.01) over N_{>=2}(P)"
+    assert report.verdict == HOLDS and report.condition_verdict.verdict == FAILS
+    assert report.notes == []
+
+
 def test_verify_tbest_detects_level_two_overtaking():
     # near t=1 a dense alphabet makes the level-2 slice heavier than the primes
     primes = sieve_primes(300)
@@ -1272,7 +1281,7 @@ def test_verify_tbest_detects_level_two_overtaking():
     assert any("conjecture instance" in note for note in report.notes)
     # the optimum over that truncation is the full level-2 slice
     assert report.optimum_weight == pytest.approx(
-        float(sigma_nk(primes, 1.02, 2)), abs=1e-9
+        sigma_nk(primes, 1.02, 2).value, abs=1e-9
     )
 
 
@@ -1330,7 +1339,7 @@ def test_sigma_nk_matches_oracle_level_enumeration():
         level = level_members(u, k)
         assert len(level) == math.comb(k + len(primes) - 1, len(primes) - 1)
         direct = math.fsum(float(n) ** (-t) for n in level)
-        assert abs(direct - float(sigma_nk(P, t, k))) <= 1e-12 * max(1.0, direct)
+        assert abs(direct - sigma_nk(P, t, k).value) <= 1e-12 * max(1.0, direct)
 
 
 def test_optimality_report_json_shape():

@@ -65,9 +65,11 @@ def test_h_all_matches_multiset_enumeration_exactly(xs, kmax):
 
 
 def test_sigma_nk_examples():
-    assert sigma_nk(PrimeSet([2]), 1, 3) == 0.125
-    assert abs(sigma_nk(PrimeSet([2, 3]), 1, 2) - 19.0 / 36.0) < 1e-15
-    assert sigma_nk(PrimeSet([2, 3, 5]), 1.7, 0) == 1
+    assert sigma_nk(PrimeSet([2]), 1, 3).value == 0.125
+    h2 = sigma_nk(PrimeSet([2, 3]), 1, 2)
+    assert abs(h2.value - 19.0 / 36.0) < 1e-15
+    assert h2.lower() < 19 / 36 < h2.upper() and h2.radius < 1e-14
+    assert sigma_nk(PrimeSet([2, 3, 5]), 1.7, 0) == ErrBoundReal(1, 0.0)
     assert h_all(exact_weights_from_primes(PrimeSet([2, 3]), 1), 2)[2] == Fraction(19, 36)
 
 
@@ -77,7 +79,7 @@ def test_sigma_nk_agrees_with_level_enumeration():
         for t in (1.0, 1.31, 2.0):
             for k in range(5):
                 direct = math.fsum(n ** (-t) for n in level_elements(P, k))
-                via_h = sigma_nk(P, t, k)
+                via_h = sigma_nk(P, t, k).value
                 assert abs(direct - via_h) <= 1e-12 * max(1.0, abs(direct))
 
 
@@ -117,6 +119,13 @@ _UNIT = st.floats(min_value=1e-6, max_value=1.0 - 1e-6)
 _TINY = st.one_of(st.floats(1e-300, 1e-298), st.floats(1e-170, 1e-150))
 
 
+def _encloses(enclosure, num, den=1):
+    """Whether num / den lies in the enclosure, decided on integers."""
+    a, b = enclosure.value.as_integer_ratio()
+    c, e = enclosure.radius.as_integer_ratio()
+    return abs(a * den - num * b) * e <= c * den * b
+
+
 @given(
     st.one_of(
         st.lists(_UNIT, min_size=1, max_size=10),
@@ -127,15 +136,36 @@ _TINY = st.one_of(st.floats(1e-300, 1e-298), st.floats(1e-170, 1e-150))
     st.integers(min_value=1, max_value=8),
 )
 @settings(max_examples=200, deadline=None)
-def test_determinant_slack_bounds_its_rounding(xs, kmax):
-    # each binary64 determinant, formed as schur_check forms it, is within
-    # its slack of the exact determinant of the same binary64 weights
-    h, g, tiny = symfunc._level_sums(xs, kmax + 1)
-    exact = h_all([Fraction(x) for x in xs], kmax + 1)
-    for k in range(kmax):
-        a, b = h[k + 1] * h[k + 1], h[k] * h[k + 2]
-        det = exact[k + 1] * exact[k + 1] - exact[k] * exact[k + 2]
-        assert abs(Fraction(a - b) - det) <= Fraction(g * (a + b) + tiny)
+@example([0.9999] * 100, 1400)  # past about 1.3e154 from k = 1202: the squares overflow
+@example([5e-324, 0.5], 3)  # a subnormal weight, and products that underflow to 0
+def test_level_sum_enclosures_hold_exact_sums_of_binary64_weights(xs, kmax):
+    # the levels schur_check compares, against exact sums of the same
+    # binary64 weights: integers over one power-of-two denominator d
+    h = list(map(ErrBoundReal, *symfunc.h_all_enclosed(xs, kmax + 1)))
+    assert [v.value for v in h] == h_all(xs, kmax + 1)
+    d = max(x.as_integer_ratio()[1] for x in xs)
+    exact = h_all([x.as_integer_ratio()[0] * (d // x.as_integer_ratio()[1]) for x in xs], kmax + 1)
+    for k in range(kmax + 2):
+        assert _encloses(h[k], exact[k], d**k), k
+
+
+@given(
+    st.lists(st.one_of(_TINY, _UNIT), min_size=1, max_size=6),
+    st.integers(min_value=1, max_value=6),
+    st.sampled_from([-1, 1]),
+)
+@settings(max_examples=60, deadline=None)
+@example([5e-324], 2, 1)  # the pad's floor, 2^-1042, outweighs the weight
+@example([1e-310, 0.5], 3, -1)
+def test_level_sum_enclosures_hold_weights_at_their_pad(xs, kmax, side):
+    # the true weights sit pad (x + 2^-1022) off the floats, at either end:
+    # a pad of 2^-20 is far wider than any rounding the radius counts
+    pad = 2.0**-20
+    h = list(map(ErrBoundReal, *symfunc.h_all_enclosed(xs, kmax, pad)))
+    floor = Fraction(2) ** -1022
+    exact = h_all([Fraction(x) + side * Fraction(pad) * (Fraction(x) + floor) for x in xs], kmax)
+    for k in range(kmax + 1):
+        assert _encloses(h[k], exact[k].numerator, exact[k].denominator), k
 
 
 @given(
@@ -144,18 +174,51 @@ def test_determinant_slack_bounds_its_rounding(xs, kmax):
     st.integers(min_value=2, max_value=10),
 )
 @settings(max_examples=100, deadline=None)
-def test_chain_slack_bounds_each_level_sum(primes, t, kmax):
-    # at an integer t the true weights p^-t are Fractions: every binary64 h_k
-    # is within half the step slack of the exact level sum, so a step that
-    # chain_check calls a rise is one
+@example([2], 1, 1100)  # h_1100 = 2^-1100 underflows to 0.0
+@example([2, 3], 670, 3)  # 3^-670 is subnormal, and h_2 underflows
+def test_power_sums_enclose_exact_sums_at_integer_t(primes, t, kmax):
+    # at an integer t the true weights p^-t are Fractions: every level's
+    # enclosure, as chain_check and hk read it, holds the exact level sum,
+    # so a step that chain_check calls a rise is one
     prime_set = PrimeSet(primes)
-    h, g, tiny = symfunc._level_sums(power_weights(prime_set, t), kmax, 2 + t)
+    h = symfunc.power_sums(prime_set, t, kmax)
+    assert [v.value for v in h] == h_all(power_weights(prime_set, t), kmax)
     exact = h_all([Fraction(1, p**t) for p in primes], kmax)
     for k in range(kmax + 1):
-        assert abs(Fraction(h[k]) - exact[k]) <= Fraction(g * h[k] + tiny) / 2
+        assert _encloses(h[k], exact[k].numerator, exact[k].denominator), k
     for k in range(1, kmax):
-        if h[k] < h[k + 1] * (1.0 - g) - tiny:
+        if h[k + 1].definitely_gt(h[k]):
             assert exact[k] < exact[k + 1]
+
+
+def _mp_level_sums(primes, t, kmax):
+    row = [mpmath.mpf(1)] + [mpmath.mpf(0)] * kmax
+    for p in primes:
+        x = mpmath.mpf(p) ** -mpmath.mpf(t)
+        for k in range(1, kmax + 1):
+            row[k] += x * row[k - 1]
+    return row
+
+
+@given(
+    st.lists(st.sampled_from(sieve_primes(1000).as_list()), min_size=1, max_size=12, unique=True),
+    st.floats(0.01, 60.0).filter(lambda t: t != int(t)),
+    st.integers(min_value=1, max_value=12),
+)
+@settings(max_examples=100, deadline=None)
+@example(sieve_primes(1000).as_list(), 0.0001, 431)  # the level sums pass 1.3e154
+@example([2, 997], 103.5, 3)  # 997^-103.5 is subnormal, and h_2 underflows
+@example([3], 670.5, 2)
+def test_power_sums_enclose_mpmath_at_non_integer_t(primes, t, kmax):
+    # at 50 digits mpmath's sums are off by far less than the margin of
+    # 10^-40 of each level, and its exponents do not underflow; h_0 is 1
+    h = symfunc.power_sums(PrimeSet(primes), t, kmax)
+    assert h[0] == ErrBoundReal(1, 0.0)
+    with mpmath.workdps(50):
+        exact = _mp_level_sums(primes, t, kmax)
+        for k in range(1, kmax + 1):
+            gap = abs(mpmath.mpf(h[k].value) - exact[k]) + exact[k] * mpmath.mpf(10) ** -40
+            assert gap <= h[k].radius, k
 
 
 def test_chain_check_monotone_case():
